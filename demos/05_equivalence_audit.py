@@ -1,8 +1,11 @@
 """The safety audit: buffered runs must be indistinguishable from baseline runs.
 
-Runs one scenario twice, with and without the buffer, while an O(n^2)
-shadow scan checks at every force evaluation that no pair of spheres
-within cut-off range is missing from the live candidate list.  The two
+Runs one scenario twice, with and without the buffer, while a shadow scan
+checks at every force evaluation that no pair of spheres within cut-off
+range is missing from the live candidate list.  The scan sorts the spheres
+along their widest axis and sweeps each one's window of reach (a
+sort-and-sweep prefilter that shares no code with the cell grid it
+audits), then applies the exact cut-off test to the survivors.  The two
 runs must agree bit for bit: same contact history digest, same final
 positions and velocities.
 """

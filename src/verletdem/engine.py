@@ -119,7 +119,9 @@ def _skins_for_mode(pset: Particles, cfg: SimConfig, skin_mode: str):
         return None
     if skin_mode == SKIN_UNIFORM_RADIUS:
         caps = 0.5 * cfg.cell_size - pset.cutoff
-        return np.minimum(pset.radius, caps)
+        skins = np.minimum(pset.radius, caps)
+        skins[pset.is_static] = 0.0
+        return skins
     raise SimulationError(f"unknown skin mode {skin_mode!r}")
 
 
@@ -174,42 +176,59 @@ class _Driver:
         if validation and state.verlet is not None:
             self.live_keys = state.verlet.list.keys()
         if validation and n >= 2:
-            cut = state.particles.cutoff
-            reach = cut[:, None] + cut[None, :]
-            self._shadow_reach_sq = reach * reach
-            # prefilter threshold: upper triangle only, padded so that matrix
-            # algebra rounding can never hide a truly close pair
-            pad = 1e-9 * (1.0 + self._shadow_reach_sq)
-            thr = np.where(np.triu(np.ones((n, n), dtype=bool), k=1),
-                           self._shadow_reach_sq + pad, -1.0)
-            self._shadow_thr = thr
+            self._shadow_cut = state.particles.cutoff
+            self._shadow_cut_max = float(self._shadow_cut.max())
         else:
-            self._shadow_thr = None
+            self._shadow_cut = None
 
     # -- phases ----------------------------------------------------------
 
     def _shadow_scan(self) -> None:
-        """O(n^2) audit: every cutoff-overlapping pair must be in the live list.
+        """Audit: every cutoff-overlapping pair must be in the live list.
 
-        A BLAS distance-matrix prefilter selects a conservative superset of
-        close pairs; the decisive test on the survivors uses the exact same
+        A sort-and-sweep prefilter, independent of the cell grid it audits,
+        selects a conservative superset of close pairs: particles sorted
+        along the axis of widest extent, each taking the forward window of
+        axis gap <= its cutoff + the largest cutoff, then dropping
+        candidates too far apart on either other axis.  Both bounds carry a
+        relative 1e-9 pad so that rounding can never hide a truly close
+        pair.  The decisive test on the survivors uses the exact same
         elementwise arithmetic as the pair search, so the audit agrees
         bit-for-bit with the membership predicate it checks.
         """
-        if self._shadow_thr is None:
+        cut = self._shadow_cut
+        if cut is None:
             return
         pos = self.state.particles.position
-        sq = row_norm_sq(pos)
-        d2_approx = sq[:, None] + sq[None, :] - 2.0 * (pos @ pos.T)
-        ia, ib = np.nonzero(d2_approx <= self._shadow_thr)
-        if len(ia) == 0:
-            return
+        n = self.n
+        axis = int(np.argmax(np.ptp(pos, axis=0)))
+        order = np.argsort(pos[:, axis], kind="stable")
+        cols = pos[order].T.copy()          # sorted coordinates, one row per axis
+        cs = cut[order]
+        x = cols[axis]
+        window = cs + self._shadow_cut_max
+        hi = np.searchsorted(x, x + window + 1e-9 * (1.0 + window), side="right")
+        # forward window [i + 1, hi[i]) in sorted order, spelled out here
+        # rather than shared with the grid search it audits
+        counts = hi - np.arange(1, n + 1)
+        total = int(counts.sum())
+        sa = np.repeat(np.arange(n), counts)
+        sb = sa + 1 + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        reach = cs[sa] + cs[sb]
+        bound = reach + 1e-9 * (1.0 + reach)
+        near = np.ones(total, dtype=bool)
+        for other in range(3):
+            if other != axis:
+                near &= np.abs(cols[other][sa] - cols[other][sb]) <= bound
+        a, b = order[sa[near]], order[sb[near]]
+        ia, ib = np.minimum(a, b), np.maximum(a, b)
         diff = pos[ia] - pos[ib]
         d2 = row_norm_sq(diff)
-        close = d2 <= self._shadow_reach_sq[ia, ib]
+        reach = cut[ia] + cut[ib]
+        close = d2 <= reach * reach
         if not np.any(close):
             return
-        keys = (ia[close].astype(np.int64) << np.int64(32)) | ib[close].astype(np.int64)
+        keys = np.sort((ia[close].astype(np.int64) << np.int64(32)) | ib[close].astype(np.int64))
         live = self.live_keys
         if live is None or len(live) == 0:
             missing = np.ones(len(keys), dtype=bool)
@@ -340,8 +359,9 @@ def run(cfg: SimConfig, particles, *, mode: str = OPCOUNT,
 
     The input particle set is copied, never mutated.  Aborts with
     :class:`SimulationUnstable` if any particle state goes non-finite.
-    With ``validation=True`` an O(n^2) shadow scan audits the live pair
-    list at every force evaluation.
+    With ``validation=True`` a shadow scan audits the live pair list at
+    every force evaluation: a sort-and-sweep prefilter, independent of the
+    cell grid, followed by the exact cutoff test on its survivors.
     """
     pset = as_particles(particles)
     validate_config(cfg, pset)

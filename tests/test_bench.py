@@ -127,6 +127,16 @@ class TestRunSweep:
         uni = report.row_for(UNIFORM_SKIN_K)
         assert uni.state_digest == report.baseline.state_digest
 
+    def test_uniform_skin_row_with_static_particles(self):
+        # static particles get zero skin in the uniform mode too; the
+        # buffered run, with contacts on the static roughness layer, must
+        # still end bit-identical to the baseline
+        sc = make_scenario("inclined-flow", 40, 4)
+        report = run_sweep(sc, [100], steps=3000, uniform_skin_radius=True)
+        uni = report.row_for(UNIFORM_SKIN_K)
+        assert uni.model > 0
+        assert uni.state_digest == report.baseline.state_digest
+
     def test_opcount_sweep_is_reproducible(self):
         sc = make_scenario("settling-box", 40, 4)
         a = run_sweep(sc, [0, 100], steps=200)

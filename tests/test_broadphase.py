@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verletdem.broadphase import (
-    CapNegative, PairList, SearchRadiusExceedsCell, SizeMismatch,
+    CapNegative, PairList, SearchRadiusExceedsCell, SizeMismatch, VerletState,
     brute_force_pairs, build_grid, compute_skin, linked_cell_pairs,
     verlet_build, verlet_needs_rebuild,
 )
@@ -244,6 +244,33 @@ class TestVerletBuild:
         assert not verlet_needs_rebuild(state, moved)
         colliding = brute_force_pairs(moved, moved.cutoff)
         assert colliding.issubset(state.list)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 120), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_rebuild_invariant_for_arbitrary_skins(self, seed, n, zero_share):
+        # skins drawn independently of velocity (some exactly zero, as for
+        # static particles), mixed cutoffs: moving each particle by at most
+        # its frozen skin keeps every zero-skin pair in the cached list
+        rng = np.random.default_rng(seed)
+        cell = 1.0
+        pos = rng.uniform(0.0, 5.0, (n, 3))
+        cutoff = rng.uniform(0.05, 0.3, n)
+        pset = Particles(pos, np.zeros((n, 3)), cutoff, cutoff, np.ones(n), np.zeros(n, bool))
+        skins = rng.uniform(1e-3, 1.0, n) * (0.5 * cell - cutoff)
+        skins[rng.uniform(size=n) < zero_share] = 0.0
+        grid = build_grid(pset, config(cell_size=cell, hi=(5, 5, 5)))
+        state = VerletState(
+            list=linked_cell_pairs(grid, pset, cutoff + skins),
+            reference_positions=pos.copy(), frozen_skins=skins, build_step=0,
+        )
+
+        direction = rng.normal(size=(n, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        moved = pset.copy()
+        moved.position += direction * (rng.uniform(0.0, 1.0 - 1e-6, n) * skins)[:, None]
+
+        assert not verlet_needs_rebuild(state, moved)
+        assert brute_force_pairs(moved, moved.cutoff).issubset(state.list)
 
 
 class TestNeedsRebuild:

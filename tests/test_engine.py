@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import verletdem.engine
 from verletdem.bench import make_scenario, validate_equivalence
+from verletdem.broadphase import brute_force_pairs
 from verletdem.core import ContactParams, Particle, Particles, SimConfig, WallPlane, vec3
 from verletdem.engine import (
-    PhaseMetrics, SimState, SimulationUnstable, maybe_broadphase, run, step,
+    SKIN_UNIFORM_RADIUS, PhaseMetrics, SimState, SimulationUnstable, _Driver,
+    _skins_for_mode, maybe_broadphase, run, step,
 )
 
 
@@ -144,6 +149,89 @@ class TestEquivalence:
         assert report.contact_history_match
         assert report.final_state_match
         assert report.broad_executions_buffered < report.broad_executions_baseline
+
+
+def audit(pset, live_keys):
+    """Run one shadow scan of ``pset`` against ``live_keys``; return the driver."""
+    driver = _Driver(SimState(particles=pset), open_config(1), PhaseMetrics(), validation=True)
+    driver.live_keys = live_keys
+    driver._shadow_scan()
+    return driver
+
+
+def assert_audit_equals_oracle(pset):
+    oracle = brute_force_pairs(pset, pset.cutoff)
+    # with nothing live, every close pair the scan finds is a miss ...
+    empty = audit(pset, np.empty(0, dtype=np.int64))
+    assert empty.shadow_misses == len(oracle)
+    assert [ex[1:] for ex in empty.shadow_examples] == list(oracle)[:5]
+    # ... and against the oracle's own list none is: the two sets are equal
+    assert audit(pset, oracle.keys()).shadow_misses == 0
+
+
+class TestShadowScan:
+    def test_reports_pair_the_live_list_lacks(self):
+        rng = np.random.default_rng(5)
+        pos = rng.uniform(0.0, 2.0, (60, 3))
+        r = np.full(60, 0.3)
+        pset = Particles(pos, np.zeros((60, 3)), r, r, np.ones(60), np.zeros(60, bool))
+        oracle = brute_force_pairs(pset, pset.cutoff)
+        assert len(oracle) > 1
+        dropped = list(oracle)[len(oracle) // 2]
+        live = np.delete(oracle.keys(), len(oracle) // 2)
+        driver = audit(pset, live)
+        assert driver.shadow_misses == 1
+        assert driver.shadow_examples == [(0, *dropped)]
+
+    def test_run_with_stale_list_reports_the_miss(self, monkeypatch):
+        # the list built at step 0 holds no pair; with rebuilds switched off
+        # the approaching spheres come within cutoff and the audit must say so
+        monkeypatch.setattr(verletdem.engine, "verlet_needs_rebuild", lambda *a: False)
+        pset = Particles.from_list([
+            sphere(0, (-0.6, 0, 0), vel=(1.0, 0, 0)),
+            sphere(1, (0.6, 0, 0), vel=(-1.0, 0, 0)),
+        ])
+        result = run(open_config(steps=200, k_factor=0), pset, validation=True)
+        assert len(result.state.verlet.list) == 0
+        assert result.shadow_misses >= 1
+        assert {(a, b) for _, a, b in result.shadow_examples} == {(0, 1)}
+
+    def test_two_particles_touching_exactly(self):
+        pset = Particles.from_list([sphere(0, (0, 0, 0)), sphere(1, (1.0, 0, 0))])
+        assert_audit_equals_oracle(pset)
+        assert audit(pset, None).shadow_misses == 1
+
+    def test_two_particles_apart(self):
+        pset = Particles.from_list([sphere(0, (0, 0, 0)), sphere(1, (0, 0, 1.0 + 1e-12))])
+        assert_audit_equals_oracle(pset)
+        assert audit(pset, None).shadow_misses == 0
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 200),
+           st.sampled_from(["uniform", "ties", "flat", "line"]))
+    @settings(max_examples=60, deadline=None)
+    def test_close_set_equals_oracle(self, seed, n, layout):
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0.0, [4.0, 3.0, 2.0], (n, 3))
+        if layout == "ties":
+            # few distinct values on the widest (sort) axis
+            pos[:, 0] = rng.integers(0, 5, n) * 1.0
+        elif layout == "flat":
+            pos[:, 2] = 0.5                 # zero extent on one axis
+        elif layout == "line":
+            pos[:, 1:] = 1.0                # zero extent on two axes
+        cutoff = rng.uniform(0.05, 0.6, n)  # mixed cutoffs
+        pset = Particles(pos, np.zeros((n, 3)), cutoff, cutoff, np.ones(n), np.zeros(n, bool))
+        assert_audit_equals_oracle(pset)
+
+
+class TestUniformSkin:
+    def test_static_particles_get_zero_skin(self):
+        sc = make_scenario("mini-hopper", 40, 3)
+        pset = sc.build_particles()
+        assert pset.is_static.any()
+        skins = _skins_for_mode(pset, sc.sim_config(0), SKIN_UNIFORM_RADIUS)
+        assert np.all(skins[pset.is_static] == 0.0)
+        assert np.all(skins[~pset.is_static] > 0.0)
 
 
 class TestMirrorSymmetry:
