@@ -6,12 +6,14 @@ its own speed (``k_factor * |v| * dt``), capped by the cell geometry, and
 freezes both the skins and the positions at build time.  The cached pair
 list stays valid until some particle's straight-line displacement since the
 build exceeds its frozen skin; only then is a new broad-phase required.
+The same argument caches, per wall plane, the particles within radius + skin
+of it, so the narrow phase tests only those against that wall.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -23,7 +25,7 @@ __all__ = [
     "CellGrid", "PairList", "VerletState",
     "CapNegative", "SearchRadiusExceedsCell", "SizeMismatch",
     "compute_skin", "build_grid", "linked_cell_pairs", "brute_force_pairs",
-    "verlet_build", "verlet_needs_rebuild",
+    "wall_candidates", "verlet_build", "verlet_needs_rebuild",
 ]
 
 
@@ -315,6 +317,21 @@ def brute_force_pairs(particles, search_radius) -> PairList:
     return PairList(pairs)
 
 
+def wall_candidates(particles, walls, reach) -> tuple[np.ndarray, ...]:
+    """Per wall, the sorted ids of the particles with signed distance <= reach.
+
+    With ``reach = radius + skin`` this is the wall counterpart of the pair
+    list.  A particle left out can reach a signed distance below its radius
+    (a contact) or below zero (behind the wall) only by moving further than
+    its skin, which triggers a rebuild first.  The bound carries a relative
+    1e-9 pad so that rounding can never drop such a particle.
+    """
+    pset = as_particles(particles)
+    reach = np.asarray(reach, dtype=np.float64)
+    bound = reach + 1e-9 * (1.0 + reach)
+    return tuple(np.flatnonzero(w.signed_distance(pset.position) <= bound) for w in walls)
+
+
 @dataclass(frozen=True)
 class VerletState:
     """Snapshot of one broad-phase build.
@@ -323,13 +340,16 @@ class VerletState:
     produced ``list``; the rebuild test compares displacements against these
     frozen values, never against skins recomputed from current velocities,
     because the cached list is only guaranteed to cover motion within the
-    margins it was built with.
+    margins it was built with.  ``wall_rows`` holds, per wall of the
+    configuration, the particles within radius + frozen skin of it at the
+    build (see :func:`wall_candidates`); None stands for every particle.
     """
 
     list: PairList
     reference_positions: np.ndarray
     frozen_skins: np.ndarray
     build_step: int
+    wall_rows: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.reference_positions)
@@ -349,12 +369,16 @@ def _verlet_build_stats(particles, cfg: SimConfig, step: int, skins=None):
         reference_positions=pset.position.copy(),
         frozen_skins=skins,
         build_step=int(step),
+        wall_rows=wall_candidates(pset, cfg.walls, pset.radius + skins),
     )
     return state, tested
 
 
 def verlet_build(particles, cfg: SimConfig, step: int = 0) -> VerletState:
-    """Run the broad-phase with skin-inflated radii and snapshot positions."""
+    """Run the broad-phase with skin-inflated radii and snapshot positions.
+
+    The per-wall candidates of ``cfg.walls`` are cached with the pair list.
+    """
     state, _ = _verlet_build_stats(particles, cfg, step)
     return state
 

@@ -1,7 +1,7 @@
 """Command-line interface: run, sweep, validate.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation instability,
-4 validation failure.
+4 validation failure, 5 any other simulation error.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from .bench import (
     DEFAULT_K_VALUES, SCENARIO_NAMES, emit_report, make_scenario, run_sweep,
     validate_equivalence,
 )
-from .core import ConfigError, config_overrides
+from .core import ConfigError, SimulationError, config_overrides
 from .engine import OPCOUNT, WALLTIME, SimulationUnstable, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
 EXIT_VALIDATION = 4
+EXIT_SIMULATION = 5
 
 _RUN_DOC_KEYS = ("scenario", "config", "trajectory_every", "mode")
 _SCENARIO_DOC_KEYS = ("name", "n", "seed")
@@ -199,6 +200,9 @@ def main(argv=None) -> int:
     except SimulationUnstable as exc:
         print(f"simulation unstable: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
+    except SimulationError as exc:     # after its two subclasses above
+        print(f"simulation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
 
 
 if __name__ == "__main__":

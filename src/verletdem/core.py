@@ -108,6 +108,19 @@ class WallPlane:
         object.__setattr__(self, "point", as_vec3(self.point))
         object.__setattr__(self, "outward_normal", as_vec3(self.outward_normal))
 
+    def signed_distance(self, positions: np.ndarray, rows=None) -> np.ndarray:
+        """Signed distances of ``positions[rows]`` (every row when None).
+
+        A row gets the same bits whichever rows are selected with it: numpy
+        computes a one-row product with a dot kernel, whose rounding differs
+        from the matrix-vector kernel used for two or more rows, so one row
+        selected out of several is computed as two copies of itself.
+        """
+        if rows is None:
+            return (positions - self.point) @ self.outward_normal
+        take = np.repeat(rows, 2) if len(rows) == 1 < len(positions) else rows
+        return ((positions[take] - self.point) @ self.outward_normal)[:len(rows)]
+
 
 @dataclass(frozen=True)
 class ContactParams:

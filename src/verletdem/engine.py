@@ -273,7 +273,8 @@ class _Driver:
 
         t0 = time.perf_counter() if self.walltime else 0.0
         reports: list[tuple[int, int]] = []
-        contacts = resolve_contacts(verlet.list, pset, cfg.walls, tunneling=reports)
+        contacts = resolve_contacts(verlet.list, pset, cfg.walls, tunneling=reports,
+                                    wall_rows=verlet.wall_rows)
         for pid, widx in reports:
             self.tunneling.append((self.state.step, pid, widx))
             log.warning("step %d: particle %d behind wall %d", self.state.step, pid, widx)

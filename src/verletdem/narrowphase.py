@@ -2,8 +2,12 @@
 
 Sphere-sphere overlap is ``r_a + r_b - |X_a - X_b|``; a pair collides only
 when that value is strictly positive (an exact touch produces no contact).
-Wall planes are checked for every particle on every evaluation, outside the
-cached pair list: they are static and cheap to test exhaustively.
+A sphere touches a wall plane when its signed distance ``d`` is below its
+radius; ``d < 0`` (the center behind the plane) is a tunneling report, not a
+contact.  Each wall is tested against the particles the Verlet buffer cached
+for it at the last build (every particle when no cache is given): the rows
+tested change, the arithmetic of each row does not, so the contacts and the
+tunneling reports are those of an exhaustive test.
 """
 
 from __future__ import annotations
@@ -108,9 +112,16 @@ class Contacts:
 
 
 def _pair_contact_arrays(pset: Particles, pairs: np.ndarray):
-    """Overlap, normal and contact point for candidate rows with overlap > 0."""
+    """Overlap, normal and contact point for candidate rows with overlap > 0.
+
+    Only rows with ``d^2 <= (r_a + r_b)^2 (1 + 1e-9)`` go on to the square
+    root.  Every row with overlap > 0 passes: a correctly rounded
+    ``sqrt(d^2)`` below ``r_a + r_b`` needs ``d^2`` within a few ulps of
+    ``(r_a + r_b)^2``.
+    """
     ia, ib = pairs[:, 0], pairs[:, 1]
-    diff = pset.position[ib] - pset.position[ia]
+    # np.take copies whole rows; indexing with [ib] is several times slower
+    diff = np.take(pset.position, ib, axis=0) - np.take(pset.position, ia, axis=0)
     d2 = row_norm_sq(diff)
     bad = d2 < COINCIDENT_TOL * COINCIDENT_TOL
     if np.any(bad):
@@ -118,35 +129,40 @@ def _pair_contact_arrays(pset: Particles, pairs: np.ndarray):
         raise CoincidentCenters(
             f"particles {int(ia[k])} and {int(ib[k])} have coincident centers"
         )
-    d = np.sqrt(d2)
-    overlap = pset.radius[ia] + pset.radius[ib] - d
+    rsum = pset.radius[ia] + pset.radius[ib]
+    near = np.flatnonzero(d2 <= rsum * rsum * (1.0 + 1e-9))
+    d = np.sqrt(d2[near])
+    overlap = rsum[near] - d
     hit = overlap > 0.0
-    ia, ib, d, overlap, diff = ia[hit], ib[hit], d[hit], overlap[hit], diff[hit]
-    normal = diff / d[:, None]
+    rows = near[hit]
+    ia, ib, d, overlap = ia[rows], ib[rows], d[hit], overlap[hit]
+    normal = diff[rows] / d[:, None]
     mid = 0.5 * (pset.position[ia] + pset.position[ib])
     point = mid + (0.5 * (pset.radius[ia] - pset.radius[ib]))[:, None] * normal
     return ia, ib, overlap, normal, point
 
 
 def _wall_contact_arrays(pset: Particles, wall: WallPlane, wall_index: int,
-                         tunneling: Optional[list]):
-    rel = pset.position - wall.point
-    d = rel @ wall.outward_normal
+                         tunneling: Optional[list], rows: Optional[np.ndarray]):
+    if rows is None:
+        rows = np.arange(len(pset))
+    if len(rows) == 0:
+        return None
+    d = wall.signed_distance(pset.position, rows)
     behind = d < 0.0
     if np.any(behind):
-        ids = np.flatnonzero(behind)
+        ids = rows[behind]
         if tunneling is not None:
             tunneling.extend((int(i), wall_index) for i in ids)
         else:
             log.warning("particle(s) %s behind wall %d", ids.tolist(), wall_index)
-    overlap = pset.radius - d
+    overlap = pset.radius[rows] - d
     hit = (overlap > 0.0) & ~behind
-    ids = np.flatnonzero(hit)
-    if len(ids) == 0:
+    if not np.any(hit):
         return None
-    ov = overlap[ids]
+    ids, ov, d = rows[hit], overlap[hit], d[hit]
     normal = np.broadcast_to(-wall.outward_normal, (len(ids), 3))
-    point = pset.position[ids] - (0.5 * (pset.radius[ids] + d[ids]))[:, None] * wall.outward_normal
+    point = pset.position[ids] - (0.5 * (pset.radius[ids] + d))[:, None] * wall.outward_normal
     id_b = np.full(len(ids), wall_sentinel(wall_index), dtype=np.int64)
     return ids.astype(np.int64), id_b, ov, np.ascontiguousarray(normal), point
 
@@ -195,13 +211,15 @@ def sphere_plane_overlap(a: Particle, w: WallPlane, wall_index: int = 0) -> Opti
 
 
 def resolve_contacts(candidates: PairList, particles, walls=(),
-                     tunneling: Optional[list] = None) -> Contacts:
+                     tunneling: Optional[list] = None,
+                     wall_rows: Optional[tuple] = None) -> Contacts:
     """Resolve every actually-overlapping candidate pair plus all wall contacts.
 
     The output is sorted by (id_a, id_b); wall sentinels are negative, so a
     particle's wall contacts precede its particle contacts.  Behind-wall
     particles are appended to ``tunneling`` (or logged) and produce no
-    contact.
+    contact.  ``wall_rows[k]`` restricts wall k to those sorted particle ids
+    (a :attr:`VerletState.wall_rows` cache); None tests every particle.
     """
     pset = as_particles(particles)
     cols_a, cols_b, cols_ov, cols_n, cols_p = [], [], [], [], []
@@ -215,7 +233,8 @@ def resolve_contacts(candidates: PairList, particles, walls=(),
         cols_p.append(pt)
 
     for k, wall in enumerate(walls):
-        got = _wall_contact_arrays(pset, wall, k, tunneling)
+        rows = None if wall_rows is None else wall_rows[k]
+        got = _wall_contact_arrays(pset, wall, k, tunneling, rows)
         if got is not None:
             ia, ib, ov, nrm, pt = got
             cols_a.append(ia)

@@ -111,11 +111,12 @@ def velocity_verlet_step(particles, forces_t: np.ndarray,
     """
     pset = as_particles(particles)
     forces_t = np.asarray(forces_t, dtype=np.float64)
-    free = ~pset.is_static
+    free = ~pset.is_static[:, None]
     inv_m = 1.0 / pset.mass[:, None]
     accel_t = forces_t * inv_m
-    pset.position[free] += pset.velocity[free] * dt + accel_t[free] * (0.5 * dt * dt)
+    np.add(pset.position, pset.velocity * dt + accel_t * (0.5 * dt * dt),
+           out=pset.position, where=free)
     forces_new = force_eval(pset)
     accel_new = forces_new * inv_m
-    pset.velocity[free] += (accel_t[free] + accel_new[free]) * (0.5 * dt)
+    np.add(pset.velocity, (accel_t + accel_new) * (0.5 * dt), out=pset.velocity, where=free)
     return pset, forces_new

@@ -1,9 +1,14 @@
 import json
 
+import pytest
+
+from verletdem.bench import Scenario
+from verletdem.broadphase import CapNegative, SearchRadiusExceedsCell, SizeMismatch
 from verletdem.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VALIDATION, main,
+    EXIT_CONFIG, EXIT_OK, EXIT_SIMULATION, EXIT_UNSTABLE, EXIT_VALIDATION, main,
 )
 from verletdem.engine import SimulationUnstable
+from verletdem.narrowphase import CoincidentCenters
 
 
 def write_run_config(path, n=20, steps=150, k_factor=100, extra=None,
@@ -72,6 +77,30 @@ class TestRunCommand:
 
         monkeypatch.setattr("verletdem.cli.run", explode)
         assert main(["run", "--config", cfg]) == EXIT_UNSTABLE
+
+    def test_coincident_centers_exits_5(self, tmp_path, monkeypatch, capsys):
+        cfg = write_run_config(tmp_path / "cfg.json")
+        build = Scenario.build_particles
+
+        def stacked(self):
+            pset = build(self)
+            pset.position[1] = pset.position[0]
+            return pset
+
+        monkeypatch.setattr(Scenario, "build_particles", stacked)
+        assert main(["run", "--config", cfg]) == EXIT_SIMULATION
+        err = capsys.readouterr().err
+        assert "CoincidentCenters" in err and "particles 0 and 1" in err
+
+    @pytest.mark.parametrize("error", [CapNegative, SearchRadiusExceedsCell, SizeMismatch])
+    def test_other_simulation_errors_exit_5(self, tmp_path, monkeypatch, error):
+        cfg = write_run_config(tmp_path / "cfg.json")
+
+        def explode(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr("verletdem.cli.run", explode)
+        assert main(["run", "--config", cfg]) == EXIT_SIMULATION
 
 
 class TestSweepCommand:

@@ -32,6 +32,27 @@ def base_config(**overrides):
     return SimConfig(**kw)
 
 
+class TestWallPlane:
+    def test_signed_distance_of_selected_rows_keeps_their_bits(self):
+        # a tilted normal, where the row kernels of numpy's product round
+        # differently; one row selected alone is the case that differs
+        rng = np.random.default_rng(4)
+        pos = rng.uniform(-1.0, 1.0, (300, 3))
+        wall = WallPlane(vec3(0.1, -0.2, 0.3), vec3(0.3, 0.1, 0.9) / norm(vec3(0.3, 0.1, 0.9)))
+        full = wall.signed_distance(pos)
+        for i in range(len(pos)):
+            rows = np.array([i])
+            assert wall.signed_distance(pos, rows).tobytes() == full[rows].tobytes()
+        for size in (0, 2, 3, 7, 150):
+            rows = np.sort(rng.choice(len(pos), size, replace=False))
+            assert wall.signed_distance(pos, rows).tobytes() == full[rows].tobytes()
+
+    def test_signed_distance_sign(self):
+        wall = WallPlane(vec3(0, 0, 1), vec3(0, 0, 1))
+        np.testing.assert_array_equal(
+            wall.signed_distance(np.array([[0.0, 0.0, 3.0], [5.0, 5.0, 0.5]])), [2.0, -0.5])
+
+
 class TestNorm:
     def test_zero_vector(self):
         assert norm(vec3(0, 0, 0)) == 0.0

@@ -150,6 +150,35 @@ class TestEquivalence:
         assert report.final_state_match
         assert report.broad_executions_buffered < report.broad_executions_baseline
 
+    def test_wall_contacts_equal_baseline(self):
+        # spheres thrown at a floor and a tilted wall: the buffered run tests
+        # only the wall rows cached at its builds, the baseline rebuilds (and
+        # re-caches) at every evaluation; contacts must agree bit for bit
+        rng = np.random.default_rng(12)
+        n = 40
+        pos = np.column_stack([rng.uniform(0.02, 0.38, n), rng.uniform(0.02, 0.38, n),
+                               rng.uniform(0.03, 0.12, n)])
+        vel = rng.normal(0.0, 0.3, (n, 3)) + vec3(-0.5, 0.0, -1.0)
+        radius = np.full(n, 0.01)
+        pset = Particles(pos, vel, radius, radius, np.full(n, 1e-3), np.zeros(n, bool))
+        tilt = vec3(1.0, 0.0, 0.3) / np.linalg.norm([1.0, 0.0, 0.3])
+        walls = (WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)), WallPlane(vec3(0, 0, 0), tilt))
+        results = [
+            run(SimConfig(dt=1e-4, k_factor=200, gravity=vec3(0, 0, -9.81), cell_size=0.05,
+                          domain_min=vec3(0, 0, 0), domain_max=vec3(0.4, 0.4, 0.4),
+                          contact=ContactParams(k_n=500.0, gamma_n=0.01), seed=0, steps=800,
+                          walls=walls, verlet_enabled=enabled),
+                pset, record_contact_digest=True)
+            for enabled in (True, False)
+        ]
+        buffered, baseline = results
+        assert buffered.metrics.broad_executions < baseline.metrics.broad_executions
+        assert buffered.metrics.model_time > 0
+        assert buffered.contact_digest == baseline.contact_digest
+        assert buffered.tunneling == baseline.tunneling
+        assert (buffered.state.particles.position.tobytes()
+                == baseline.state.particles.position.tobytes())
+
 
 def audit(pset, live_keys):
     """Run one shadow scan of ``pset`` against ``live_keys``; return the driver."""

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verletdem.broadphase import PairList, brute_force_pairs, verlet_build
-from verletdem.core import ContactParams, Particle, Particles, SimConfig, WallPlane, vec3
+from verletdem.broadphase import (
+    PairList, VerletState, brute_force_pairs, verlet_build, verlet_needs_rebuild,
+    wall_candidates,
+)
+from verletdem.core import (
+    ContactParams, Particle, Particles, SimConfig, WallPlane, row_norm_sq, vec3,
+)
 from verletdem.narrowphase import (
     CoincidentCenters, ParticleBehindWall, resolve_contacts, sphere_overlap,
     sphere_plane_overlap, wall_sentinel,
@@ -148,3 +153,77 @@ class TestResolveContacts:
         pset = Particles.from_list([sphere(0, (1, 1, 1)), sphere(1, (1, 1, 1))])
         with pytest.raises(CoincidentCenters, match="0 and 1"):
             resolve_contacts(PairList.from_pairs([(0, 1)]), pset)
+
+
+class TestDistanceFirstPairs:
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_contacts_equal_sqrt_of_every_row(self, seed, n):
+        # pairs placed within a few ulps of touching, on both sides: the
+        # d^2 prefilter must keep exactly the rows with rsum - sqrt(d^2) > 0
+        rng = np.random.default_rng(seed)
+        ra = rng.uniform(0.05, 0.2, n)
+        rb = rng.uniform(0.05, 0.2, n)
+        direction = rng.normal(size=(n, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        gap = (ra + rb) * (1.0 + rng.integers(-8, 9, n) * 2.0**-52)
+        a_pos = rng.uniform(0.0, 2.0, (n, 3))
+        pos = np.concatenate([a_pos, a_pos + direction * gap[:, None]])
+        radius = np.concatenate([ra, rb])
+        pset = Particles(pos, np.zeros((2 * n, 3)), radius, radius,
+                         np.ones(2 * n), np.zeros(2 * n, bool))
+        pairs = PairList.from_pairs((i, n + i) for i in range(n))
+
+        ia, ib = pairs.pairs[:, 0], pairs.pairs[:, 1]
+        diff = pos[ib] - pos[ia]
+        d = np.sqrt(row_norm_sq(diff))
+        overlap = radius[ia] + radius[ib] - d
+        hit = overlap > 0.0
+        contacts = resolve_contacts(pairs, pset)
+        np.testing.assert_array_equal(contacts.id_a, ia[hit])
+        np.testing.assert_array_equal(contacts.id_b, ib[hit])
+        assert contacts.overlap.tobytes() == overlap[hit].tobytes()
+        assert contacts.normal.tobytes() == (diff[hit] / d[hit][:, None]).tobytes()
+
+
+class TestWallCache:
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(1, 4),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_cached_rows_equal_every_row(self, seed, n, n_walls, zero_share):
+        # particles start near random walls, some behind one; skins are
+        # arbitrary, some zero.  After each particle moves by less than its
+        # skin, testing only the cached rows gives the exhaustive result
+        rng = np.random.default_rng(seed)
+        normals = rng.normal(size=(n_walls, 3))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        points = rng.uniform(0.0, 2.0, (n_walls, 3))
+        walls = tuple(WallPlane(p, nrm) for p, nrm in zip(points, normals))
+        radius = rng.uniform(0.05, 0.2, n)
+        skins = rng.uniform(0.0, 0.3, n)
+        skins[rng.uniform(size=n) < zero_share] = 0.0
+
+        home = rng.integers(0, n_walls, n)
+        along = radius * rng.uniform(-1.0, 2.0, n) + skins * rng.uniform(0.0, 2.0, n)
+        lateral = rng.uniform(-1.0, 1.0, (n, 3))
+        lateral -= np.einsum("ij,ij->i", lateral, normals[home])[:, None] * normals[home]
+        pos = points[home] + normals[home] * along[:, None] + lateral
+        pset = Particles(pos, np.zeros((n, 3)), radius, radius, np.ones(n), np.zeros(n, bool))
+        state = VerletState(
+            list=PairList.empty(), reference_positions=pos.copy(), frozen_skins=skins,
+            build_step=0, wall_rows=wall_candidates(pset, walls, radius + skins),
+        )
+
+        direction = rng.normal(size=(n, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        moved = pset.copy()
+        moved.position += direction * (rng.uniform(0.0, 1.0 - 1e-6, n) * skins)[:, None]
+        assert not verlet_needs_rebuild(state, moved)
+
+        pairs = brute_force_pairs(moved, moved.cutoff)
+        every_row, cached = [], []
+        full = resolve_contacts(pairs, moved, walls, tunneling=every_row)
+        fast = resolve_contacts(pairs, moved, walls, tunneling=cached,
+                                wall_rows=state.wall_rows)
+        assert fast.tobytes() == full.tobytes()
+        assert cached == every_row

@@ -72,6 +72,22 @@ class TestSpringDashpotForce:
         f_t = abs(f_a[1])
         assert f_t == pytest.approx(params.mu_s * f_n, rel=1e-12)
 
+    def test_dashpot_pulls_when_separating_fast(self):
+        # documented, not clamped: a just-overlapping pair separating fast
+        # feels a net pull, and the friction cap is mu_s * |F_n| of that pull
+        params = ContactParams(k_n=1000.0, gamma_n=1.0, mu_s=0.5, k_t=1e6)
+        a = sphere(0, (0, 0, 0), vel=(-1.0, 0.5, 0.0))
+        b = sphere(1, (0.9999, 0, 0), vel=(1.0, 0.0, 0.0))
+        c = sphere_overlap(a, b)                 # overlap 1e-4, normal +x
+        f_a, f_b = spring_dashpot_force(c, a, b, params)
+        # F_n = k_n * overlap + gamma_n * v_n = 0.1 - 2.0 = -1.9: a is
+        # pulled toward b
+        assert f_a[0] == pytest.approx(1.9)
+        # sliding at 0.5 m/s: min(k_t * overlap, mu_s * |F_n|) = 0.95
+        assert f_a[1] == pytest.approx(-0.95)
+        assert f_a[2] == 0.0
+        np.testing.assert_array_equal(f_b, -f_a)
+
     def test_head_on_equal_mass_speeds_swap(self):
         # oracle: during contact the relative coordinate is harmonic, so a
         # dissipation-free head-on collision of equal masses must exchange
@@ -138,6 +154,38 @@ class TestVelocityVerlet:
             _, forces = velocity_verlet_step(pset, forces, pull, 0.01)
         np.testing.assert_array_equal(pset.position[0], [1, 1, 1])
         np.testing.assert_array_equal(pset.velocity[0], [0, 0, 0])
+
+    def test_mixed_static_and_free_rows(self):
+        # the static rows carry a force but keep their exact bits; the free
+        # rows follow the constant-force closed form
+        rng = np.random.default_rng(3)
+        n = 12
+        static = np.arange(n) % 3 == 0
+        pos = rng.uniform(-1.0, 1.0, (n, 3))
+        vel = rng.normal(size=(n, 3))
+        vel[static] = 0.0
+        mass = rng.uniform(0.5, 2.0, n)
+        force = rng.normal(size=(n, 3))
+        pset = Particles(pos.copy(), vel.copy(), np.full(n, 0.1), np.full(n, 0.1),
+                         mass, static)
+
+        def constant(ps):
+            return force
+
+        forces = constant(pset)
+        steps, dt = 100, 0.01
+        for _ in range(steps):
+            _, forces = velocity_verlet_step(pset, forces, constant, dt)
+        assert pset.position[static].tobytes() == pos[static].tobytes()
+        assert pset.velocity[static].tobytes() == vel[static].tobytes()
+        t = steps * dt
+        accel = force / mass[:, None]
+        free = ~static
+        np.testing.assert_allclose(pset.position[free],
+                                   (pos + vel * t + 0.5 * accel * t * t)[free],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(pset.velocity[free], (vel + accel * t)[free],
+                                   rtol=1e-12, atol=1e-12)
 
     def test_harmonic_oscillator_energy_drift(self):
         # closed form: x(t) = cos(w t), E = k/2; velocity-Verlet keeps the
