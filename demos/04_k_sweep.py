@@ -2,9 +2,11 @@
 
 Runs the settling box once without the buffer and once per K value on
 identical initial conditions, in deterministic operation-count mode, then
-prints the trade-off table and writes the CSV report.  Raising K cuts the
-number of executed broad-phases but inflates the cached pair list that the
-narrow phase must resolve, so the total cost has an interior optimum.
+prints the trade-off table and writes the CSV report into the working
+directory, byte-identical to the committed ``sweep_settling_box.csv``.
+Raising K cuts the number of executed broad-phases but inflates the cached
+pair list that the narrow phase must resolve, so the total cost has an
+interior optimum.
 """
 
 from verletdem import emit_report, make_scenario, run_sweep

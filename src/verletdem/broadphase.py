@@ -118,28 +118,39 @@ def _canonicalize(pairs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CellGrid:
-    """Uniform spatial decomposition of the domain box.
+    """Uniform spatial decomposition of the domain box, in counting-sort form.
 
     Particles outside the box are clamped into boundary cells rather than
     rejected: scenario chutes let particles exit and the broad-phase must
     keep working on whatever is left.
+
+    The search runs on a padded box: the bounding box of the occupied cells
+    plus an empty ghost layer per face, ``shape`` cells per axis with cell
+    ``ijk`` at ``ijk - corner``, so every neighbour of an occupied cell is a
+    fixed offset of its padded id.  ``order`` lists the ids by padded cell,
+    ascending within a cell; the CSR cell ``starts`` put the residents of
+    padded cell ``c`` at ``order[starts[c]:starts[c + 1]]`` (Green,
+    "Particle Simulation using CUDA", 2010).  ``dims``, :attr:`cells`,
+    :meth:`coords_of` and :meth:`linearize` speak of the domain's cells.
     """
 
     origin: np.ndarray
     cell_size: float
     dims: np.ndarray
-    cell_of: np.ndarray = field(repr=False)   # (n,) linear cell index per particle
-    order: np.ndarray = field(repr=False)     # particle ids sorted by cell index
-    sorted_cells: np.ndarray = field(repr=False)
+    corner: np.ndarray = field(repr=False)    # cell coordinates of padded cell 0
+    shape: np.ndarray = field(repr=False)     # padded cells per axis
+    cell_of: np.ndarray = field(repr=False)   # (n,) padded cell id per particle
+    order: np.ndarray = field(repr=False)     # particle ids sorted by padded cell id
+    starts: np.ndarray = field(repr=False)    # (padded cells + 1,) CSR cell starts
 
     @property
     def cells(self) -> dict[int, np.ndarray]:
         """Map linear cell index -> array of resident particle ids."""
-        uniq, starts = np.unique(self.sorted_cells, return_index=True)
-        bounds = np.append(starts, len(self.sorted_cells))
+        occupied = np.flatnonzero(np.diff(self.starts))
+        ijk = np.stack(np.unravel_index(occupied, tuple(self.shape)), axis=1) + self.corner
         return {
-            int(c): self.order[bounds[i]:bounds[i + 1]]
-            for i, c in enumerate(uniq)
+            int(c): self.order[self.starts[p]:self.starts[p + 1]]
+            for c, p in zip(self.linearize(ijk), occupied)
         }
 
     def coords_of(self, positions: np.ndarray) -> np.ndarray:
@@ -184,26 +195,32 @@ def _skins(pset: Particles, k_factor: int, dt: float, cell_size: float) -> np.nd
 
 
 def build_grid(particles, cfg: SimConfig) -> CellGrid:
-    """Decompose the domain into uniform cells and bin every particle."""
+    """Bin every particle by a counting sort: ``starts[1:] = cumsum(bincount)``."""
     pset = as_particles(particles)
     extent = cfg.domain_max - cfg.domain_min
     dims = np.maximum(np.ceil(extent / cfg.cell_size).astype(np.int64), 1)
     ijk = np.floor((pset.position - cfg.domain_min) / cfg.cell_size).astype(np.int64)
-    ijk = np.clip(ijk, 0, dims - 1)
-    cell_of = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
-    order = np.argsort(cell_of, kind="stable")
+    axes = np.ascontiguousarray(np.clip(ijk, 0, dims - 1).T)   # (3, n): fast row reductions
+    box = axes if len(pset) else np.zeros((3, 1), dtype=np.int64)
+    corner = box.min(axis=1) - 1
+    shape = box.max(axis=1) - corner + 2
+    cell_of = np.ravel_multi_index(tuple(axes - corner[:, None]), tuple(shape))
+    starts = np.zeros(int(shape.prod()) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell_of, minlength=len(starts) - 1), out=starts[1:])
     return CellGrid(
         origin=cfg.domain_min.copy(),
         cell_size=float(cfg.cell_size),
         dims=dims,
+        corner=corner,
+        shape=shape,
         cell_of=cell_of,
-        order=order,
-        sorted_cells=cell_of[order],
+        order=np.argsort(cell_of, kind="stable"),
+        starts=starts,
     )
 
 
 # The 13 neighbour offsets whose linearized index is strictly below the home
-# cell, plus the home cell handled separately: every unordered cell pair is
+# cell; with the home cell handled separately, every unordered cell pair is
 # visited exactly once.
 _HALF_STENCIL = np.array([
     (dx, dy, dz)
@@ -214,55 +231,26 @@ _HALF_STENCIL = np.array([
 ], dtype=np.int64)
 
 
-def _ragged_take(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ranges [lo[i], lo[i]+counts[i]) into one index array."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(lo, counts)
-    head = np.concatenate(([0], np.cumsum(counts[:-1])))
-    within = np.arange(total, dtype=np.int64) - np.repeat(head, counts)
-    return starts + within
+def _candidate_pairs(grid: CellGrid):
+    """All pairs of sorted slots sharing a cell or sitting in adjacent cells.
 
-
-def _candidate_pairs(grid: CellGrid, positions: np.ndarray):
-    """All particle pairs sharing a cell or sitting in adjacent cells.
-
-    Returns (a_idx, b_idx, n_tested) where n_tested counts every candidate
-    pair exactly once.
+    Slot s holds particle ``grid.order[s]``.  It pairs with the later slots
+    of its own cell and with every slot of the 13 lower-index neighbour
+    cells, whose ranges are read straight off ``grid.starts``: ghost cells
+    are empty, so no neighbour needs a validity test.  Returns
+    (slot_a, slot_b), each candidate pair exactly once.
     """
-    n = len(positions)
-    if n < 2:
-        return np.empty(0, np.int64), np.empty(0, np.int64), 0
-    ids = np.arange(n, dtype=np.int64)
-    coords = grid.coords_of(positions)
-    home = grid.linearize(coords)
-
-    # home cell: id ordering inside the cell keeps each pair once
-    lo = np.searchsorted(grid.sorted_cells, home, side="left")
-    hi = np.searchsorted(grid.sorted_cells, home, side="right")
+    slots = np.arange(len(grid.order), dtype=np.int64)
+    home = grid.cell_of[grid.order]
+    offsets = _HALF_STENCIL @ np.array([grid.shape[1] * grid.shape[2], grid.shape[2], 1])
+    nbr = home + offsets[:, None]                 # (13, n) neighbour cell ids
+    lo = np.concatenate([slots + 1, grid.starts[nbr].ravel()])
+    hi = np.concatenate([grid.starts[home + 1], grid.starts[nbr + 1].ravel()])
     counts = hi - lo
-    b_pos = _ragged_take(lo, counts)
-    a_idx = np.repeat(ids, counts)
-    b_idx = grid.order[b_pos]
-    keep = b_idx > a_idx
-    a_home, b_home = a_idx[keep], b_idx[keep]
-
-    # all 13 lower-index neighbour offsets in one pass
-    nbr = coords[None, :, :] + _HALF_STENCIL[:, None, :]          # (13, n, 3)
-    valid = np.all((nbr >= 0) & (nbr < grid.dims), axis=2).ravel()
-    ncell = grid.linearize(nbr).ravel()[valid]
-    a_all = np.broadcast_to(ids, (len(_HALF_STENCIL), n)).ravel()[valid]
-    lo = np.searchsorted(grid.sorted_cells, ncell, side="left")
-    hi = np.searchsorted(grid.sorted_cells, ncell, side="right")
-    counts = hi - lo
-    b_pos = _ragged_take(lo, counts)
-    a_nbr = np.repeat(a_all, counts)
-    b_nbr = grid.order[b_pos]
-
-    a_idx = np.concatenate([a_home, a_nbr])
-    b_idx = np.concatenate([b_home, b_nbr])
-    return a_idx, b_idx, len(a_idx)
+    # slot_b runs through [lo[i], hi[i]) for every range i in turn
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    slot_a = np.repeat(np.tile(slots, len(_HALF_STENCIL) + 1), counts)
+    return slot_a, shift + np.arange(len(shift), dtype=np.int64)
 
 
 def _pairs_with_stats(grid: CellGrid, pset: Particles, search_radius: np.ndarray):
@@ -271,20 +259,30 @@ def _pairs_with_stats(grid: CellGrid, pset: Particles, search_radius: np.ndarray
         sr = np.full(len(pset), float(sr))
     if len(sr) != len(pset):
         raise SizeMismatch(f"{len(sr)} search radii for {len(pset)} particles")
+    if len(grid.cell_of) != len(pset):
+        raise SizeMismatch(f"grid built for {len(grid.cell_of)} particles, got {len(pset)}")
     if len(pset) and sr.max() > 0.5 * grid.cell_size:
         bad = int(np.argmax(sr))
         raise SearchRadiusExceedsCell(
             f"search radius {sr[bad]} of particle {bad} exceeds cell_size/2 = "
             f"{0.5 * grid.cell_size}"
         )
-    a_idx, b_idx, tested = _candidate_pairs(grid, pset.position)
-    if tested == 0:
-        return PairList.empty(), 0
-    diff = pset.position[a_idx] - pset.position[b_idx]
-    d2 = row_norm_sq(diff)
-    reach = sr[a_idx] + sr[b_idx]
-    hit = d2 <= reach * reach
-    pairs = np.stack([a_idx[hit], b_idx[hit]], axis=1)
+    sa, sb = _candidate_pairs(grid)
+    tested = len(sa)
+    # np.take copies whole rows, several times faster than indexing with [idx]
+    pos = np.take(pset.position, grid.order, axis=0)
+    rad = np.take(sr, grid.order)
+    reach = np.take(rad, sa) + np.take(rad, sb)
+    reach2 = reach * reach
+    # exact x-gap prefilter: a rounded sum of non-negative squares is never
+    # below one of its rounded terms, so every pair the full test accepts passes
+    x = np.ascontiguousarray(pos[:, 0])
+    dx = np.take(x, sa) - np.take(x, sb)
+    keep = np.flatnonzero(dx * dx <= reach2)
+    sa, sb = sa[keep], sb[keep]
+    diff = np.take(pos, sa, axis=0) - np.take(pos, sb, axis=0)
+    hit = row_norm_sq(diff) <= reach2[keep]
+    pairs = np.take(grid.order, np.stack([sa[hit], sb[hit]], axis=1))
     return PairList(_canonicalize(pairs)), tested
 
 

@@ -214,17 +214,17 @@ class _Driver:
         total = int(counts.sum())
         sa = np.repeat(np.arange(n), counts)
         sb = sa + 1 + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        reach = cs[sa] + cs[sb]
+        reach = np.take(cs, sa) + np.take(cs, sb)
         bound = reach + 1e-9 * (1.0 + reach)
         near = np.ones(total, dtype=bool)
         for other in range(3):
             if other != axis:
-                near &= np.abs(cols[other][sa] - cols[other][sb]) <= bound
+                near &= np.abs(np.take(cols[other], sa) - np.take(cols[other], sb)) <= bound
         a, b = order[sa[near]], order[sb[near]]
         ia, ib = np.minimum(a, b), np.maximum(a, b)
-        diff = pos[ia] - pos[ib]
+        diff = np.take(pos, ia, axis=0) - np.take(pos, ib, axis=0)
         d2 = row_norm_sq(diff)
-        reach = cut[ia] + cut[ib]
+        reach = np.take(cut, ia) + np.take(cut, ib)
         close = d2 <= reach * reach
         if not np.any(close):
             return

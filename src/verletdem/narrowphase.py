@@ -197,8 +197,10 @@ def sphere_plane_overlap(a: Particle, w: WallPlane, wall_index: int = 0) -> Opti
 
     Raises :class:`ParticleBehindWall` when the center has signed distance
     below zero; the engine treats that as a report, not a fatal error.
+    ``d`` is the batch :meth:`WallPlane.signed_distance` of the row taken
+    twice, so it has the bits :func:`resolve_contacts` computes.
     """
-    d = float(np.dot(a.position - w.point, w.outward_normal))
+    d = float(w.signed_distance(np.stack([a.position, a.position]))[0])
     if d < 0.0:
         raise ParticleBehindWall(
             f"particle {a.id} is {abs(d):.3e} m behind wall {wall_index}"

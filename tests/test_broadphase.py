@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from verletdem.broadphase import (
     CapNegative, PairList, SearchRadiusExceedsCell, SizeMismatch, VerletState,
-    brute_force_pairs, build_grid, compute_skin, linked_cell_pairs,
-    verlet_build, verlet_needs_rebuild,
+    _pairs_with_stats, brute_force_pairs, build_grid, compute_skin,
+    linked_cell_pairs, verlet_build, verlet_needs_rebuild,
 )
 from verletdem.core import ContactParams, Particle, Particles, SimConfig, vec3
 
@@ -30,6 +30,49 @@ def random_set(rng, n, hi=(10, 10, 10), r_range=(0.1, 0.3), with_velocity=False)
     r = rng.uniform(*r_range, n)
     vel = rng.normal(0, 1, (n, 3)) if with_velocity else np.zeros((n, 3))
     return Particles(pos, vel, r, r, np.ones(n), np.zeros(n, bool))
+
+
+def clamped_cloud(seed, n, thin_axis):
+    """Particles in and around a domain, one axis optionally thinner than a cell.
+
+    About a third of the particles are thrown around the domain, most of
+    them outside it, where the grid clamps them into its boundary cells.
+    """
+    rng = np.random.default_rng(seed)
+    cell = 0.9
+    hi = np.array([5.0, 4.0, 6.0])
+    if thin_axis is not None:
+        hi[thin_axis] = rng.uniform(0.05, 0.85)
+    pos = rng.uniform(0.0, hi, (n, 3))
+    out = rng.uniform(size=n) < 1 / 3
+    pos[out] = rng.uniform(-0.25 * hi - 0.5, 1.25 * hi + 0.5, (int(out.sum()), 3))
+    r = rng.uniform(0.05, 0.35, n)
+    pset = Particles(pos, np.zeros((n, 3)), r, r, np.ones(n), np.zeros(n, bool))
+    return pset, config(cell_size=cell, hi=tuple(hi)), rng.uniform(0.01, 0.45, n)
+
+
+def searchsorted_tested(grid, positions):
+    """Candidate count of the searchsorted search the CSR cell starts replaced.
+
+    Each particle is counted against the other residents of its own cell
+    (each pair once) and against every resident of the 13 lower-index
+    neighbour cells that lie inside the grid.
+    """
+    coords = grid.coords_of(positions)
+    home = grid.linearize(coords)
+    sorted_cells = np.sort(home)
+
+    def residents(cells):
+        return (np.searchsorted(sorted_cells, cells, side="right")
+                - np.searchsorted(sorted_cells, cells, side="left"))
+
+    tested = int((residents(home) - 1).sum()) // 2
+    for off in [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                for dz in (-1, 0, 1) if (dx, dy, dz) < (0, 0, 0)]:
+        nbr = coords + np.array(off)
+        valid = np.all((nbr >= 0) & (nbr < grid.dims), axis=1)
+        tested += int(residents(grid.linearize(nbr[valid])).sum())
+    return tested
 
 
 class TestComputeSkin:
@@ -95,6 +138,24 @@ class TestBuildGrid:
             lin = (ijk[0] * dims[1] + ijk[1]) * dims[2] + ijk[2]
             assert i in cells[lin].tolist()
 
+    def test_ghost_layer_is_empty(self):
+        # every particle, outside the domain too, lands inside the ghost layer
+        pset, cfg, _ = clamped_cloud(5, 200, thin_axis=1)
+        grid = build_grid(pset, cfg)
+        counts = np.diff(grid.starts).reshape(tuple(grid.shape))
+        assert counts[1:-1, 1:-1, 1:-1].sum() == len(pset) == counts.sum()
+
+    def test_starts_span_the_occupied_box_not_the_domain(self):
+        # a million domain cells, three particles in two adjacent cells
+        cfg = config(cell_size=0.1, hi=(100, 100, 100))
+        pset = [particle(0, (50.02, 50.05, 50.05), radius=0.04),
+                particle(1, (50.09, 50.05, 50.05), radius=0.04),
+                particle(2, (50.15, 50.05, 50.05), radius=0.04)]
+        grid = build_grid(pset, cfg)
+        assert tuple(grid.shape) == (4, 3, 3)
+        assert len(grid.starts) == 4 * 3 * 3 + 1
+        assert list(linked_cell_pairs(grid, pset, [0.04] * 3)) == [(0, 1), (1, 2)]
+
 
 class TestLinkedCellPairs:
     def test_boundary_inclusive(self):
@@ -124,15 +185,54 @@ class TestLinkedCellPairs:
         sr = pset.cutoff
         assert linked_cell_pairs(grid, pset, sr) == brute_force_pairs(pset, sr)
 
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 120))
-    @settings(max_examples=40, deadline=None)
-    def test_oracle_equivalence_property(self, seed, n):
-        rng = np.random.default_rng(seed)
-        pset = random_set(rng, n, hi=(5, 4, 6), r_range=(0.05, 0.35))
-        cfg = config(cell_size=0.9, hi=(5, 4, 6))
-        sr = rng.uniform(0.01, 0.45, n)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 120),
+           st.sampled_from([None, 0, 1, 2]))
+    @example(seed=0, n=0, thin_axis=None)
+    @example(seed=1, n=1, thin_axis=2)
+    @example(seed=2, n=2, thin_axis=0)
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_equivalence_property(self, seed, n, thin_axis):
+        pset, cfg, sr = clamped_cloud(seed, n, thin_axis)
         grid = build_grid(pset, cfg)
         assert linked_cell_pairs(grid, pset, sr) == brute_force_pairs(pset, sr)
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_equivalence_at_touching_distance(self, seed, tilt):
+        # pairs within a few ulps of their reach, tilted off the x axis by
+        # `tilt`: where the grid's x-gap prefilter and the full distance
+        # test differ by a rounding, the prefilter must not drop the pair
+        rng = np.random.default_rng(seed)
+        m = 40
+        sr = rng.uniform(0.05, 0.45, 2 * m)
+        direction = np.column_stack([np.ones(m), tilt * rng.normal(size=(m, 2))])
+        direction *= np.sign(rng.normal(size=(m, 1)))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        reach = sr[:m] + sr[m:]
+        dist = reach * (1.0 + rng.integers(-4, 5, m) * np.finfo(float).eps)
+        first = rng.uniform(1.0, 9.0, (m, 3))
+        pos = np.concatenate([first, first + direction * dist[:, None]])
+        pset = Particles(pos, np.zeros((2 * m, 3)), sr, sr, np.ones(2 * m), np.zeros(2 * m, bool))
+        grid = build_grid(pset, config(cell_size=1.0))
+        assert linked_cell_pairs(grid, pset, sr) == brute_force_pairs(pset, sr)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 120),
+           st.sampled_from([None, 0, 1, 2]))
+    @example(seed=3, n=2, thin_axis=1)
+    @settings(max_examples=40, deadline=None)
+    def test_tested_equals_searchsorted_count(self, seed, n, thin_axis):
+        # pairs_tested is a contract number (the opcount "broad" column)
+        pset, cfg, sr = clamped_cloud(seed, n, thin_axis)
+        grid = build_grid(pset, cfg)
+        _, tested = _pairs_with_stats(grid, pset, sr)
+        assert tested == searchsorted_tested(grid, pset.position)
+
+    def test_grid_for_another_particle_count(self):
+        cfg = config(cell_size=2.0)
+        grid = build_grid([particle(0, (2, 2, 2)), particle(1, (3, 2, 2))], cfg)
+        three = [particle(0, (2, 2, 2)), particle(1, (3, 2, 2)), particle(2, (5, 5, 5))]
+        with pytest.raises(SizeMismatch):
+            linked_cell_pairs(grid, three, [0.5] * 3)
 
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(11)

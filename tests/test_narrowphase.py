@@ -87,6 +87,43 @@ class TestSpherePlane:
         with pytest.raises(ParticleBehindWall):
             sphere_plane_overlap(sphere(0, (0, 0, -0.1)), FLOOR)
 
+    def test_twin_equals_resolve_contacts_near_a_tilted_wall(self):
+        # centres within rounding of touching (d = r) or of the plane
+        # (d = 0), on a tilted normal where numpy's one-row and batched
+        # products round differently; near touch r - d is exact, so equal
+        # overlaps mean equal distances
+        rng = np.random.default_rng(21)
+        normal = vec3(0.3, 0.1, 0.9) / np.linalg.norm(vec3(0.3, 0.1, 0.9))
+        wall = WallPlane(vec3(0.1, -0.2, 0.3), normal)
+        n = 400
+        radius = rng.uniform(0.05, 0.2, n)
+        level = np.where(np.arange(n) % 2 == 0, radius, 0.0) + rng.normal(0, 1e-16, n)
+        tangent = np.cross(normal, rng.normal(size=(n, 3)))
+        pos = wall.point + level[:, None] * normal + tangent
+        pset = Particles(pos, np.zeros((n, 3)), radius, radius, np.ones(n), np.zeros(n, bool))
+        reports = []
+        batch = resolve_contacts(PairList.empty(), pset, [wall], tunneling=reports)
+        d = wall.signed_distance(pos)
+        behind = {i for i, _ in reports}
+        assert behind == set(np.flatnonzero(d < 0.0).tolist())
+        by_id = {c.id_a: c for c in batch}
+        assert 0 < len(behind) and 0 < len(by_id) < n - len(behind)
+        for i in range(n):
+            p = Particle(id=i, position=pos[i], velocity=vec3(0, 0, 0),
+                         radius=float(radius[i]), cutoff=float(radius[i]), mass=1.0)
+            if i in behind:
+                with pytest.raises(ParticleBehindWall):
+                    sphere_plane_overlap(p, wall)
+                continue
+            twin = sphere_plane_overlap(p, wall)
+            if i not in by_id:
+                assert twin is None
+                continue
+            want = by_id[i]
+            assert twin.overlap == want.overlap == radius[i] - d[i]
+            assert twin.point.tobytes() == want.point.tobytes()
+            assert twin.normal.tobytes() == want.normal.tobytes()
+
 
 def random_cluster(seed, n=200, box=2.0, radius_range=(0.08, 0.16)):
     rng = np.random.default_rng(seed)
