@@ -25,7 +25,8 @@ __all__ = [
     "CellGrid", "PairList", "VerletState",
     "CapNegative", "SearchRadiusExceedsCell", "SizeMismatch",
     "compute_skin", "build_grid", "linked_cell_pairs", "brute_force_pairs",
-    "wall_candidates", "verlet_build", "verlet_needs_rebuild",
+    "wall_candidates", "verlet_build", "verlet_displacement_sq",
+    "verlet_needs_rebuild", "verlet_gate",
 ]
 
 
@@ -104,12 +105,17 @@ def _keys(pairs: np.ndarray) -> np.ndarray:
     return (pairs[:, 0] << np.int64(32)) | pairs[:, 1]
 
 
+def _oriented_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (np.minimum(a, b) << np.int64(32)) | np.maximum(a, b)
+
+
 def _canonicalize(pairs: np.ndarray) -> np.ndarray:
     if len(pairs) == 0:
         return _EMPTY_PAIRS
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = np.unique((lo << np.int64(32)) | hi)
+    return _from_keys(np.unique(_oriented_keys(pairs[:, 0], pairs[:, 1])))
+
+
+def _from_keys(keys: np.ndarray) -> np.ndarray:
     out = np.empty((len(keys), 2), dtype=np.int64)
     out[:, 0] = keys >> np.int64(32)
     out[:, 1] = keys & np.int64(0xFFFFFFFF)
@@ -254,6 +260,7 @@ def _candidate_pairs(grid: CellGrid):
 
 
 def _pairs_with_stats(grid: CellGrid, pset: Particles, search_radius: np.ndarray):
+    """(pair list, candidates tested, squared distance of every listed pair)."""
     sr = np.asarray(search_radius, dtype=np.float64)
     if sr.ndim == 0:
         sr = np.full(len(pset), float(sr))
@@ -281,9 +288,12 @@ def _pairs_with_stats(grid: CellGrid, pset: Particles, search_radius: np.ndarray
     keep = np.flatnonzero(dx * dx <= reach2)
     sa, sb = sa[keep], sb[keep]
     diff = np.take(pos, sa, axis=0) - np.take(pos, sb, axis=0)
-    hit = row_norm_sq(diff) <= reach2[keep]
-    pairs = np.take(grid.order, np.stack([sa[hit], sb[hit]], axis=1))
-    return PairList(_canonicalize(pairs)), tested
+    d2 = row_norm_sq(diff)
+    hit = np.flatnonzero(d2 <= reach2[keep])
+    keys = _oriented_keys(np.take(grid.order, sa[hit]), np.take(grid.order, sb[hit]))
+    # the grid emits every unordered pair once, so a sort canonicalizes
+    by_key = np.argsort(keys)
+    return PairList(_from_keys(keys[by_key])), tested, np.take(d2, hit[by_key])
 
 
 def linked_cell_pairs(grid: CellGrid, particles, search_radius) -> PairList:
@@ -292,7 +302,7 @@ def linked_cell_pairs(grid: CellGrid, particles, search_radius) -> PairList:
     Candidates come from each particle's own cell and the immediate
     neighbour cells, so every radius must be at most cell_size/2.
     """
-    result, _ = _pairs_with_stats(grid, as_particles(particles), search_radius)
+    result, _, _ = _pairs_with_stats(grid, as_particles(particles), search_radius)
     return result
 
 
@@ -341,6 +351,9 @@ class VerletState:
     margins it was built with.  ``wall_rows`` holds, per wall of the
     configuration, the particles within radius + frozen skin of it at the
     build (see :func:`wall_candidates`); None stands for every particle.
+    ``pair_slack`` holds, per row of ``list``, the build distance minus the
+    radii sum, less a relative pad (see :func:`verlet_gate`); None tests
+    every row.
     """
 
     list: PairList
@@ -348,6 +361,7 @@ class VerletState:
     frozen_skins: np.ndarray
     build_step: int
     wall_rows: Optional[tuple] = None
+    pair_slack: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.reference_positions)
@@ -361,13 +375,16 @@ def _verlet_build_stats(particles, cfg: SimConfig, step: int, skins=None):
         skins = np.asarray(skins, dtype=np.float64)
     grid = build_grid(pset, cfg)
     radii = pset.cutoff + skins
-    pair_list, tested = _pairs_with_stats(grid, pset, radii)
+    pair_list, tested, d2 = _pairs_with_stats(grid, pset, radii)
+    d0 = np.sqrt(d2)
+    rsum = np.take(pset.radius, pair_list.pairs).sum(axis=1)
     state = VerletState(
         list=pair_list,
         reference_positions=pset.position.copy(),
         frozen_skins=skins,
         build_step=int(step),
         wall_rows=wall_candidates(pset, cfg.walls, pset.radius + skins),
+        pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
     )
     return state, tested
 
@@ -381,20 +398,40 @@ def verlet_build(particles, cfg: SimConfig, step: int = 0) -> VerletState:
     return state
 
 
-def verlet_needs_rebuild(state: VerletState, particles) -> bool:
-    """True when any particle moved further than its frozen skin.
-
-    Displacement is the straight-line distance since the build, not the
-    accumulated path length, and the condition is a strict inequality: a
-    particle sitting exactly at its skin distance keeps the list valid.
-    """
+def verlet_displacement_sq(state: VerletState, particles) -> np.ndarray:
+    """Squared straight-line displacement of every particle since the build."""
     pset = as_particles(particles)
     if len(pset) != len(state):
         raise SizeMismatch(
             f"state built for {len(state)} particles, got {len(pset)}"
         )
-    if len(pset) == 0:
-        return False
-    diff = pset.position - state.reference_positions
-    disp2 = row_norm_sq(diff)
+    return row_norm_sq(pset.position - state.reference_positions)
+
+
+def verlet_needs_rebuild(state: VerletState, particles, disp2=None) -> bool:
+    """True when any particle moved further than its frozen skin.
+
+    Displacement is the straight-line distance since the build, not the
+    accumulated path length, and the condition is a strict inequality: a
+    particle sitting exactly at its skin distance keeps the list valid.
+    ``disp2`` may pass in :func:`verlet_displacement_sq` already computed.
+    """
+    if disp2 is None:
+        disp2 = verlet_displacement_sq(state, particles)
     return bool(np.any(disp2 > state.frozen_skins * state.frozen_skins))
+
+
+def verlet_gate(state: VerletState, disp: np.ndarray) -> Optional[np.ndarray]:
+    """Rows of the cached list that displacements ``disp`` cannot rule out.
+
+    By the triangle inequality the pair's distance now is at least its build
+    distance minus ``disp_a + disp_b``, so a row with ``disp_a + disp_b``
+    below ``pair_slack`` (build distance minus the radii sum, less a pad of
+    1e-9 * (1 + build distance) against rounding) cannot overlap and needs no
+    test.  The pad exceeds the coincidence tolerance, so a pair that has
+    closed onto itself is always kept.  None means every row.
+    """
+    if state.pair_slack is None:
+        return None
+    moved = np.take(disp, state.list.pairs)
+    return np.flatnonzero(moved[:, 0] + moved[:, 1] >= state.pair_slack)

@@ -2,7 +2,8 @@
 
 Each step: decide whether the cached pair list is still valid (rebuild the
 broad-phase only when a particle outran its frozen skin), resolve contacts
-on the candidate list, apply the contact model, integrate.  The rebuild
+on the candidate list (on a reused list, only the rows the particles'
+displacements cannot rule out), apply the contact model, integrate.  The rebuild
 check runs before *every* force evaluation, including the mid-step one of
 velocity-Verlet, because the cached list is consumed there too.
 
@@ -21,7 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .broadphase import VerletState, _verlet_build_stats, verlet_needs_rebuild
+from .broadphase import (
+    VerletState, _verlet_build_stats, verlet_displacement_sq, verlet_gate, verlet_needs_rebuild,
+)
 from .core import Particles, SimConfig, SimulationError, as_particles, row_norm_sq, validate_config
 from .narrowphase import resolve_contacts
 from .physics import compute_forces, velocity_verlet_step
@@ -55,8 +58,10 @@ class PhaseMetrics:
 
     In ``walltime`` mode the *_time fields hold accumulated seconds; in
     ``opcount`` mode they hold deterministic operation counts (candidate
-    pairs distance-tested for broad, candidates resolved for narrow,
-    contacts evaluated for model, particles advanced for integrate).
+    pairs distance-tested for broad, pair-list rows offered to the narrow
+    phase for narrow, contacts evaluated for model, particles advanced for
+    integrate).  The narrow count is the list length even when the
+    displacement gate skips some of those rows.
     """
 
     mode: str = OPCOUNT
@@ -126,18 +131,24 @@ def _skins_for_mode(pset: Particles, cfg: SimConfig, skin_mode: str):
 
 
 def _maybe_broadphase(state: SimState, cfg: SimConfig, skin_mode: str):
-    """Returns (verlet, executed, pairs_tested, rebuild_was_needed)."""
+    """Returns (verlet, executed, pairs_tested, rebuild_was_needed, pair_rows).
+
+    ``pair_rows`` are the rows of a reused list that the narrow phase must
+    test; one displacement array serves both the rebuild test and the gate.
+    A freshly built list is tested in full (``pair_rows`` None).
+    """
     needed = False
     if state.verlet is not None and cfg.verlet_enabled:
-        needed = verlet_needs_rebuild(state.verlet, state.particles)
+        disp2 = verlet_displacement_sq(state.verlet, state.particles)
+        needed = verlet_needs_rebuild(state.verlet, state.particles, disp2)
         if not needed:
-            return state.verlet, False, 0, False
+            return state.verlet, False, 0, False, verlet_gate(state.verlet, np.sqrt(disp2))
     if cfg.verlet_enabled:
         skins = _skins_for_mode(state.particles, cfg, skin_mode)
     else:
         skins = np.zeros(len(state.particles))
     verlet, tested = _verlet_build_stats(state.particles, cfg, state.step, skins=skins)
-    return verlet, True, tested, needed
+    return verlet, True, tested, needed, None
 
 
 def maybe_broadphase(state: SimState, cfg: SimConfig,
@@ -148,7 +159,7 @@ def maybe_broadphase(state: SimState, cfg: SimConfig,
     (every evaluation rebuilds with zero skins), or when some particle's
     displacement since the last build exceeds its frozen skin.
     """
-    verlet, executed, _, _ = _maybe_broadphase(state, cfg, skin_mode)
+    verlet, executed, _, _, _ = _maybe_broadphase(state, cfg, skin_mode)
     return verlet, executed
 
 
@@ -173,6 +184,7 @@ class _Driver:
         self.tunneling: list[tuple[int, int, int]] = []    # (step, particle, wall)
         self.eval_elapsed = 0.0
         self.digest = hashlib.sha256() if record_contact_digest else None
+        self.weight = state.particles.mass[:, None] * np.asarray(cfg.gravity, dtype=np.float64)
         if validation and state.verlet is not None:
             self.live_keys = state.verlet.list.keys()
         if validation and n >= 2:
@@ -256,7 +268,8 @@ class _Driver:
             return np.zeros((0, 3))
 
         t0 = time.perf_counter() if self.walltime else 0.0
-        verlet, executed, tested, needed = _maybe_broadphase(self.state, cfg, self.skin_mode)
+        verlet, executed, tested, needed, pair_rows = _maybe_broadphase(
+            self.state, cfg, self.skin_mode)
         if executed:
             self.state.verlet = verlet
             metrics.broad_executions += 1
@@ -274,7 +287,7 @@ class _Driver:
         t0 = time.perf_counter() if self.walltime else 0.0
         reports: list[tuple[int, int]] = []
         contacts = resolve_contacts(verlet.list, pset, cfg.walls, tunneling=reports,
-                                    wall_rows=verlet.wall_rows)
+                                    wall_rows=verlet.wall_rows, pair_rows=pair_rows)
         for pid, widx in reports:
             self.tunneling.append((self.state.step, pid, widx))
             log.warning("step %d: particle %d behind wall %d", self.state.step, pid, widx)
@@ -287,7 +300,7 @@ class _Driver:
             self.digest.update(contacts.tobytes())
 
         t0 = time.perf_counter() if self.walltime else 0.0
-        forces = compute_forces(pset, contacts, cfg.contact, cfg.gravity)
+        forces = compute_forces(pset, contacts, cfg.contact, cfg.gravity, weight=self.weight)
         if self.walltime:
             metrics.model_time += time.perf_counter() - t0
         else:
@@ -323,6 +336,10 @@ class _Driver:
     def _check_finite(self) -> None:
         pset = self.state.particles
         if len(pset) == 0:
+            return
+        # a NaN or an infinity makes the sum non-finite; a sum that merely
+        # overflows falls through to the row scan, which then finds nothing
+        if np.isfinite(pset.position.sum() + pset.velocity.sum()):
             return
         ok = np.isfinite(pset.position).all(axis=1) & np.isfinite(pset.velocity).all(axis=1)
         if not ok.all():

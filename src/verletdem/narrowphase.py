@@ -8,6 +8,14 @@ contact.  Each wall is tested against the particles the Verlet buffer cached
 for it at the last build (every particle when no cache is given): the rows
 tested change, the arithmetic of each row does not, so the contacts and the
 tunneling reports are those of an exhaustive test.
+
+Pairs are gated the same way.  While a cached list is reused, a pair whose
+build distance exceeds its radii sum by more than the two particles'
+displacements since the build cannot overlap (triangle inequality), so the
+engine tests only the rows :func:`~verletdem.broadphase.verlet_gate` keeps;
+a freshly built list is tested in full.  Every tested row keeps its
+arithmetic, so the contacts, and the first coincident pair reported, are
+those of the full list.
 """
 
 from __future__ import annotations
@@ -214,7 +222,8 @@ def sphere_plane_overlap(a: Particle, w: WallPlane, wall_index: int = 0) -> Opti
 
 def resolve_contacts(candidates: PairList, particles, walls=(),
                      tunneling: Optional[list] = None,
-                     wall_rows: Optional[tuple] = None) -> Contacts:
+                     wall_rows: Optional[tuple] = None,
+                     pair_rows: Optional[np.ndarray] = None) -> Contacts:
     """Resolve every actually-overlapping candidate pair plus all wall contacts.
 
     The output is sorted by (id_a, id_b); wall sentinels are negative, so a
@@ -222,12 +231,18 @@ def resolve_contacts(candidates: PairList, particles, walls=(),
     particles are appended to ``tunneling`` (or logged) and produce no
     contact.  ``wall_rows[k]`` restricts wall k to those sorted particle ids
     (a :attr:`VerletState.wall_rows` cache); None tests every particle.
+    ``pair_rows`` restricts the candidates to those sorted rows of the list
+    (what :func:`~verletdem.broadphase.verlet_gate` keeps); None tests every
+    row.
     """
     pset = as_particles(particles)
     cols_a, cols_b, cols_ov, cols_n, cols_p = [], [], [], [], []
 
-    if len(candidates):
-        ia, ib, ov, nrm, pt = _pair_contact_arrays(pset, candidates.pairs)
+    pairs = candidates.pairs
+    if pair_rows is not None:
+        pairs = np.take(pairs, pair_rows, axis=0)
+    if len(pairs):
+        ia, ib, ov, nrm, pt = _pair_contact_arrays(pset, pairs)
         cols_a.append(ia)
         cols_b.append(ib)
         cols_ov.append(ov)

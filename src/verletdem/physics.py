@@ -9,7 +9,7 @@ once per step at the updated positions.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,15 +81,19 @@ def spring_dashpot_force(c: Contact, a: Particle, b: Particle,
 
 
 def compute_forces(particles, contacts: Contacts, params: ContactParams,
-                   gravity) -> np.ndarray:
+                   gravity, weight: Optional[np.ndarray] = None) -> np.ndarray:
     """Total force per particle: gravity plus every contact contribution.
 
     Contacts arrive sorted by (id_a, id_b) and are accumulated in that one
     canonical order, which is what makes repeated runs bit-identical.
+    ``weight`` may pass in the gravity term ``mass[:, None] * gravity``
+    already computed; it is copied, not modified.
     """
     pset = as_particles(particles)
-    g = np.asarray(gravity, dtype=np.float64)
-    forces = pset.mass[:, None] * g[None, :]
+    if weight is None:
+        forces = pset.mass[:, None] * np.asarray(gravity, dtype=np.float64)
+    else:
+        forces = weight.copy()
     if len(contacts) == 0:
         return forces
     f_a = contact_force_batch(contacts, pset, params)

@@ -224,7 +224,7 @@ class TestLinkedCellPairs:
         # pairs_tested is a contract number (the opcount "broad" column)
         pset, cfg, sr = clamped_cloud(seed, n, thin_axis)
         grid = build_grid(pset, cfg)
-        _, tested = _pairs_with_stats(grid, pset, sr)
+        _, tested, _ = _pairs_with_stats(grid, pset, sr)
         assert tested == searchsorted_tested(grid, pset.position)
 
     def test_grid_for_another_particle_count(self):

@@ -180,6 +180,49 @@ class TestEquivalence:
                 == baseline.state.particles.position.tobytes())
 
 
+    def test_gated_pair_contacts_equal_baseline(self, monkeypatch):
+        # a jostling 5 x 5 x 5 cluster of slightly overlapping spheres on a
+        # floor: the buffered run gates the rows of every reused list, the
+        # baseline rebuilds at every evaluation and tests every row
+        rng = np.random.default_rng(3)
+        g = np.arange(5) * 0.019 + 0.05
+        pos = np.array(np.meshgrid(g, g, g, indexing="ij")).reshape(3, -1).T
+        n = len(pos)
+        pos += rng.uniform(-1e-3, 1e-3, pos.shape)
+        radius = np.full(n, 0.01)
+        pset = Particles(pos, rng.normal(0.0, 0.2, (n, 3)), radius, radius, np.full(n, 1e-3),
+                         np.zeros(n, bool))
+        resolve_contacts = verletdem.engine.resolve_contacts
+        offered: list = []     # (list length, rows tested or None) per evaluation
+
+        def resolve_spy(candidates, *args, pair_rows=None, **kwargs):
+            offered[-1].append((len(candidates), None if pair_rows is None else len(pair_rows)))
+            return resolve_contacts(candidates, *args, pair_rows=pair_rows, **kwargs)
+
+        monkeypatch.setattr(verletdem.engine, "resolve_contacts", resolve_spy)
+        results = {}
+        for enabled in (True, False):
+            offered.append([])
+            results[enabled] = run(
+                SimConfig(dt=1e-4, k_factor=200, gravity=vec3(0, 0, -9.81), cell_size=0.05,
+                          domain_min=vec3(0, 0, 0), domain_max=vec3(0.2, 0.2, 0.2),
+                          contact=ContactParams(k_n=500.0, gamma_n=0.01), seed=0, steps=600,
+                          walls=(WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)),),
+                          verlet_enabled=enabled),
+                pset, record_contact_digest=True)
+        buffered, baseline = results[True], results[False]
+        assert buffered.metrics.model_time > 10 * buffered.metrics.force_evaluations
+        assert buffered.contact_digest == baseline.contact_digest
+        assert (buffered.state.particles.position.tobytes()
+                == baseline.state.particles.position.tobytes())
+        # fresh lists (every baseline list) are tested in full, reused ones gated
+        buffered_calls, baseline_calls = offered
+        assert all(rows is None for _, rows in baseline_calls)
+        assert sum(rows is None for _, rows in buffered_calls) == buffered.metrics.broad_executions
+        gated = [(length, rows) for length, rows in buffered_calls if rows is not None]
+        assert sum(rows for _, rows in gated) < 0.5 * sum(length for length, _ in gated)
+
+
 def audit(pset, live_keys):
     """Run one shadow scan of ``pset`` against ``live_keys``; return the driver."""
     driver = _Driver(SimState(particles=pset), open_config(1), PhaseMetrics(), validation=True)
@@ -329,6 +372,22 @@ class TestEdgeCases:
                 run(cfg, pset)
         assert err.value.particle in (0, 1)
         assert err.value.step == 1
+
+    def test_huge_finite_state_that_overflows_the_sum_is_not_unstable(self):
+        pset = Particles.from_list([sphere(i, (1.0, 1.0, 1.0 + 2 * i)) for i in range(3)])
+        pset.position[:, 0] = 1.5e308       # finite, but their sum overflows
+        pset.velocity[1] = (-1e308, 1e308, 1e308)
+        driver = _Driver(SimState(particles=pset), open_config(1), PhaseMetrics())
+        with np.errstate(over="ignore"):
+            driver._check_finite()
+
+    def test_nan_velocity_names_its_particle(self):
+        pset = Particles.from_list([sphere(i, (1.0, 1.0, 1.0 + 2 * i)) for i in range(4)])
+        pset.velocity[2, 1] = np.nan
+        state = SimState(particles=pset, step=7)
+        with pytest.raises(SimulationUnstable) as err:
+            _Driver(state, open_config(1), PhaseMetrics())._check_finite()
+        assert (err.value.step, err.value.particle) == (7, 2)
 
     def test_tunneling_is_reported_and_run_continues(self):
         pset = Particles.from_list([sphere(0, (0.1, 0.1, -0.05), radius=0.02, mass=1.0)])

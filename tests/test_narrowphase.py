@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verletdem.broadphase import (
-    PairList, VerletState, brute_force_pairs, verlet_build, verlet_needs_rebuild,
-    wall_candidates,
+    PairList, VerletState, _verlet_build_stats, brute_force_pairs, verlet_build,
+    verlet_displacement_sq, verlet_gate, verlet_needs_rebuild, wall_candidates,
 )
 from verletdem.core import (
     ContactParams, Particle, Particles, SimConfig, WallPlane, row_norm_sq, vec3,
@@ -264,3 +264,112 @@ class TestWallCache:
                                 wall_rows=state.wall_rows)
         assert fast.tobytes() == full.tobytes()
         assert cached == every_row
+
+
+def box_config(cell, hi):
+    return SimConfig(
+        dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=cell,
+        domain_min=vec3(-hi, -hi, -hi), domain_max=vec3(hi, hi, hi),
+        contact=ContactParams(k_n=1.0), seed=0, steps=1,
+    )
+
+
+def outcome(pairs, pset, pair_rows=None):
+    """Contact bytes, or the message of the CoincidentCenters raised."""
+    try:
+        return resolve_contacts(pairs, pset, pair_rows=pair_rows).tobytes()
+    except CoincidentCenters as exc:
+        return str(exc)
+
+
+def gated_and_full(state, moved):
+    disp = np.sqrt(verlet_displacement_sq(state, moved))
+    rows = verlet_gate(state, disp)
+    return outcome(state.list, moved, rows), outcome(state.list, moved), rows
+
+
+class TestPairGate:
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 80), st.floats(0.0, 1.0), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_gated_rows_equal_every_row(self, seed, n, zero_share, coincide):
+        # mixed radii, cutoffs and skins (some zero); each particle moves by
+        # less than its skin.  With ``coincide`` particle 1 starts within its
+        # skin of particle 0 and moves onto it: the gate must keep that row
+        rng = np.random.default_rng(seed)
+        cell = 1.0
+        radius = rng.uniform(0.05, 0.2, n)
+        cutoff = radius * rng.uniform(1.0, 1.5, n)
+        skins = rng.uniform(0.0, 1.0, n) * (0.5 * cell - cutoff)
+        skins[rng.uniform(size=n) < zero_share] = 0.0
+        pos = rng.uniform(0.0, 1.5, (n, 3))
+        direction = rng.normal(size=(n, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        step = direction * (rng.uniform(0.0, 1.0 - 1e-6, n) * skins)[:, None]
+        if coincide:
+            pos[1] = pos[0] - step[1]
+            step[0] = 0.0
+        pset = Particles(pos, np.zeros((n, 3)), radius, cutoff, np.ones(n), np.zeros(n, bool))
+        state, _ = _verlet_build_stats(pset, box_config(cell, 2.0), 0, skins=skins)
+        moved = pset.copy()
+        moved.position += step
+        if coincide:
+            moved.position[1] = moved.position[0]
+        assert not verlet_needs_rebuild(state, moved)
+
+        gated, full, _ = gated_and_full(state, moved)
+        assert gated == full
+        if coincide:
+            assert "coincident" in full
+
+    def test_pairs_closing_by_their_full_skins_end_near_touching(self):
+        # a and b move straight toward each other by exactly their skins and
+        # end 4 ulps inside to 4 ulps outside touching: only the pad keeps
+        # the rounding of the build distance and the displacements from
+        # ruling out the rows that end in contact
+        rng = np.random.default_rng(2024)
+        contacts = mismatches = 0
+        for k in np.tile(np.arange(-4, 5), 60):
+            radius = rng.uniform(0.01, 0.05, 2)
+            skins = rng.uniform(1e-3, 0.05, 2)
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            rsum = radius.sum()
+            end = np.array([np.zeros(3), u * (rsum + k * np.spacing(rsum))])
+            start = end + np.array([-skins[0] * u, skins[1] * u])
+            pset = Particles(start, np.zeros((2, 3)), radius, radius * 1.05, np.ones(2),
+                             np.zeros(2, bool))
+            state, _ = _verlet_build_stats(pset, box_config(0.25, 1.0), 0, skins=skins)
+            assert len(state.list) == 1
+            moved = pset.copy()
+            moved.position[:] = end
+            gated, full, _ = gated_and_full(state, moved)
+            contacts += len(resolve_contacts(state.list, moved))
+            mismatches += gated != full
+        assert mismatches == 0
+        assert contacts > 100
+
+    def test_far_rows_are_skipped_and_coincident_rows_kept(self):
+        # spheres of radius 0.1 at x = 0, 0.3 and 0.45, cutoff 0.2, skins 0:
+        # at rest the gate rules out (0, 1), 0.1 clear of touching, and keeps
+        # the overlapping (1, 2).  Moved onto particle 1, particle 2 must be
+        # kept and raise (the triangle inequality holds for any displacement)
+        pos = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.45, 0.0, 0.0]])
+        pset = Particles(pos, np.zeros((3, 3)), np.full(3, 0.1), np.full(3, 0.2), np.ones(3),
+                         np.zeros(3, bool))
+        state, _ = _verlet_build_stats(pset, box_config(1.0, 2.0), 0, skins=np.zeros(3))
+        assert state.list.pairs.tolist() == [[0, 1], [1, 2]]
+        gated, full, rows = gated_and_full(state, pset)
+        assert rows.tolist() == [1]
+        assert gated == full
+        moved = pset.copy()
+        moved.position[2] = moved.position[1]
+        gated, full, rows = gated_and_full(state, moved)
+        assert rows.tolist() == [1]
+        assert gated == full == "particles 1 and 2 have coincident centers"
+
+    def test_state_without_slack_tests_every_row(self):
+        pset = Particles.from_list([sphere(0, (0, 0, 0)), sphere(1, (0.8, 0, 0))])
+        state = VerletState(list=PairList.from_pairs([(0, 1)]),
+                            reference_positions=pset.position.copy(),
+                            frozen_skins=np.zeros(2), build_step=0)
+        assert verlet_gate(state, np.zeros(2)) is None

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from verletdem.core import ContactParams, Particle, Particles, SimConfig, vec3
 from verletdem.engine import run
-from verletdem.narrowphase import Contact, sphere_overlap
-from verletdem.physics import spring_dashpot_force, velocity_verlet_step
+from verletdem.broadphase import brute_force_pairs
+from verletdem.narrowphase import Contact, resolve_contacts, sphere_overlap
+from verletdem.physics import compute_forces, spring_dashpot_force, velocity_verlet_step
 
 
 def sphere(i, pos, vel=(0, 0, 0), radius=0.5, mass=1.0):
@@ -109,6 +110,23 @@ class TestSpringDashpotForce:
         assert d > 1.0
         assert v[0, 0] == pytest.approx(-1.0, rel=1e-3)
         assert v[1, 0] == pytest.approx(1.0, rel=1e-3)
+
+
+class TestComputeForces:
+    def test_precomputed_weight_gives_the_same_bits_and_stays_unchanged(self):
+        pset = Particles.from_list([
+            sphere(0, (0, 0, 0), mass=0.3), sphere(1, (0.9, 0.1, 0), mass=1.7),
+            sphere(2, (0.5, 0.8, 0.1), mass=2.9),
+        ])
+        contacts = resolve_contacts(brute_force_pairs(pset, pset.cutoff), pset)
+        g = vec3(0.1, -0.3, -9.81)
+        weight = pset.mass[:, None] * g
+        kept = weight.copy()
+        params = ContactParams(k_n=1000.0, gamma_n=0.5)
+        assert len(contacts) == 3
+        assert (compute_forces(pset, contacts, params, g, weight=weight).tobytes()
+                == compute_forces(pset, contacts, params, g).tobytes())
+        assert weight.tobytes() == kept.tobytes()
 
 
 class TestVelocityVerlet:
