@@ -13,6 +13,7 @@ of it, so the narrow phase tests only those against that wall.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -84,6 +85,11 @@ class PairList:
         if not isinstance(other, PairList):
             return NotImplemented
         return np.array_equal(self.pairs, other.pairs)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Contiguous copies of the id_a and id_b columns, made on first use."""
+        return self.pairs[:, 0].copy(), self.pairs[:, 1].copy()
 
     def keys(self) -> np.ndarray:
         """Sorted scalar keys (a << 32 | b) for fast membership checks."""
@@ -285,11 +291,11 @@ def _pairs_with_stats(grid: CellGrid, pset: Particles, search_radius: np.ndarray
     # below one of its rounded terms, so every pair the full test accepts passes
     x = np.ascontiguousarray(pos[:, 0])
     dx = np.take(x, sa) - np.take(x, sb)
-    keep = np.flatnonzero(dx * dx <= reach2)
+    keep = (dx * dx <= reach2).nonzero()[0]
     sa, sb = sa[keep], sb[keep]
     diff = np.take(pos, sa, axis=0) - np.take(pos, sb, axis=0)
     d2 = row_norm_sq(diff)
-    hit = np.flatnonzero(d2 <= reach2[keep])
+    hit = (d2 <= reach2[keep]).nonzero()[0]
     keys = _oriented_keys(np.take(grid.order, sa[hit]), np.take(grid.order, sb[hit]))
     # the grid emits every unordered pair once, so a sort canonicalizes
     by_key = np.argsort(keys)
@@ -337,7 +343,7 @@ def wall_candidates(particles, walls, reach) -> tuple[np.ndarray, ...]:
     pset = as_particles(particles)
     reach = np.asarray(reach, dtype=np.float64)
     bound = reach + 1e-9 * (1.0 + reach)
-    return tuple(np.flatnonzero(w.signed_distance(pset.position) <= bound) for w in walls)
+    return tuple((w.signed_distance(pset.position) <= bound).nonzero()[0] for w in walls)
 
 
 @dataclass(frozen=True)
@@ -418,7 +424,7 @@ def verlet_needs_rebuild(state: VerletState, particles, disp2=None) -> bool:
     """
     if disp2 is None:
         disp2 = verlet_displacement_sq(state, particles)
-    return bool(np.any(disp2 > state.frozen_skins * state.frozen_skins))
+    return bool((disp2 > state.frozen_skins * state.frozen_skins).any())
 
 
 def verlet_gate(state: VerletState, disp: np.ndarray) -> Optional[np.ndarray]:
@@ -433,5 +439,5 @@ def verlet_gate(state: VerletState, disp: np.ndarray) -> Optional[np.ndarray]:
     """
     if state.pair_slack is None:
         return None
-    moved = np.take(disp, state.list.pairs)
-    return np.flatnonzero(moved[:, 0] + moved[:, 1] >= state.pair_slack)
+    ia, ib = state.list.columns
+    return (disp.take(ia) + disp.take(ib) >= state.pair_slack).nonzero()[0]

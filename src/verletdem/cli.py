@@ -1,12 +1,14 @@
 """Command-line interface: run, sweep, validate.
 
-Exit codes: 0 success, 2 configuration error, 3 simulation instability,
-4 validation failure, 5 any other simulation error.
+Exit codes: 0 success, 2 configuration error (including an output path
+that cannot be written), 3 simulation instability, 4 validation failure,
+5 any other simulation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -70,6 +72,15 @@ def _load_run_doc(path: str):
     return scenario, cfg, every, mode
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an output file that cannot be written as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_trajectory(path: str, rows: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write("step,id,x,y,z,vx,vy,vz\n")
@@ -85,7 +96,8 @@ def _cmd_run(args) -> int:
     result = run(cfg, particles, mode=mode,
                  sample_every=every if args.trajectory else None)
     if args.trajectory:
-        _write_trajectory(args.trajectory, result.trajectory)
+        with _writing(args.trajectory):
+            _write_trajectory(args.trajectory, result.trajectory)
     if args.metrics:
         doc = result.metrics.as_dict()
         doc["scenario"] = scenario.name
@@ -95,7 +107,7 @@ def _cmd_run(args) -> int:
         doc["verlet_enabled"] = cfg.verlet_enabled
         doc["final_step"] = result.state.step
         doc["tunneling_reports"] = len(result.tunneling)
-        with open(args.metrics, "w") as fh:
+        with _writing(args.metrics), open(args.metrics, "w") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
     m = result.metrics
@@ -122,7 +134,8 @@ def _cmd_sweep(args) -> int:
     k_values = _parse_k_list(args.k) if args.k else list(DEFAULT_K_VALUES)
     report = run_sweep(scenario, k_values, mode=args.mode,
                        uniform_skin_radius=args.uniform_skin_radius)
-    emit_report(report, args.out)
+    with _writing(args.out):
+        emit_report(report, args.out)
     print(f"sweep complete: {len(report.rows)} rows -> {args.out}")
     for row in report.rows:
         label = {-1: "baseline", -2: "uniform-skin"}.get(row.k, f"K={row.k}")

@@ -161,7 +161,8 @@ class SimConfig:
     verlet_enabled: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "gravity", as_vec3(self.gravity))
+        # + 0.0 stores a -0.0 component as +0.0, the value the force sums start from
+        object.__setattr__(self, "gravity", as_vec3(self.gravity) + 0.0)
         object.__setattr__(self, "domain_min", as_vec3(self.domain_min))
         object.__setattr__(self, "domain_max", as_vec3(self.domain_max))
         object.__setattr__(self, "walls", tuple(self.walls))

@@ -7,7 +7,9 @@ radius; ``d < 0`` (the center behind the plane) is a tunneling report, not a
 contact.  Each wall is tested against the particles the Verlet buffer cached
 for it at the last build (every particle when no cache is given): the rows
 tested change, the arithmetic of each row does not, so the contacts and the
-tunneling reports are those of an exhaustive test.
+tunneling reports are those of an exhaustive test.  All walls are resolved
+in one pass: one signed-distance call per wall, the rest once over the
+concatenated rows.
 
 Pairs are gated the same way.  While a cached list is reused, a pair whose
 build distance exceeds its radii sum by more than the two particles'
@@ -16,6 +18,9 @@ engine tests only the rows :func:`~verletdem.broadphase.verlet_gate` keeps;
 a freshly built list is tested in full.  Every tested row keeps its
 arithmetic, so the contacts, and the first coincident pair reported, are
 those of the full list.
+
+Contacts come out ordered by (id_a, id_b).  Pair rows already are; wall
+contacts are merged in by one stable argsort of a single int64 key.
 """
 
 from __future__ import annotations
@@ -119,7 +124,7 @@ class Contacts:
                         self.normal[keep], self.point[keep])
 
 
-def _pair_contact_arrays(pset: Particles, pairs: np.ndarray):
+def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
     """Overlap, normal and contact point for candidate rows with overlap > 0.
 
     Only rows with ``d^2 <= (r_a + r_b)^2 (1 + 1e-9)`` go on to the square
@@ -127,52 +132,61 @@ def _pair_contact_arrays(pset: Particles, pairs: np.ndarray):
     ``sqrt(d^2)`` below ``r_a + r_b`` needs ``d^2`` within a few ulps of
     ``(r_a + r_b)^2``.
     """
-    ia, ib = pairs[:, 0], pairs[:, 1]
-    # np.take copies whole rows; indexing with [ib] is several times slower
-    diff = np.take(pset.position, ib, axis=0) - np.take(pset.position, ia, axis=0)
+    # .take copies whole rows; indexing with [ib] is several times slower
+    pa, pb = pset.position.take(ia, axis=0), pset.position.take(ib, axis=0)
+    diff = pb - pa
     d2 = row_norm_sq(diff)
     bad = d2 < COINCIDENT_TOL * COINCIDENT_TOL
-    if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
+    if bad.any():
+        k = int(bad.argmax())
         raise CoincidentCenters(
             f"particles {int(ia[k])} and {int(ib[k])} have coincident centers"
         )
-    rsum = pset.radius[ia] + pset.radius[ib]
-    near = np.flatnonzero(d2 <= rsum * rsum * (1.0 + 1e-9))
-    d = np.sqrt(d2[near])
-    overlap = rsum[near] - d
+    ra, rb = pset.radius.take(ia), pset.radius.take(ib)
+    rsum = ra + rb
+    near = (d2 <= rsum * rsum * (1.0 + 1e-9)).nonzero()[0]
+    d = np.sqrt(d2.take(near))
+    overlap = rsum.take(near) - d
     hit = overlap > 0.0
     rows = near[hit]
-    ia, ib, d, overlap = ia[rows], ib[rows], d[hit], overlap[hit]
-    normal = diff[rows] / d[:, None]
-    mid = 0.5 * (pset.position[ia] + pset.position[ib])
-    point = mid + (0.5 * (pset.radius[ia] - pset.radius[ib]))[:, None] * normal
-    return ia, ib, overlap, normal, point
+    d = d[hit]
+    normal = diff.take(rows, axis=0) / d[:, None]
+    mid = 0.5 * (pa.take(rows, axis=0) + pb.take(rows, axis=0))
+    point = mid + (0.5 * (ra.take(rows) - rb.take(rows)))[:, None] * normal
+    return ia.take(rows), ib.take(rows), overlap[hit], normal, point
 
 
-def _wall_contact_arrays(pset: Particles, wall: WallPlane, wall_index: int,
-                         tunneling: Optional[list], rows: Optional[np.ndarray]):
-    if rows is None:
-        rows = np.arange(len(pset))
-    if len(rows) == 0:
+def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],
+               tunneling: Optional[list]):
+    """Contacts of every wall at once, in (wall, id) order; None if there are none.
+
+    Each non-empty wall gets its own :meth:`WallPlane.signed_distance` call,
+    since a stacked product may round differently; everything after it runs
+    once over the concatenated rows.
+    """
+    rows = [np.arange(len(pset))] * len(walls) if wall_rows is None else wall_rows
+    live = [k for k, r in enumerate(rows) if len(r)]
+    if not live:
         return None
-    d = wall.signed_distance(pset.position, rows)
+    ids = np.concatenate([rows[k] for k in live])
+    d = np.concatenate([walls[k].signed_distance(pset.position, rows[k]) for k in live])
+    wall_of = np.repeat(live, [len(rows[k]) for k in live])
     behind = d < 0.0
-    if np.any(behind):
-        ids = rows[behind]
+    if behind.any():
+        found = list(zip(ids[behind].tolist(), wall_of[behind].tolist()))
         if tunneling is not None:
-            tunneling.extend((int(i), wall_index) for i in ids)
+            tunneling.extend(found)
         else:
-            log.warning("particle(s) %s behind wall %d", ids.tolist(), wall_index)
-    overlap = pset.radius[rows] - d
-    hit = (overlap > 0.0) & ~behind
-    if not np.any(hit):
+            log.warning("particle(s) behind a wall, as (particle, wall): %s", found)
+    radius = pset.radius.take(ids)
+    overlap = radius - d
+    hit = ((overlap > 0.0) & ~behind).nonzero()[0]
+    if not len(hit):
         return None
-    ids, ov, d = rows[hit], overlap[hit], d[hit]
-    normal = np.broadcast_to(-wall.outward_normal, (len(ids), 3))
-    point = pset.position[ids] - (0.5 * (pset.radius[ids] + d))[:, None] * wall.outward_normal
-    id_b = np.full(len(ids), wall_sentinel(wall_index), dtype=np.int64)
-    return ids.astype(np.int64), id_b, ov, np.ascontiguousarray(normal), point
+    ids, wall_of, d = ids.take(hit), wall_of.take(hit), d.take(hit)
+    outward = np.array([w.outward_normal for w in walls]).take(wall_of, axis=0)
+    point = pset.position.take(ids, axis=0) - (0.5 * (radius.take(hit) + d))[:, None] * outward
+    return ids, wall_sentinel(wall_of), overlap.take(hit), -outward, point
 
 
 def sphere_overlap(a: Particle, b: Particle) -> Optional[Contact]:
@@ -189,7 +203,7 @@ def sphere_overlap(a: Particle, b: Particle) -> Optional[Contact]:
     )
     try:
         ia, ib, overlap, normal, point = _pair_contact_arrays(
-            pset, np.array([[0, 1]], dtype=np.int64)
+            pset, np.array([0]), np.array([1])
         )
     except CoincidentCenters:
         raise CoincidentCenters(
@@ -236,38 +250,15 @@ def resolve_contacts(candidates: PairList, particles, walls=(),
     row.
     """
     pset = as_particles(particles)
-    cols_a, cols_b, cols_ov, cols_n, cols_p = [], [], [], [], []
-
-    pairs = candidates.pairs
+    ia, ib = candidates.columns
     if pair_rows is not None:
-        pairs = np.take(pairs, pair_rows, axis=0)
-    if len(pairs):
-        ia, ib, ov, nrm, pt = _pair_contact_arrays(pset, pairs)
-        cols_a.append(ia)
-        cols_b.append(ib)
-        cols_ov.append(ov)
-        cols_n.append(nrm)
-        cols_p.append(pt)
-
-    for k, wall in enumerate(walls):
-        rows = None if wall_rows is None else wall_rows[k]
-        got = _wall_contact_arrays(pset, wall, k, tunneling, rows)
-        if got is not None:
-            ia, ib, ov, nrm, pt = got
-            cols_a.append(ia)
-            cols_b.append(ib)
-            cols_ov.append(ov)
-            cols_n.append(nrm)
-            cols_p.append(pt)
-
-    if not cols_a:
-        return Contacts.empty()
-    id_a = np.concatenate(cols_a)
-    id_b = np.concatenate(cols_b)
-    order = np.lexsort((id_b, id_a))
-    return Contacts(
-        id_a[order], id_b[order],
-        np.concatenate(cols_ov)[order],
-        np.concatenate(cols_n)[order],
-        np.concatenate(cols_p)[order],
-    )
+        ia, ib = ia.take(pair_rows), ib.take(pair_rows)
+    pair = _pair_contact_arrays(pset, ia, ib) if len(ia) else None
+    wall = _wall_pass(pset, walls, wall_rows, tunneling)
+    if wall is None:
+        # the rows of a sorted list stay in (id_a, id_b) order
+        return Contacts.empty() if pair is None else Contacts(*pair)
+    cols = [np.concatenate(c) for c in zip(*(p for p in (pair, wall) if p is not None))]
+    # the key id_a * 2**32 + id_b orders (id_a, id_b) while |id_b| < 2**31
+    order = np.argsort((cols[0] << np.int64(32)) + cols[1], kind="stable")
+    return Contacts(*(c.take(order, axis=0) for c in cols))

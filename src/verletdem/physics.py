@@ -41,10 +41,11 @@ def contact_force_batch(contacts: Contacts, particles, params: ContactParams) ->
         return np.zeros((0, 3))
     ia = contacts.id_a
     ib = contacts.id_b
-    wall = ib < 0
-    v_a = pset.velocity[ia]
-    v_b = np.where(wall[:, None], 0.0, pset.velocity[np.where(wall, 0, ib)])
-    v_rel = v_a - v_b
+    v_a = pset.velocity.take(ia, axis=0)
+    # a wall side is at rest: its rows keep v_rel = v_a, the bits of v_a - 0.0
+    v_rel = v_a.copy()
+    np.subtract(v_a, pset.velocity.take(ib, axis=0, mode="wrap"), out=v_rel,
+                where=(ib >= 0)[:, None])
     n = contacts.normal
     # approach speed: positive while the gap is closing
     v_n = np.einsum("ij,ij->i", v_rel, n)
@@ -85,22 +86,28 @@ def compute_forces(particles, contacts: Contacts, params: ContactParams,
     """Total force per particle: gravity plus every contact contribution.
 
     Contacts arrive sorted by (id_a, id_b) and are accumulated in that one
-    canonical order, which is what makes repeated runs bit-identical.
+    canonical order, which is what makes repeated runs bit-identical.  One
+    ``np.bincount`` sums, per particle and axis, the gravity term, then the
+    side-a forces in contact order, then the side-b reactions in contact
+    order: the order of additions ``np.add.at`` onto the gravity term makes.
+    The sums start from +0.0, so a -0.0 gravity component comes out +0.0 on
+    a particle that no contact touches (:class:`SimConfig` stores it as +0.0).
     ``weight`` may pass in the gravity term ``mass[:, None] * gravity``
-    already computed; it is copied, not modified.
+    already computed; it is not modified.
     """
     pset = as_particles(particles)
     if weight is None:
-        forces = pset.mass[:, None] * np.asarray(gravity, dtype=np.float64)
-    else:
-        forces = weight.copy()
+        weight = pset.mass[:, None] * np.asarray(gravity, dtype=np.float64)
     if len(contacts) == 0:
-        return forces
+        return weight.copy()
     f_a = contact_force_batch(contacts, pset, params)
-    np.add.at(forces, contacts.id_a, f_a)
-    pp = contacts.id_b >= 0
-    if np.any(pp):
-        np.add.at(forces, contacts.id_b[pp], -f_a[pp])
+    pp = (contacts.id_b >= 0).nonzero()[0]
+    n = len(pset)
+    ids = np.concatenate([np.arange(n), contacts.id_a, contacts.id_b.take(pp)])
+    terms = np.concatenate([weight.T, f_a.T, -f_a.take(pp, axis=0).T], axis=1)
+    forces = np.empty((n, 3))
+    for axis, column in enumerate(terms):
+        forces[:, axis] = np.bincount(ids, column, minlength=n)
     return forces
 
 

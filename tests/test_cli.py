@@ -49,6 +49,13 @@ class TestRunCommand:
             outs.append((metrics.read_bytes(), traj.read_bytes()))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("flag", ["--metrics", "--trajectory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, flag):
+        cfg = write_run_config(tmp_path / "cfg.json", steps=5)
+        out = str(tmp_path / "missing" / "out")
+        assert main(["run", "--config", cfg, flag, out]) == EXIT_CONFIG
+        assert f"config error: cannot write {out}: " in capsys.readouterr().err
+
     def test_unknown_top_level_key_exits_2(self, tmp_path, capsys):
         cfg = write_run_config(tmp_path / "cfg.json", extra={"trajectoryy": 1})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
@@ -113,6 +120,12 @@ class TestSweepCommand:
         assert lines[0] == "k,total,broad,narrow,model,broad_executed_pct,mean_pairs,improvement_pct"
         assert len(lines) == 4    # header + baseline + 2 K rows
         assert "sweep complete" in capsys.readouterr().out
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "report.csv")
+        assert main(["sweep", "--scenario", "settling-box", "--n", "0",
+                     "--seed", "1", "--k", "0", "--out", out]) == EXIT_CONFIG
+        assert f"config error: cannot write {out}: " in capsys.readouterr().err
 
     def test_bad_k_list_exits_2(self, tmp_path):
         out = tmp_path / "report.csv"

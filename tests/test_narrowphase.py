@@ -11,7 +11,7 @@ from verletdem.core import (
     ContactParams, Particle, Particles, SimConfig, WallPlane, row_norm_sq, vec3,
 )
 from verletdem.narrowphase import (
-    CoincidentCenters, ParticleBehindWall, resolve_contacts, sphere_overlap,
+    CoincidentCenters, Contacts, ParticleBehindWall, resolve_contacts, sphere_overlap,
     sphere_plane_overlap, wall_sentinel,
 )
 
@@ -223,6 +223,48 @@ class TestDistanceFirstPairs:
         assert contacts.normal.tobytes() == (diff[hit] / d[hit][:, None]).tobytes()
 
 
+def per_wall_reference(candidates, pset, walls, tunneling, wall_rows=None, pair_rows=None):
+    """A per-wall loop and an ``np.lexsort``: the reference for the wall pass.
+
+    The pair rows come from :func:`resolve_contacts` without walls; each wall
+    is resolved on its own, and everything is sorted by (id_a, id_b).
+    """
+    pairs = resolve_contacts(candidates, pset, pair_rows=pair_rows)
+    cols = [(pairs.id_a, pairs.id_b, pairs.overlap, pairs.normal, pairs.point)]
+    for k, wall in enumerate(walls):
+        rows = np.arange(len(pset)) if wall_rows is None else wall_rows[k]
+        if len(rows) == 0:
+            continue
+        d = wall.signed_distance(pset.position, rows)
+        behind = d < 0.0
+        tunneling.extend((int(i), k) for i in rows[behind])
+        overlap = pset.radius[rows] - d
+        hit = (overlap > 0.0) & ~behind
+        ids, ov, d = rows[hit], overlap[hit], d[hit]
+        point = pset.position[ids] - (0.5 * (pset.radius[ids] + d))[:, None] * wall.outward_normal
+        cols.append((ids, np.full(len(ids), wall_sentinel(k)), ov,
+                     np.broadcast_to(-wall.outward_normal, (len(ids), 3)), point))
+    id_a, id_b, overlap, normal, point = (np.concatenate(c) for c in zip(*cols))
+    order = np.lexsort((id_b, id_a))
+    return Contacts(id_a[order], id_b[order], overlap[order], normal[order], point[order])
+
+
+def random_walls(rng, n_walls, spread):
+    normals = rng.normal(size=(n_walls, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    points = rng.uniform(0.0, spread, (n_walls, 3))
+    return normals, points, tuple(WallPlane(p, nrm) for p, nrm in zip(points, normals))
+
+
+def near_walls(rng, normals, points, along, lateral_half_width):
+    """Positions ``along`` the normal of a random wall each, spread sideways."""
+    n = len(along)
+    home = rng.integers(0, len(normals), n)
+    lateral = rng.uniform(-lateral_half_width, lateral_half_width, (n, 3))
+    lateral -= np.einsum("ij,ij->i", lateral, normals[home])[:, None] * normals[home]
+    return points[home] + normals[home] * along[:, None] + lateral
+
+
 class TestWallCache:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(1, 4),
            st.floats(0.0, 1.0))
@@ -232,19 +274,12 @@ class TestWallCache:
         # arbitrary, some zero.  After each particle moves by less than its
         # skin, testing only the cached rows gives the exhaustive result
         rng = np.random.default_rng(seed)
-        normals = rng.normal(size=(n_walls, 3))
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
-        points = rng.uniform(0.0, 2.0, (n_walls, 3))
-        walls = tuple(WallPlane(p, nrm) for p, nrm in zip(points, normals))
+        normals, points, walls = random_walls(rng, n_walls, 2.0)
         radius = rng.uniform(0.05, 0.2, n)
         skins = rng.uniform(0.0, 0.3, n)
         skins[rng.uniform(size=n) < zero_share] = 0.0
-
-        home = rng.integers(0, n_walls, n)
         along = radius * rng.uniform(-1.0, 2.0, n) + skins * rng.uniform(0.0, 2.0, n)
-        lateral = rng.uniform(-1.0, 1.0, (n, 3))
-        lateral -= np.einsum("ij,ij->i", lateral, normals[home])[:, None] * normals[home]
-        pos = points[home] + normals[home] * along[:, None] + lateral
+        pos = near_walls(rng, normals, points, along, 1.0)
         pset = Particles(pos, np.zeros((n, 3)), radius, radius, np.ones(n), np.zeros(n, bool))
         state = VerletState(
             list=PairList.empty(), reference_positions=pos.copy(), frozen_skins=skins,
@@ -258,12 +293,53 @@ class TestWallCache:
         assert not verlet_needs_rebuild(state, moved)
 
         pairs = brute_force_pairs(moved, moved.cutoff)
-        every_row, cached = [], []
+        every_row, cached, looped = [], [], []
         full = resolve_contacts(pairs, moved, walls, tunneling=every_row)
         fast = resolve_contacts(pairs, moved, walls, tunneling=cached,
                                 wall_rows=state.wall_rows)
         assert fast.tobytes() == full.tobytes()
         assert cached == every_row
+        reference = per_wall_reference(pairs, moved, walls, looped, state.wall_rows)
+        assert fast.tobytes() == reference.tobytes()
+        assert cached == looped
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 40), st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_wall_pass_equals_the_per_wall_loop(self, seed, n, n_walls):
+        # crowded particles near random walls, some behind one.  Each wall
+        # tests an empty, a one-row or a random set of rows, and a random
+        # sorted subset of the pair rows is tested.  Particle 0 touches wall
+        # 0 and overlaps particle 1, so it has both kinds of contact
+        rng = np.random.default_rng(seed)
+        normals, points, walls = random_walls(rng, n_walls, 0.5)
+        radius = rng.uniform(0.05, 0.2, n)
+        pos = near_walls(rng, normals, points, radius * rng.uniform(-1.0, 2.0, n), 0.3)
+        pos[0] = points[0] + normals[0] * 0.5 * radius[0]
+        pos[1] = pos[0] + normals[0] * 0.5 * (radius[0] + radius[1])
+        pset = Particles(pos, np.zeros((n, 3)), radius, radius, np.ones(n), np.zeros(n, bool))
+        wall_rows = []
+        for k in range(n_walls):
+            size = rng.integers(0 if k else 1, 3)
+            if size < 2:
+                rows = np.arange(size) if k == 0 else rng.integers(0, n, size)
+            else:
+                mask = rng.uniform(size=n) < 0.5
+                mask[0] |= k == 0
+                rows = np.flatnonzero(mask)
+            wall_rows.append(rows)
+        pairs = brute_force_pairs(pset, pset.cutoff)
+        keep = rng.uniform(size=len(pairs)) < 0.6
+        keep[0] = True                   # (0, 1), the smallest row
+        pair_rows = np.flatnonzero(keep)
+
+        fused, looped = [], []
+        got = resolve_contacts(pairs, pset, walls, tunneling=fused,
+                               wall_rows=tuple(wall_rows), pair_rows=pair_rows)
+        reference = per_wall_reference(pairs, pset, walls, looped, wall_rows, pair_rows)
+        assert got.tobytes() == reference.tobytes()
+        assert fused == looped
+        keys = list(zip(got.id_a.tolist(), got.id_b.tolist()))
+        assert (0, -1) in keys and (0, 1) in keys
 
 
 def box_config(cell, hi):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from verletdem.core import ContactParams, Particle, Particles, SimConfig, vec3
 from verletdem.engine import run
 from verletdem.broadphase import brute_force_pairs
-from verletdem.narrowphase import Contact, resolve_contacts, sphere_overlap
-from verletdem.physics import compute_forces, spring_dashpot_force, velocity_verlet_step
+from verletdem.narrowphase import Contact, Contacts, resolve_contacts, sphere_overlap
+from verletdem.physics import (
+    compute_forces, contact_force_batch, spring_dashpot_force, velocity_verlet_step,
+)
 
 
 def sphere(i, pos, vel=(0, 0, 0), radius=0.5, mass=1.0):
@@ -112,7 +115,57 @@ class TestSpringDashpotForce:
         assert v[1, 0] == pytest.approx(1.0, rel=1e-3)
 
 
+def add_at_reference(pset, contacts, params, gravity):
+    """The np.add.at accumulation onto the gravity term, the reference order."""
+    forces = pset.mass[:, None] * np.asarray(gravity, dtype=np.float64)
+    if len(contacts):
+        f_a = contact_force_batch(contacts, pset, params)
+        np.add.at(forces, contacts.id_a, f_a)
+        pp = contacts.id_b >= 0
+        np.add.at(forces, contacts.id_b[pp], -f_a[pp])
+    return forces
+
+
+FRICTION = ContactParams(k_n=1000.0, gamma_n=0.5, mu_s=0.4, k_t=800.0)
+
+
 class TestComputeForces:
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(0, 60),
+           st.integers(0, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_equal_the_add_at_reference(self, seed, n, m, n_walls):
+        # few particles, many contacts: ids repeat on both sides; wall
+        # sentinels, static rows, zero contacts and zero gravity components
+        rng = np.random.default_rng(seed)
+        radius = rng.uniform(0.05, 0.2, n)
+        pset = Particles(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), radius, radius,
+                         rng.uniform(0.1, 3.0, n), rng.uniform(size=n) < 0.3)
+        normal = rng.normal(size=(m, 3))
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        contacts = Contacts(rng.integers(0, n, m), rng.integers(-n_walls, n, m),
+                            rng.uniform(0.0, 1e-2, m), normal, rng.normal(size=(m, 3)))
+        gravity = np.where(rng.uniform(size=3) < 0.5, 0.0, rng.normal(size=3))
+        assert (compute_forces(pset, contacts, FRICTION, gravity).tobytes()
+                == add_at_reference(pset, contacts, FRICTION, gravity).tobytes())
+
+    def test_negative_zero_gravity_is_stored_as_positive_zero(self):
+        # the bincount sums start from +0.0, so a raw -0.0 component comes out
+        # +0.0 on a particle without contacts; SimConfig stores it as +0.0
+        raw = vec3(-0.0, 0.0, -9.81)
+        cfg = dataclasses.replace(gas_config(1), gravity=raw)
+        assert np.signbit(cfg.gravity).tolist() == [False, False, True]
+        pset = Particles.from_list([
+            sphere(0, (0, 0, 0), vel=(0.2, 0, 0)), sphere(1, (0.9, 0, 0)),
+            sphere(2, (5, 5, 5)),
+        ])
+        contacts = resolve_contacts(brute_force_pairs(pset, pset.cutoff), pset)
+        assert len(contacts) == 1
+        got = compute_forces(pset, contacts, FRICTION, raw)
+        ref = add_at_reference(pset, contacts, FRICTION, raw)
+        assert np.array_equal(got, ref) and got.tobytes() != ref.tobytes()
+        assert (compute_forces(pset, contacts, FRICTION, cfg.gravity).tobytes()
+                == add_at_reference(pset, contacts, FRICTION, cfg.gravity).tobytes())
+
     def test_precomputed_weight_gives_the_same_bits_and_stays_unchanged(self):
         pset = Particles.from_list([
             sphere(0, (0, 0, 0), mass=0.3), sphere(1, (0.9, 0.1, 0), mass=1.7),
