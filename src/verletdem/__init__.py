@@ -21,8 +21,8 @@ from .core import (
     SimulationError, Vec3, WallPlane, norm, validate_config, vec3,
 )
 from .engine import (
-    PhaseMetrics, RunResult, SimState, SimulationUnstable, maybe_broadphase,
-    run, step,
+    PhaseMetrics, RunResult, ShadowMiss, SimState, SimulationUnstable, run,
+    step,
 )
 from .narrowphase import (
     Contact, Contacts, resolve_contacts, sphere_overlap, sphere_plane_overlap,
@@ -34,13 +34,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CellGrid", "ConfigError", "Contact", "ContactParams", "Contacts",
     "DEFAULT_K_VALUES", "EquivalenceReport", "PairList", "Particle",
-    "Particles", "PhaseMetrics", "RunResult", "Scenario", "SimConfig",
-    "SimState", "SimulationError", "SimulationUnstable", "SweepReport",
-    "SweepRow", "Vec3", "VerletState", "WallPlane",
+    "Particles", "PhaseMetrics", "RunResult", "Scenario", "ShadowMiss",
+    "SimConfig", "SimState", "SimulationError", "SimulationUnstable",
+    "SweepReport", "SweepRow", "Vec3", "VerletState", "WallPlane",
     "brute_force_pairs", "build_grid", "compute_forces", "compute_skin",
     "emit_report", "improvement", "linked_cell_pairs", "load_report",
-    "make_scenario", "maybe_broadphase", "norm", "resolve_contacts", "run",
-    "run_scenario", "run_sweep", "sphere_overlap", "sphere_plane_overlap",
+    "make_scenario", "norm", "resolve_contacts", "run", "run_scenario",
+    "run_sweep", "sphere_overlap", "sphere_plane_overlap",
     "spring_dashpot_force", "step", "validate_config", "validate_equivalence",
     "vec3", "velocity_verlet_step", "verlet_build", "verlet_needs_rebuild",
 ]

@@ -542,8 +542,9 @@ def validate_equivalence(scenario: Scenario, k_factor: int,
     """Run buffered and baseline twins, audit the buffer, compare bitwise.
 
     The buffered run carries the shadow scan at every force evaluation (a
-    sort-and-sweep prefilter, then the exact cutoff test on its survivors);
-    both runs record a digest over their full contact history.
+    sort-and-sweep prefilter inside slabs two largest cutoffs wide, then
+    the exact cutoff test on its survivors); both runs record a digest over
+    their full contact history.
     """
     particles = scenario.build_particles()
     nsteps = int(steps if steps is not None else scenario.steps)

@@ -32,8 +32,8 @@ from .physics import compute_forces, velocity_verlet_step
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "PhaseMetrics", "SimState", "RunResult", "SimulationUnstable",
-    "maybe_broadphase", "step", "run",
+    "PhaseMetrics", "SimState", "RunResult", "SimulationUnstable", "ShadowMiss",
+    "step", "run",
 ]
 
 OPCOUNT = "opcount"
@@ -50,6 +50,15 @@ class SimulationUnstable(SimulationError):
         super().__init__(f"non-finite state for particle {particle} at step {step}")
         self.step = step
         self.particle = particle
+
+
+class ShadowMiss(SimulationError):
+    """The shadow scan found a close pair missing from the live pair list."""
+
+    def __init__(self, step: int, pair: tuple[int, int]):
+        super().__init__(f"close pair {pair} missing from the live pair list at step {step}")
+        self.step = step
+        self.pair = pair
 
 
 @dataclass
@@ -131,8 +140,12 @@ def _skins_for_mode(pset: Particles, cfg: SimConfig, skin_mode: str):
 
 
 def _maybe_broadphase(state: SimState, cfg: SimConfig, skin_mode: str):
-    """Returns (verlet, executed, pairs_tested, rebuild_was_needed, pair_rows).
+    """Reuse the cached pair list when still valid, else rebuild it.
 
+    Returns (verlet, executed, pairs_tested, rebuild_was_needed, pair_rows).
+    A rebuild happens when no list exists yet, when the buffer is disabled
+    (every evaluation rebuilds with zero skins), or when some particle's
+    displacement since the last build exceeds its frozen skin.
     ``pair_rows`` are the rows of a reused list that the narrow phase must
     test; one displacement array serves both the rebuild test and the gate.
     A freshly built list is tested in full (``pair_rows`` None).
@@ -149,18 +162,6 @@ def _maybe_broadphase(state: SimState, cfg: SimConfig, skin_mode: str):
         skins = np.zeros(len(state.particles))
     verlet, tested = _verlet_build_stats(state.particles, cfg, state.step, skins=skins)
     return verlet, True, tested, needed, None
-
-
-def maybe_broadphase(state: SimState, cfg: SimConfig,
-                     skin_mode: str = SKIN_LOCAL) -> tuple[VerletState, bool]:
-    """Reuse the cached pair list when still valid, else rebuild it.
-
-    A rebuild happens when no list exists yet, when the buffer is disabled
-    (every evaluation rebuilds with zero skins), or when some particle's
-    displacement since the last build exceeds its frozen skin.
-    """
-    verlet, executed, _, _, _ = _maybe_broadphase(state, cfg, skin_mode)
-    return verlet, executed
 
 
 class _Driver:
@@ -190,6 +191,7 @@ class _Driver:
         if validation and n >= 2:
             self._shadow_cut = state.particles.cutoff
             self._shadow_cut_max = float(self._shadow_cut.max())
+            self._slab_width = 2.0 * self._shadow_cut_max * (1.0 + 1e-9)
         else:
             self._shadow_cut = None
 
@@ -198,11 +200,15 @@ class _Driver:
     def _shadow_scan(self) -> None:
         """Audit: every cutoff-overlapping pair must be in the live list.
 
-        A sort-and-sweep prefilter, independent of the cell grid it audits,
-        selects a conservative superset of close pairs: particles sorted
-        along the axis of widest extent, each taking the forward window of
-        axis gap <= its cutoff + the largest cutoff, then dropping
-        candidates too far apart on either other axis.  Both bounds carry a
+        A slab sort-and-sweep prefilter, independent of the cell grid it
+        audits, selects a conservative superset of close pairs.  The axis of
+        second-widest extent is cut into slabs of width 2 x the largest
+        cutoff (with a relative 1e-9 pad), so a close pair lies in one slab
+        or in two adjacent ones.  The particles are sorted by slab, then
+        along the axis of widest extent (the sweep axis).  Each takes the
+        window of sweep gap <= its cutoff + the largest cutoff: forward in
+        its own slab, on both sides in the next slab.  Candidates too far
+        apart on either other axis are then dropped.  Every bound carries a
         relative 1e-9 pad so that rounding can never hide a truly close
         pair.  The decisive test on the survivors uses the exact same
         elementwise arithmetic as the pair search, so the audit agrees
@@ -213,26 +219,45 @@ class _Driver:
             return
         pos = self.state.particles.position
         n = self.n
-        axis = int(np.argmax(np.ptp(pos, axis=0)))
-        order = np.argsort(pos[:, axis], kind="stable")
-        cols = pos[order].T.copy()          # sorted coordinates, one row per axis
-        cs = cut[order]
-        x = cols[axis]
-        window = cs + self._shadow_cut_max
-        hi = np.searchsorted(x, x + window + 1e-9 * (1.0 + window), side="right")
-        # forward window [i + 1, hi[i]) in sorted order, spelled out here
-        # rather than shared with the grid search it audits
-        counts = hi - np.arange(1, n + 1)
+        cols = pos.T.copy()                 # one row per axis
+        low = cols.min(axis=1)
+        sweep, across = np.argsort(cols.max(axis=1) - low)[:0:-1]
+        slab = ((cols[across] - low[across]) / self._slab_width).astype(np.int64)
+        by_x = np.argsort(cols[sweep], kind="stable")
+        xs = cols[sweep].take(by_x)
+        window = cut.take(by_x) + self._shadow_cut_max
+        window += 1e-9 * (1.0 + window)
+        # sweep ranks [rank_lo, rank_hi) of each particle's window
+        rank_hi = np.searchsorted(xs, xs + window, side="right")
+        rank_lo = np.searchsorted(xs, xs - window, side="left")
+        # sorted by the distinct keys slab * n + sweep rank: entry j is
+        # particle order[j], of sweep rank rank[j]
+        skey = slab.take(by_x) * n + np.arange(n)
+        rank = np.argsort(skey)
+        order = by_x.take(rank)
+        skey = skey.take(rank)
+        base = skey - rank                  # slab * n
+        rank_hi, rank_lo = rank_hi.take(rank), rank_lo.take(rank)
+        # windows [j + 1, own_hi[j]) in its own slab and [next_lo[j],
+        # next_hi[j]) in the next one, spelled out here rather than shared
+        # with the grid search
+        own_hi, next_lo, next_hi = np.searchsorted(skey, np.concatenate(
+            (base + rank_hi, base + n + rank_lo, base + n + rank_hi))).reshape(3, n)
+        j = np.arange(n)
+        first = np.concatenate((j + 1, next_lo))
+        counts = np.concatenate((own_hi - j - 1, next_hi - next_lo))
         total = int(counts.sum())
-        sa = np.repeat(np.arange(n), counts)
-        sb = sa + 1 + np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        reach = np.take(cs, sa) + np.take(cs, sb)
+        sa = np.repeat(np.concatenate((j, j)), counts)
+        sb = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(total)
+        cs = cut.take(order)
+        reach = cs.take(sa) + cs.take(sb)
         bound = reach + 1e-9 * (1.0 + reach)
         near = np.ones(total, dtype=bool)
-        for other in range(3):
-            if other != axis:
-                near &= np.abs(np.take(cols[other], sa) - np.take(cols[other], sb)) <= bound
-        a, b = order[sa[near]], order[sb[near]]
+        for other in (across, 3 - sweep - across):
+            col = cols[other].take(order)
+            near &= np.abs(col.take(sa) - col.take(sb)) <= bound
+        keep = np.flatnonzero(near)
+        a, b = order.take(sa.take(keep)), order.take(sb.take(keep))
         ia, ib = np.minimum(a, b), np.maximum(a, b)
         diff = np.take(pos, ia, axis=0) - np.take(pos, ib, axis=0)
         d2 = row_norm_sq(diff)
@@ -349,11 +374,19 @@ class _Driver:
 
 def step(state: SimState, cfg: SimConfig, metrics: Optional[PhaseMetrics] = None,
          *, validation: bool = False, skin_mode: str = SKIN_LOCAL) -> SimState:
-    """Advance one time step in place and return the state."""
+    """Advance one time step in place and return the state.
+
+    With ``validation=True`` the shadow scan audits the step's force
+    evaluations, and a close pair missing from the live list raises
+    :class:`ShadowMiss` (after the step) naming the first one.
+    """
     if metrics is None:
         metrics = PhaseMetrics()
     driver = _Driver(state, cfg, metrics, validation=validation, skin_mode=skin_mode)
     driver.step_once()
+    if driver.shadow_examples:
+        step_no, a, b = driver.shadow_examples[0]
+        raise ShadowMiss(step_no, (a, b))
     return state
 
 
@@ -378,8 +411,10 @@ def run(cfg: SimConfig, particles, *, mode: str = OPCOUNT,
     The input particle set is copied, never mutated.  Aborts with
     :class:`SimulationUnstable` if any particle state goes non-finite.
     With ``validation=True`` a shadow scan audits the live pair list at
-    every force evaluation: a sort-and-sweep prefilter, independent of the
-    cell grid, followed by the exact cutoff test on its survivors.
+    every force evaluation: a sort-and-sweep prefilter inside slabs two
+    largest cutoffs wide, independent of the cell grid, followed by the
+    exact cutoff test on its survivors.  Its misses are counted in the
+    result rather than raised.
     """
     pset = as_particles(particles)
     validate_config(cfg, pset)

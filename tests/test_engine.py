@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,13 @@ from hypothesis import strategies as st
 
 import verletdem.engine
 from verletdem.bench import make_scenario, validate_equivalence
-from verletdem.broadphase import brute_force_pairs
-from verletdem.core import ContactParams, Particle, Particles, SimConfig, WallPlane, vec3
+from verletdem.broadphase import PairList, brute_force_pairs
+from verletdem.core import (
+    ContactParams, Particle, Particles, SimConfig, SimulationError, WallPlane, vec3,
+)
 from verletdem.engine import (
-    SKIN_UNIFORM_RADIUS, PhaseMetrics, SimState, SimulationUnstable, _Driver,
-    _skins_for_mode, maybe_broadphase, run, step,
+    SKIN_LOCAL, SKIN_UNIFORM_RADIUS, PhaseMetrics, ShadowMiss, SimState, SimulationUnstable,
+    _Driver, _maybe_broadphase, _skins_for_mode, run, step,
 )
 
 
@@ -31,16 +35,17 @@ class TestMaybeBroadphase:
     def test_first_evaluation_executes(self):
         pset = Particles.from_list([sphere(0, (0, 0, 0))])
         state = SimState(particles=pset)
-        verlet, executed = maybe_broadphase(state, open_config(1))
-        assert executed
+        verlet, executed, _, needed, pair_rows = _maybe_broadphase(
+            state, open_config(1), SKIN_LOCAL)
+        assert executed and not needed and pair_rows is None
         assert len(verlet.reference_positions) == 1
 
     def test_valid_list_is_reused(self):
         pset = Particles.from_list([sphere(0, (0, 0, 0), vel=(1, 0, 0))])
         cfg = open_config(1, k_factor=100)
         state = SimState(particles=pset)
-        state.verlet, _ = maybe_broadphase(state, cfg)
-        verlet, executed = maybe_broadphase(state, cfg)
+        state.verlet, *_ = _maybe_broadphase(state, cfg, SKIN_LOCAL)
+        verlet, executed, *_ = _maybe_broadphase(state, cfg, SKIN_LOCAL)
         assert not executed
         assert verlet is state.verlet
 
@@ -49,9 +54,9 @@ class TestMaybeBroadphase:
         cfg = open_config(1)
         cfg = SimConfig(**{**cfg.__dict__, "verlet_enabled": False})
         state = SimState(particles=pset)
-        state.verlet, executed = maybe_broadphase(state, cfg)
+        state.verlet, executed, *_ = _maybe_broadphase(state, cfg, SKIN_LOCAL)
         assert executed
-        _, executed = maybe_broadphase(state, cfg)
+        _, executed, *_ = _maybe_broadphase(state, cfg, SKIN_LOCAL)
         assert executed   # no displacement, still rebuilt
 
 
@@ -279,11 +284,17 @@ class TestShadowScan:
         assert audit(pset, None).shadow_misses == 0
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 200),
-           st.sampled_from(["uniform", "ties", "flat", "line"]))
-    @settings(max_examples=60, deadline=None)
+           st.sampled_from(["uniform", "ties", "flat", "line",
+                            "straddle", "one-slab", "thin-slabs", "tied-slabs"]))
+    @settings(max_examples=80, deadline=None)
     def test_close_set_equals_oracle(self, seed, n, layout):
         rng = np.random.default_rng(seed)
-        pos = rng.uniform(0.0, [4.0, 3.0, 2.0], (n, 3))
+        if layout == "straddle":
+            pos, cutoff = straddling_pairs(rng)
+            n = len(pos)
+        else:
+            pos = rng.uniform(0.0, [4.0, 3.0, 2.0], (n, 3))
+            cutoff = rng.uniform(0.05, 0.6, n)  # mixed cutoffs
         if layout == "ties":
             # few distinct values on the widest (sort) axis
             pos[:, 0] = rng.integers(0, 5, n) * 1.0
@@ -291,9 +302,70 @@ class TestShadowScan:
             pos[:, 2] = 0.5                 # zero extent on one axis
         elif layout == "line":
             pos[:, 1:] = 1.0                # zero extent on two axes
-        cutoff = rng.uniform(0.05, 0.6, n)  # mixed cutoffs
+        elif layout == "one-slab":
+            pos[:, 1:] *= 0.025             # both narrow axes within one slab
+        elif layout == "thin-slabs":
+            pos *= [0.25, 0.2, 0.025]       # tens of slabs two cutoffs wide
+            cutoff *= 0.04
+        elif layout == "tied-slabs":
+            # ties on the sweep axis, spread over several slabs
+            pos[:, 0] = rng.integers(0, 5, n) * 1.0
+            pos[:, 1:] *= [0.4, 0.1]
+            cutoff *= 0.15
         pset = Particles(pos, np.zeros((n, 3)), cutoff, cutoff, np.ones(n), np.zeros(n, bool))
         assert_audit_equals_oracle(pset)
+
+    def test_scan_shares_no_code_with_the_grid(self):
+        # the audit must not call the search it audits
+        names = set(_Driver._shadow_scan.__code__.co_names)
+        assert "row_norm_sq" in names       # the decisive test is the shared predicate
+        assert not names & {"build_grid", "_candidate_pairs", "_pairs_with_stats",
+                            "linked_cell_pairs", "brute_force_pairs", "CellGrid"}
+
+    def test_validated_step_raises_on_a_missing_pair(self):
+        pset = Particles.from_list([
+            sphere(i, pos, vel=(1, 0, 0))     # skins of K |v| dt = 0.1: no rebuild
+            for i, pos in enumerate([(0, 0, 0), (0.9, 0, 0), (0, 0.95, 0)])
+        ])
+        cfg = open_config(steps=1)
+        state = SimState(particles=pset)
+        step(state, cfg, validation=True)           # a complete list passes
+        verlet = state.verlet
+        drop = list(verlet.list).index((0, 2))
+        state.verlet = dataclasses.replace(
+            verlet, list=PairList(np.delete(verlet.list.pairs, drop, axis=0)),
+            pair_slack=np.delete(verlet.pair_slack, drop))
+        with pytest.raises(ShadowMiss) as err:
+            step(state, cfg, validation=True)
+        assert isinstance(err.value, SimulationError)
+        assert (err.value.step, err.value.pair) == (1, (0, 2))
+        assert "(0, 2)" in str(err.value) and "step 1" in str(err.value)
+
+
+def straddling_pairs(rng):
+    """Pairs one reach apart (+-4 ulps) across slab boundaries, equal cutoffs c.
+
+    Particle 0 sits at the low end ``lo < 0`` of axis 1, the axis of middle
+    extent, so the slab boundaries lie near ``lo + k * 2c``; shifting by a
+    negative ``lo`` rounds, which a slab width without its pad does not
+    survive.  At each boundary above 0.25, 9 particles sit within 4 ulps of
+    it, each with two partners one reach higher on axis 1: the farthest one
+    still within reach and the nearest one beyond it.
+    """
+    c = rng.uniform(0.1, 0.3)
+    lo = rng.uniform(-1.0, -0.5)
+    edge = lo + np.arange(1, int((3.0 - lo) / (2 * c))) * (2 * c)
+    edge = edge[edge > 0.25]             # spacing(top) >= spacing(below)
+    below = (edge[:, None] + np.arange(-4, 5) * np.spacing(edge)[:, None]).ravel()
+    top = below + 2 * c
+    above = top[:, None] + np.arange(-4, 5) * np.spacing(top)[:, None]
+    gap = above - below[:, None]
+    within = np.where(gap <= 2 * c, above, -np.inf).max(axis=1)
+    beyond = np.where(gap > 2 * c, above, np.inf).min(axis=1)
+    xz = rng.uniform([0.0, 0.0], [10.0, 0.5], (len(below), 2))
+    pos = np.concatenate([[[5.0, lo, 0.25]]] + [
+        np.column_stack([xz[:, 0], y, xz[:, 1]]) for y in (below, within, beyond)])
+    return pos, np.full(len(pos), c)
 
 
 class TestUniformSkin:
@@ -367,11 +439,12 @@ class TestEdgeCases:
             domain_min=vec3(0, 0, 0), domain_max=vec3(4, 4, 4),
             contact=ContactParams(k_n=1e308), seed=0, steps=100,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationUnstable) as err:
-                run(cfg, pset)
-        assert err.value.particle in (0, 1)
-        assert err.value.step == 1
+        for validation in (False, True):    # the audit too sees the bad state
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(SimulationUnstable) as err:
+                    run(cfg, pset, validation=validation)
+            assert err.value.particle in (0, 1)
+            assert err.value.step == 1
 
     def test_huge_finite_state_that_overflows_the_sum_is_not_unstable(self):
         pset = Particles.from_list([sphere(i, (1.0, 1.0, 1.0 + 2 * i)) for i in range(3)])
