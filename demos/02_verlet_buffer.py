@@ -10,8 +10,8 @@ displacement since the build exceeds its frozen skin.
 import numpy as np
 
 from verletdem import (
-    ContactParams, Particle, Particles, SimConfig, compute_skin, run, vec3,
-    verlet_build, verlet_needs_rebuild,
+    ContactParams, Particle, Particles, SimConfig, run, vec3, verlet_build,
+    verlet_needs_rebuild,
 )
 
 dt = 0.01
@@ -29,12 +29,12 @@ cfg = SimConfig(
     contact=ContactParams(k_n=100.0), seed=0, steps=620,
 )
 
-skin = compute_skin(pair[0], cfg.k_factor, cfg.dt, cfg.cell_size)
+state = verlet_build(pair, cfg)
+skin = state.frozen_skins[0]      # what the engine freezes at the build
 print(f"per-particle skin: k * |v| * dt = {cfg.k_factor} * {speed} * {dt} = {skin} m")
 print(f"gap to close before contact: {2.2 - 1.0:.1f} m "
       f"({(2.2 - 1.0) / (2 * speed) / dt:.0f} steps)")
 
-state = verlet_build(pair, cfg)
 print(f"pair in the list right after the build: {(0, 1) in state.list}")
 
 moved = pair.copy()

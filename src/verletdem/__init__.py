@@ -14,7 +14,7 @@ from .bench import (
 )
 from .broadphase import (
     CellGrid, PairList, VerletState, brute_force_pairs, build_grid,
-    compute_skin, linked_cell_pairs, verlet_build, verlet_needs_rebuild,
+    linked_cell_pairs, verlet_build, verlet_needs_rebuild,
 )
 from .core import (
     ConfigError, ContactParams, Particle, Particles, SimConfig,
@@ -24,10 +24,8 @@ from .engine import (
     PhaseMetrics, RunResult, ShadowMiss, SimState, SimulationUnstable, run,
     step,
 )
-from .narrowphase import (
-    Contact, Contacts, resolve_contacts, sphere_overlap, sphere_plane_overlap,
-)
-from .physics import compute_forces, spring_dashpot_force, velocity_verlet_step
+from .narrowphase import Contact, Contacts, resolve_contacts, sphere_plane_overlap
+from .physics import compute_forces, velocity_verlet_step
 
 __version__ = "0.1.0"
 
@@ -37,10 +35,9 @@ __all__ = [
     "Particles", "PhaseMetrics", "RunResult", "Scenario", "ShadowMiss",
     "SimConfig", "SimState", "SimulationError", "SimulationUnstable",
     "SweepReport", "SweepRow", "Vec3", "VerletState", "WallPlane",
-    "brute_force_pairs", "build_grid", "compute_forces", "compute_skin",
-    "emit_report", "improvement", "linked_cell_pairs", "load_report",
-    "make_scenario", "norm", "resolve_contacts", "run", "run_scenario",
-    "run_sweep", "sphere_overlap", "sphere_plane_overlap",
-    "spring_dashpot_force", "step", "validate_config", "validate_equivalence",
+    "brute_force_pairs", "build_grid", "compute_forces", "emit_report",
+    "improvement", "linked_cell_pairs", "load_report", "make_scenario", "norm",
+    "resolve_contacts", "run", "run_scenario", "run_sweep",
+    "sphere_plane_overlap", "step", "validate_config", "validate_equivalence",
     "vec3", "velocity_verlet_step", "verlet_build", "verlet_needs_rebuild",
 ]

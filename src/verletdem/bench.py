@@ -25,7 +25,8 @@ from .core import (
     ConfigError, ContactParams, Particles, SimConfig, SimulationError,
     WallPlane, vec3,
 )
-from .engine import OPCOUNT, SKIN_LOCAL, SKIN_UNIFORM_RADIUS, RunResult, run
+from .broadphase import SKIN_LOCAL, SKIN_UNIFORM_RADIUS
+from .engine import OPCOUNT, RunResult, run
 
 __all__ = [
     "Scenario", "SweepRow", "SweepReport", "EquivalenceReport",

@@ -18,14 +18,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import (
-    Particle, Particles, SimConfig, SimulationError, as_particles, row_norm_sq,
-)
+from .core import Particles, SimConfig, SimulationError, as_particles, row_norm_sq
 
 __all__ = [
     "CellGrid", "PairList", "VerletState",
     "CapNegative", "SearchRadiusExceedsCell", "SizeMismatch",
-    "compute_skin", "build_grid", "linked_cell_pairs", "brute_force_pairs",
+    "SKIN_LOCAL", "SKIN_UNIFORM_RADIUS",
+    "build_grid", "linked_cell_pairs", "brute_force_pairs",
     "wall_candidates", "verlet_build", "verlet_displacement_sq",
     "verlet_needs_rebuild", "verlet_gate",
 ]
@@ -44,6 +43,9 @@ class SizeMismatch(SimulationError):
 
 
 _EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
+
+SKIN_LOCAL = "local"                    # per-particle k * |v| * dt, capped
+SKIN_UNIFORM_RADIUS = "uniform-radius"  # skin = particle radius, capped
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,34 +176,31 @@ class CellGrid:
         return (ijk[..., 0] * self.dims[1] + ijk[..., 1]) * self.dims[2] + ijk[..., 2]
 
 
-def compute_skin(p: Particle, k_factor: int, dt: float, cell_size: float) -> float:
-    """Skin margin for one particle: min(k * |v| * dt, cell_size/2 - cutoff).
+def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarray:
+    """Per-particle skins: min(raw, cell_size/2 - cutoff), zero for static particles.
 
-    The first term provisions for ``k_factor`` steps of travel at the
-    particle's build-time speed.  The cap keeps the inflated search radius
-    within half a cell so that searching the immediate neighbour cells is
-    provably sufficient.  Static particles get skin 0.
+    ``raw`` is ``k_factor * |v| * dt`` in the local mode (``k_factor`` steps
+    of travel at the build-time speed) and the radius in the uniform-radius
+    mode.  The cap keeps every inflated search radius within half a cell,
+    so that searching the immediate neighbour cells is provably sufficient.
+    With the buffer disabled every skin is zero: the list is rebuilt at
+    every evaluation and needs no margin.
     """
-    cap = 0.5 * cell_size - p.cutoff
-    if cap < 0:
-        raise CapNegative(
-            f"cell_size/2 = {0.5 * cell_size} < cutoff {p.cutoff} of particle {p.id}"
-        )
-    if p.is_static:
-        return 0.0
-    speed = float(np.sqrt(np.dot(p.velocity, p.velocity)))
-    return min(k_factor * speed * dt, cap)
-
-
-def _skins(pset: Particles, k_factor: int, dt: float, cell_size: float) -> np.ndarray:
-    caps = 0.5 * cell_size - pset.cutoff
+    if not cfg.verlet_enabled:
+        return np.zeros(len(pset))
+    caps = 0.5 * cfg.cell_size - pset.cutoff
     if len(pset) and caps.min() < 0:
         bad = int(np.argmin(caps))
         raise CapNegative(
-            f"cell_size/2 = {0.5 * cell_size} < cutoff {pset.cutoff[bad]} of particle {bad}"
+            f"cell_size/2 = {0.5 * cfg.cell_size} < cutoff {pset.cutoff[bad]} of particle {bad}"
         )
-    speed = np.sqrt(row_norm_sq(pset.velocity))
-    skins = np.minimum(k_factor * speed * dt, caps)
+    if mode == SKIN_LOCAL:
+        raw = cfg.k_factor * np.sqrt(row_norm_sq(pset.velocity)) * cfg.dt
+    elif mode == SKIN_UNIFORM_RADIUS:
+        raw = pset.radius
+    else:
+        raise SimulationError(f"unknown skin mode {mode!r}")
+    skins = np.minimum(raw, caps)
     skins[pset.is_static] = 0.0
     return skins
 
@@ -376,7 +375,7 @@ class VerletState:
 def _verlet_build_stats(particles, cfg: SimConfig, step: int, skins=None):
     pset = as_particles(particles)
     if skins is None:
-        skins = _skins(pset, cfg.k_factor, cfg.dt, cfg.cell_size)
+        skins = _skins(pset, cfg)
     else:
         skins = np.asarray(skins, dtype=np.float64)
     grid = build_grid(pset, cfg)

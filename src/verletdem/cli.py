@@ -1,8 +1,8 @@
 """Command-line interface: run, sweep, validate.
 
-Exit codes: 0 success, 2 configuration error (including an output path
-that cannot be written), 3 simulation instability, 4 validation failure,
-5 any other simulation error.
+Exit codes: 0 success, 2 configuration error (including a malformed
+config value and an output path that cannot be written), 3 simulation
+instability, 4 validation failure, 5 any other simulation error.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ identity everywhere in the package is (min id, max id).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
@@ -324,7 +323,8 @@ def simconfig_from_dict(doc: dict) -> SimConfig:
     """Build a SimConfig from a parsed JSON document.
 
     Strict mode: any field name not in the schema is an error, so typos in
-    sweep configs fail fast instead of silently using defaults.
+    sweep configs fail fast instead of silently using defaults.  Every
+    malformed value raises :class:`ConfigError`.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -339,23 +339,15 @@ def simconfig_from_dict(doc: dict) -> SimConfig:
     _strict_keys(contact_doc, ("k_n", "gamma_n", "mu_s", "k_t"), "contact")
     if "k_n" not in contact_doc:
         raise ConfigError("contact.k_n is required")
-    contact = ContactParams(
-        k_n=float(contact_doc["k_n"]),
-        gamma_n=float(contact_doc.get("gamma_n", 0.0)),
-        mu_s=float(contact_doc.get("mu_s", 0.0)),
-        k_t=float(contact_doc.get("k_t", 0.0)),
-    )
-
-    walls = []
-    for i, wdoc in enumerate(doc.get("walls", ())):
-        if not isinstance(wdoc, dict):
-            raise ConfigError(f"walls[{i}] must be an object")
-        _strict_keys(wdoc, ("point", "outward_normal"), f"walls[{i}]")
-        if "point" not in wdoc or "outward_normal" not in wdoc:
-            raise ConfigError(f"walls[{i}] needs point and outward_normal")
-        walls.append(WallPlane(as_vec3(wdoc["point"]), as_vec3(wdoc["outward_normal"])))
-
     try:
+        walls = []
+        for i, wdoc in enumerate(doc.get("walls", ())):
+            if not isinstance(wdoc, dict):
+                raise ConfigError(f"walls[{i}] must be an object")
+            _strict_keys(wdoc, ("point", "outward_normal"), f"walls[{i}]")
+            if "point" not in wdoc or "outward_normal" not in wdoc:
+                raise ConfigError(f"walls[{i}] needs point and outward_normal")
+            walls.append(WallPlane(as_vec3(wdoc["point"]), as_vec3(wdoc["outward_normal"])))
         return SimConfig(
             dt=float(doc["dt"]),
             k_factor=int(doc["k_factor"]),
@@ -363,7 +355,7 @@ def simconfig_from_dict(doc: dict) -> SimConfig:
             cell_size=float(doc["cell_size"]),
             domain_min=as_vec3(doc["domain_min"]),
             domain_max=as_vec3(doc["domain_max"]),
-            contact=contact,
+            contact=ContactParams(**{k: float(v) for k, v in contact_doc.items()}),
             seed=int(doc["seed"]),
             steps=int(doc["steps"]),
             walls=tuple(walls),
@@ -373,46 +365,18 @@ def simconfig_from_dict(doc: dict) -> SimConfig:
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
-def simconfig_from_json(text: str) -> SimConfig:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    return simconfig_from_dict(doc)
-
-
 def config_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
-    """Apply a partial, strictly-checked field override onto a SimConfig."""
+    """Apply a partial, strictly-checked field override onto a SimConfig.
+
+    The overrides are merged into the configuration's own document, the
+    ``contact`` block key by key, and the result is parsed by
+    :func:`simconfig_from_dict`.
+    """
     if not isinstance(overrides, dict):
         raise ConfigError("config override must be a JSON object")
-    allowed = tuple(f.name for f in fields(SimConfig))
-    _strict_keys(overrides, allowed, "config override")
-    merged = {f.name: getattr(cfg, f.name) for f in fields(SimConfig)}
-    try:
-        for key, value in overrides.items():
-            if key == "contact":
-                _strict_keys(value, ("k_n", "gamma_n", "mu_s", "k_t"), "contact")
-                base = {"k_n": cfg.contact.k_n, "gamma_n": cfg.contact.gamma_n,
-                        "mu_s": cfg.contact.mu_s, "k_t": cfg.contact.k_t}
-                base.update({k: float(v) for k, v in value.items()})
-                merged["contact"] = ContactParams(**base)
-            elif key == "walls":
-                walls = []
-                for i, wdoc in enumerate(value):
-                    _strict_keys(wdoc, ("point", "outward_normal"), f"walls[{i}]")
-                    if "point" not in wdoc or "outward_normal" not in wdoc:
-                        raise ConfigError(f"walls[{i}] needs point and outward_normal")
-                    walls.append(WallPlane(as_vec3(wdoc["point"]),
-                                           as_vec3(wdoc["outward_normal"])))
-                merged["walls"] = tuple(walls)
-            elif key in ("gravity", "domain_min", "domain_max"):
-                merged[key] = as_vec3(value)
-            elif key in ("k_factor", "seed", "steps"):
-                merged[key] = int(value)
-            elif key == "verlet_enabled":
-                merged[key] = bool(value)
-            else:
-                merged[key] = float(value)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"bad config override: {exc}") from exc
-    return SimConfig(**merged)
+    doc = {f.name: getattr(cfg, f.name) for f in fields(SimConfig)}
+    doc["walls"] = [vars(w) for w in cfg.walls]
+    doc.update(overrides)
+    contact = overrides.get("contact", {})
+    doc["contact"] = {**vars(cfg.contact), **contact} if isinstance(contact, dict) else contact
+    return simconfig_from_dict(doc)

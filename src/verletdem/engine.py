@@ -7,9 +7,12 @@ displacements cannot rule out), apply the contact model, integrate.  The rebuild
 check runs before *every* force evaluation, including the mid-step one of
 velocity-Verlet, because the cached list is consumed there too.
 
-Instrumentation is dual-mode: wall-clock seconds per phase, or
-deterministic operation counts so that benchmark shapes and acceptance
-checks do not depend on machine speed.
+One driver owns a run: its state, the cached list, the shadow-scan audit
+and the run record, which it fills in place; :func:`run` and :func:`step`
+wrap it.  Every phase is both counted and timed.  The metrics keep either
+the wall-clock seconds or the deterministic operation counts, by ``mode``,
+so that benchmark shapes and acceptance checks need not depend on machine
+speed.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .broadphase import (
-    VerletState, _verlet_build_stats, verlet_displacement_sq, verlet_gate, verlet_needs_rebuild,
+    SKIN_LOCAL, VerletState, _skins, _verlet_build_stats, verlet_displacement_sq,
+    verlet_gate, verlet_needs_rebuild,
 )
 from .core import Particles, SimConfig, SimulationError, as_particles, row_norm_sq, validate_config
 from .narrowphase import resolve_contacts
@@ -38,9 +42,6 @@ __all__ = [
 
 OPCOUNT = "opcount"
 WALLTIME = "walltime"
-
-SKIN_LOCAL = "local"            # per-particle k * |v| * dt, capped
-SKIN_UNIFORM_RADIUS = "uniform-radius"  # skin = particle radius, capped
 
 
 class SimulationUnstable(SimulationError):
@@ -127,68 +128,48 @@ class SimState:
     forces: Optional[np.ndarray] = None
 
 
-def _skins_for_mode(pset: Particles, cfg: SimConfig, skin_mode: str):
-    """Explicit skin array for non-default modes, or None for the local law."""
-    if skin_mode == SKIN_LOCAL:
-        return None
-    if skin_mode == SKIN_UNIFORM_RADIUS:
-        caps = 0.5 * cfg.cell_size - pset.cutoff
-        skins = np.minimum(pset.radius, caps)
-        skins[pset.is_static] = 0.0
-        return skins
-    raise SimulationError(f"unknown skin mode {skin_mode!r}")
+@dataclass
+class RunResult:
+    """The record of one run, filled in place while the run goes.
 
-
-def _maybe_broadphase(state: SimState, cfg: SimConfig, skin_mode: str):
-    """Reuse the cached pair list when still valid, else rebuild it.
-
-    Returns (verlet, executed, pairs_tested, rebuild_was_needed, pair_rows).
-    A rebuild happens when no list exists yet, when the buffer is disabled
-    (every evaluation rebuilds with zero skins), or when some particle's
-    displacement since the last build exceeds its frozen skin.
-    ``pair_rows`` are the rows of a reused list that the narrow phase must
-    test; one displacement array serves both the rebuild test and the gate.
-    A freshly built list is tested in full (``pair_rows`` None).
+    ``shadow_examples`` holds (step, id_a, id_b) of up to 5 missed pairs per
+    scan, ``rebuild_events`` (evaluation index, rebuild was needed) per
+    build and ``tunneling`` (step, particle, wall) per behind-wall report.
     """
-    needed = False
-    if state.verlet is not None and cfg.verlet_enabled:
-        disp2 = verlet_displacement_sq(state.verlet, state.particles)
-        needed = verlet_needs_rebuild(state.verlet, state.particles, disp2)
-        if not needed:
-            return state.verlet, False, 0, False, verlet_gate(state.verlet, np.sqrt(disp2))
-    if cfg.verlet_enabled:
-        skins = _skins_for_mode(state.particles, cfg, skin_mode)
-    else:
-        skins = np.zeros(len(state.particles))
-    verlet, tested = _verlet_build_stats(state.particles, cfg, state.step, skins=skins)
-    return verlet, True, tested, needed, None
+
+    state: SimState
+    metrics: PhaseMetrics
+    trajectory: Optional[np.ndarray] = None
+    shadow_misses: int = 0
+    shadow_examples: list = field(default_factory=list)
+    rebuild_events: list = field(default_factory=list)
+    tunneling: list = field(default_factory=list)
+    contact_hash: Optional["hashlib._Hash"] = field(default=None, repr=False)
+
+    @property
+    def contact_digest(self) -> Optional[str]:
+        """Hex SHA-256 over every evaluation's contacts, if the run recorded it."""
+        return None if self.contact_hash is None else self.contact_hash.hexdigest()
 
 
 class _Driver:
-    """Owns one simulation instance: wiring, metrics and audits."""
+    """Owns one run: its state, the cached list, the audit and the run record."""
 
-    def __init__(self, state: SimState, cfg: SimConfig, metrics: PhaseMetrics,
-                 validation: bool = False, skin_mode: str = SKIN_LOCAL,
-                 record_contact_digest: bool = False):
-        self.state = state
+    def __init__(self, result: RunResult, cfg: SimConfig, validation: bool = False,
+                 skin_mode: str = SKIN_LOCAL):
+        self.result = result
+        self.state = state = result.state
+        self.metrics = result.metrics
         self.cfg = cfg
-        self.metrics = metrics
         self.validation = validation
         self.skin_mode = skin_mode
-        self.walltime = metrics.mode == WALLTIME
-        n = len(state.particles)
-        self.n = n
-        self.live_keys: Optional[np.ndarray] = None
-        self.shadow_misses = 0
-        self.shadow_examples: list[tuple[int, int, int]] = []
-        self.rebuild_events: list[tuple[int, bool]] = []   # (eval index, was needed)
-        self.tunneling: list[tuple[int, int, int]] = []    # (step, particle, wall)
-        self.eval_elapsed = 0.0
-        self.digest = hashlib.sha256() if record_contact_digest else None
+        self.n = len(state.particles)
+        self.eval_seconds = 0.0
         self.weight = state.particles.mass[:, None] * np.asarray(cfg.gravity, dtype=np.float64)
+        self.live_keys: Optional[np.ndarray] = None
         if validation and state.verlet is not None:
             self.live_keys = state.verlet.list.keys()
-        if validation and n >= 2:
+        if validation and self.n >= 2:
             self._shadow_cut = state.particles.cutoff
             self._shadow_cut_max = float(self._shadow_cut.max())
             self._slab_width = 2.0 * self._shadow_cut_max * (1.0 + 1e-9)
@@ -263,76 +244,88 @@ class _Driver:
         d2 = row_norm_sq(diff)
         reach = np.take(cut, ia) + np.take(cut, ib)
         close = d2 <= reach * reach
-        if not np.any(close):
+        if not close.any():
             return
-        keys = np.sort((ia[close].astype(np.int64) << np.int64(32)) | ib[close].astype(np.int64))
+        keys = (ia[close].astype(np.int64) << np.int64(32)) | ib[close].astype(np.int64)
         live = self.live_keys
-        if live is None or len(live) == 0:
-            missing = np.ones(len(keys), dtype=bool)
-        else:
+        if live is not None and len(live):
             idx = np.minimum(np.searchsorted(live, keys), len(live) - 1)
-            missing = live[idx] != keys
-        count = int(missing.sum())
-        if count:
-            self.shadow_misses += count
-            for key in keys[missing][:5]:
+            keys = keys[live[idx] != keys]
+        if len(keys):
+            self.result.shadow_misses += len(keys)
+            # only the missing keys need an order: the examples are the lowest pairs
+            for key in np.sort(keys)[:5]:
                 a = int(key >> np.int64(32))
                 b = int(key & np.int64(0xFFFFFFFF))
-                self.shadow_examples.append((self.state.step, a, b))
+                self.result.shadow_examples.append((self.state.step, a, b))
+
+    def _charge(self, phase: str, count: int, t0: float) -> float:
+        """Add one phase's cost to the metrics and return the time now.
+
+        Every phase is both counted and timed; this is the one place where
+        ``mode`` picks which the metrics keep: the seconds since ``t0``
+        (walltime) or the operation count (opcount).
+        """
+        now = time.perf_counter()
+        cost = now - t0 if self.metrics.mode == WALLTIME else count
+        setattr(self.metrics, phase, getattr(self.metrics, phase) + cost)
+        return now
+
+    def _broadphase(self) -> tuple[int, Optional[np.ndarray]]:
+        """Reuse the cached list in ``state.verlet`` while valid, else rebuild it.
+
+        A rebuild happens when no list exists yet, when the buffer is
+        disabled (every evaluation rebuilds, with zero skins), or when some
+        particle's displacement since the last build exceeds its frozen
+        skin.  Returns the candidate pairs tested (0 on reuse) and the rows
+        of the list the narrow phase must test: on reuse the ones the gate
+        keeps, from the displacements the rebuild test computed; None, every
+        row, on a fresh list.
+        """
+        state, cfg = self.state, self.cfg
+        needed = False
+        if state.verlet is not None and cfg.verlet_enabled:
+            disp2 = verlet_displacement_sq(state.verlet, state.particles)
+            needed = verlet_needs_rebuild(state.verlet, state.particles, disp2)
+            if not needed:
+                return 0, verlet_gate(state.verlet, np.sqrt(disp2))
+        skins = _skins(state.particles, cfg, self.skin_mode)
+        state.verlet, tested = _verlet_build_stats(state.particles, cfg, state.step, skins=skins)
+        self.metrics.broad_executions += 1
+        self.result.rebuild_events.append((self.metrics.force_evaluations - 1, needed))
+        if self.validation:
+            self.live_keys = state.verlet.list.keys()
+        return tested, None
 
     def evaluate(self, pset: Particles) -> np.ndarray:
         """Full force pipeline: broad-phase decision, narrow phase, model."""
-        cfg = self.cfg
-        metrics = self.metrics
-        t_begin = time.perf_counter() if self.walltime else 0.0
-        metrics.force_evaluations += 1
-
+        self.metrics.force_evaluations += 1
         if self.n == 0:
-            if self.walltime:
-                self.eval_elapsed += time.perf_counter() - t_begin
             return np.zeros((0, 3))
-
-        t0 = time.perf_counter() if self.walltime else 0.0
-        verlet, executed, tested, needed, pair_rows = _maybe_broadphase(
-            self.state, cfg, self.skin_mode)
-        if executed:
-            self.state.verlet = verlet
-            metrics.broad_executions += 1
-            self.rebuild_events.append((metrics.force_evaluations - 1, needed))
-            if self.validation:
-                self.live_keys = verlet.list.keys()
-        metrics.pair_list_length_sum += len(verlet.list)
-        if self.walltime:
-            metrics.broad_time += time.perf_counter() - t0
-        else:
-            metrics.broad_time += tested
+        t_begin = time.perf_counter()
+        tested, pair_rows = self._broadphase()
+        verlet = self.state.verlet
+        self.metrics.pair_list_length_sum += len(verlet.list)
+        t0 = self._charge("broad_time", tested, t_begin)
         if self.validation:
-            self._shadow_scan()
+            self._shadow_scan()             # the audit is charged to no phase
+            t0 = time.perf_counter()
 
-        t0 = time.perf_counter() if self.walltime else 0.0
         reports: list[tuple[int, int]] = []
-        contacts = resolve_contacts(verlet.list, pset, cfg.walls, tunneling=reports,
+        contacts = resolve_contacts(verlet.list, pset, self.cfg.walls, tunneling=reports,
                                     wall_rows=verlet.wall_rows, pair_rows=pair_rows)
         for pid, widx in reports:
-            self.tunneling.append((self.state.step, pid, widx))
+            self.result.tunneling.append((self.state.step, pid, widx))
             log.warning("step %d: particle %d behind wall %d", self.state.step, pid, widx)
-        if self.walltime:
-            metrics.narrow_time += time.perf_counter() - t0
-        else:
-            metrics.narrow_time += len(verlet.list)
-        if self.digest is not None:
-            self.digest.update(len(contacts).to_bytes(8, "little"))
-            self.digest.update(contacts.tobytes())
+        t0 = self._charge("narrow_time", len(verlet.list), t0)
+        if self.result.contact_hash is not None:
+            self.result.contact_hash.update(len(contacts).to_bytes(8, "little"))
+            self.result.contact_hash.update(contacts.tobytes())
+            t0 = time.perf_counter()
 
-        t0 = time.perf_counter() if self.walltime else 0.0
-        forces = compute_forces(pset, contacts, cfg.contact, cfg.gravity, weight=self.weight)
-        if self.walltime:
-            metrics.model_time += time.perf_counter() - t0
-        else:
-            metrics.model_time += len(contacts)
-
-        if self.walltime:
-            self.eval_elapsed += time.perf_counter() - t_begin
+        forces = compute_forces(pset, contacts, self.cfg.contact, self.cfg.gravity,
+                                weight=self.weight)
+        self.eval_seconds += self._charge("model_time", len(contacts), t0) - t_begin
         return forces
 
     def bootstrap(self) -> None:
@@ -342,17 +335,13 @@ class _Driver:
 
     def step_once(self) -> None:
         self.bootstrap()
-        t0 = time.perf_counter() if self.walltime else 0.0
-        eval_before = self.eval_elapsed
-        _, forces = velocity_verlet_step(
+        t0 = time.perf_counter()
+        eval_before = self.eval_seconds
+        _, self.state.forces = velocity_verlet_step(
             self.state.particles, self.state.forces, self.evaluate, self.cfg.dt
         )
-        self.state.forces = forces
-        if self.walltime:
-            elapsed = time.perf_counter() - t0
-            self.metrics.integrate_time += elapsed - (self.eval_elapsed - eval_before)
-        else:
-            self.metrics.integrate_time += self.n
+        # the integrator's own seconds: the step's, less its force evaluation's
+        self._charge("integrate_time", self.n, t0 + (self.eval_seconds - eval_before))
         self.state.step += 1
         self.state.clock += self.cfg.dt
         self.metrics.total_steps += 1
@@ -380,26 +369,12 @@ def step(state: SimState, cfg: SimConfig, metrics: Optional[PhaseMetrics] = None
     evaluations, and a close pair missing from the live list raises
     :class:`ShadowMiss` (after the step) naming the first one.
     """
-    if metrics is None:
-        metrics = PhaseMetrics()
-    driver = _Driver(state, cfg, metrics, validation=validation, skin_mode=skin_mode)
-    driver.step_once()
-    if driver.shadow_examples:
-        step_no, a, b = driver.shadow_examples[0]
+    result = RunResult(state, PhaseMetrics() if metrics is None else metrics)
+    _Driver(result, cfg, validation=validation, skin_mode=skin_mode).step_once()
+    if result.shadow_examples:
+        step_no, a, b = result.shadow_examples[0]
         raise ShadowMiss(step_no, (a, b))
     return state
-
-
-@dataclass
-class RunResult:
-    state: SimState
-    metrics: PhaseMetrics
-    trajectory: Optional[np.ndarray] = None
-    shadow_misses: int = 0
-    shadow_examples: list = field(default_factory=list)
-    rebuild_events: list = field(default_factory=list)
-    tunneling: list = field(default_factory=list)
-    contact_digest: Optional[str] = None
 
 
 def run(cfg: SimConfig, particles, *, mode: str = OPCOUNT,
@@ -418,17 +393,14 @@ def run(cfg: SimConfig, particles, *, mode: str = OPCOUNT,
     """
     pset = as_particles(particles)
     validate_config(cfg, pset)
-    state = SimState(particles=pset.copy())
-    metrics = PhaseMetrics(mode=mode)
-    driver = _Driver(state, cfg, metrics, validation=validation,
-                     skin_mode=skin_mode, record_contact_digest=record_contact_digest)
-
+    result = RunResult(SimState(particles=pset.copy()), PhaseMetrics(mode=mode),
+                       contact_hash=hashlib.sha256() if record_contact_digest else None)
+    driver = _Driver(result, cfg, validation=validation, skin_mode=skin_mode)
+    state = result.state
     samples: list[np.ndarray] = []
 
     def sample() -> None:
         n = len(state.particles)
-        if n == 0:
-            return
         row = np.empty((n, 8))
         row[:, 0] = state.step
         row[:, 1] = np.arange(n)
@@ -443,17 +415,6 @@ def run(cfg: SimConfig, particles, *, mode: str = OPCOUNT,
         driver.step_once()
         if sample_every and state.step % sample_every == 0:
             sample()
-
-    trajectory = np.concatenate(samples) if samples else (
-        np.empty((0, 8)) if sample_every else None
-    )
-    return RunResult(
-        state=state,
-        metrics=metrics,
-        trajectory=trajectory,
-        shadow_misses=driver.shadow_misses,
-        shadow_examples=driver.shadow_examples,
-        rebuild_events=driver.rebuild_events,
-        tunneling=driver.tunneling,
-        contact_digest=driver.digest.hexdigest() if driver.digest is not None else None,
-    )
+    if sample_every:
+        result.trajectory = np.concatenate(samples)
+    return result

@@ -189,31 +189,6 @@ def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],
     return ids, wall_sentinel(wall_of), overlap.take(hit), -outward, point
 
 
-def sphere_overlap(a: Particle, b: Particle) -> Optional[Contact]:
-    """Contact between two spheres, or None when they do not overlap."""
-    if a.id == b.id:
-        raise SimulationError(f"sphere_overlap called with identical ids {a.id}")
-    pset = Particles(
-        position=np.stack([a.position, b.position]),
-        velocity=np.zeros((2, 3)),
-        radius=[a.radius, b.radius],
-        cutoff=[a.cutoff, b.cutoff],
-        mass=[1.0, 1.0],
-        is_static=[False, False],
-    )
-    try:
-        ia, ib, overlap, normal, point = _pair_contact_arrays(
-            pset, np.array([0]), np.array([1])
-        )
-    except CoincidentCenters:
-        raise CoincidentCenters(
-            f"particles {a.id} and {b.id} have coincident centers"
-        ) from None
-    if len(ia) == 0:
-        return None
-    return Contact(a.id, b.id, float(overlap[0]), normal[0], point[0])
-
-
 def sphere_plane_overlap(a: Particle, w: WallPlane, wall_index: int = 0) -> Optional[Contact]:
     """Contact between a sphere and a wall plane, or None.
 

@@ -13,12 +13,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ContactParams, Particle, Particles, Vec3, as_particles, row_norm_sq
-from .narrowphase import Contact, Contacts
+from .core import ContactParams, Particles, as_particles, row_norm_sq
+from .narrowphase import Contacts
 
 __all__ = [
-    "ContactParams", "spring_dashpot_force", "contact_force_batch",
-    "compute_forces", "velocity_verlet_step",
+    "ContactParams", "contact_force_batch", "compute_forces", "velocity_verlet_step",
 ]
 
 _TANGENT_EPS = 1e-14
@@ -60,25 +59,6 @@ def contact_force_batch(contacts: Contacts, particles, params: ContactParams) ->
         scale = np.where(sliding, ft_mag / np.where(sliding, speed_t, 1.0), 0.0)
         force -= scale[:, None] * v_t
     return force
-
-
-def spring_dashpot_force(c: Contact, a: Particle, b: Particle,
-                         params: ContactParams) -> tuple[Vec3, Vec3]:
-    """Forces on the two particles of one contact (Newton pair)."""
-    pset = Particles(
-        position=np.stack([a.position, b.position]),
-        velocity=np.stack([a.velocity, b.velocity]),
-        radius=[a.radius, b.radius],
-        cutoff=[a.cutoff, b.cutoff],
-        mass=[a.mass, b.mass],
-        is_static=[a.is_static, b.is_static],
-    )
-    batch = Contacts(
-        id_a=[0], id_b=[1], overlap=[c.overlap],
-        normal=c.normal.reshape(1, 3), point=c.point.reshape(1, 3),
-    )
-    f = contact_force_batch(batch, pset, params)[0]
-    return f, -f
 
 
 def compute_forces(particles, contacts: Contacts, params: ContactParams,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from verletdem.broadphase import (
     CapNegative, PairList, SearchRadiusExceedsCell, SizeMismatch, VerletState,
-    _pairs_with_stats, brute_force_pairs, build_grid, compute_skin,
+    SKIN_UNIFORM_RADIUS, _pairs_with_stats, _skins, brute_force_pairs, build_grid,
     linked_cell_pairs, verlet_build, verlet_needs_rebuild,
 )
 from verletdem.core import ContactParams, Particle, Particles, SimConfig, vec3
@@ -75,27 +77,53 @@ def searchsorted_tested(grid, positions):
     return tested
 
 
+def skin_of(p, k_factor, dt, cell_size, **kwargs):
+    """The skin ``_skins`` gives particle ``p``, alone in the configuration."""
+    cfg = dataclasses.replace(config(cell_size, k_factor=k_factor, dt=dt), **kwargs)
+    return float(_skins(Particles.from_list([p]), cfg)[0])
+
+
 class TestComputeSkin:
     def test_cap_inactive(self):
         p = particle(0, (1, 1, 1), vel=(1, 0, 0), radius=0.005)
-        assert compute_skin(p, 200, 1e-5, 0.05) == pytest.approx(0.002)
+        assert skin_of(p, 200, 1e-5, 0.05) == pytest.approx(0.002)
 
     def test_cap_binds(self):
         p = particle(0, (1, 1, 1), vel=(1, 0, 0), radius=0.005)
-        assert compute_skin(p, 5000, 1e-5, 0.02) == pytest.approx(0.005)
+        assert skin_of(p, 5000, 1e-5, 0.02) == pytest.approx(0.005)
 
     def test_k_zero(self):
         p = particle(0, (1, 1, 1), vel=(3, -2, 9), radius=0.005)
-        assert compute_skin(p, 0, 1e-5, 0.05) == 0.0
+        assert skin_of(p, 0, 1e-5, 0.05) == 0.0
 
     def test_static_gets_zero(self):
         p = particle(0, (1, 1, 1), radius=0.005, static=True)
-        assert compute_skin(p, 5000, 1e-5, 0.05) == 0.0
+        assert skin_of(p, 5000, 1e-5, 0.05) == 0.0
 
     def test_cap_negative_raises(self):
         p = particle(0, (1, 1, 1), radius=0.05)
         with pytest.raises(CapNegative):
-            compute_skin(p, 10, 1e-5, 0.08)
+            skin_of(p, 10, 1e-5, 0.08)
+
+    def test_buffer_off_gives_zero(self):
+        p = particle(0, (1, 1, 1), vel=(1, 0, 0), radius=0.005)
+        assert skin_of(p, 200, 1e-5, 0.05, verlet_enabled=False) == 0.0
+
+    def test_bits_of_each_mode(self):
+        # np.minimum(raw, caps), raw = k |v| dt or the radius, then static -> 0
+        rng = np.random.default_rng(4)
+        pset = random_set(rng, 50, r_range=(0.1, 0.45), with_velocity=True)
+        pset.is_static[::7] = True
+        pset.velocity[pset.is_static] = 0.0
+        cfg = config(cell_size=1.0, k_factor=3000, dt=1e-4)
+        caps = 0.5 * cfg.cell_size - pset.cutoff
+        speed = np.sqrt(np.einsum("ij,ij->i", pset.velocity, pset.velocity))
+        for skins, raw in ((_skins(pset, cfg), cfg.k_factor * speed * cfg.dt),
+                           (_skins(pset, cfg, SKIN_UNIFORM_RADIUS), pset.radius)):
+            expected = np.minimum(raw, caps)
+            expected[pset.is_static] = 0.0
+            assert skins.tobytes() == expected.tobytes()
+            assert 0 < np.count_nonzero(skins == caps) < np.count_nonzero(~pset.is_static)
 
 
 class TestBuildGrid:

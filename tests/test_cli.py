@@ -65,6 +65,16 @@ class TestRunCommand:
         cfg = write_run_config(tmp_path / "cfg.json", overrides={"kfactor": 5})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("overrides", [
+        {"contact": {"k_n": "abc"}},
+        {"contact": {"k_n": [1, 2]}},
+        {"walls": [{"point": "xyz", "outward_normal": [0, 0, 1]}]},
+    ])
+    def test_bad_override_value_exits_2(self, tmp_path, capsys, overrides):
+        cfg = write_run_config(tmp_path / "cfg.json", overrides=overrides)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "config error: bad config value" in capsys.readouterr().err
+
     def test_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{broken")
@@ -120,6 +130,14 @@ class TestSweepCommand:
         assert lines[0] == "k,total,broad,narrow,model,broad_executed_pct,mean_pairs,improvement_pct"
         assert len(lines) == 4    # header + baseline + 2 K rows
         assert "sweep complete" in capsys.readouterr().out
+
+    def test_walltime_sweep_exits_0(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--scenario", "settling-box", "--n", "5", "--seed", "1",
+                     "--k", "50", "--mode", "walltime", "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["-1", "50"]
+        assert all(float(row.split(",")[1]) > 0 for row in rows)
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "report.csv")

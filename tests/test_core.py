@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verletdem.cli import EXIT_CONFIG, main
 from verletdem.core import (
     CellTooSmall, ConfigError, ContactParams, EmptyDomain, NonPositiveDt,
-    Particle, Particles, SimConfig, WallPlane, norm, simconfig_from_json,
+    Particle, Particles, SimConfig, WallPlane, norm, simconfig_from_dict,
     validate_config, vec3,
 )
 
@@ -175,7 +176,7 @@ VALID_DOC = {
 
 class TestConfigJson:
     def test_valid_document(self):
-        cfg = simconfig_from_json(json.dumps(VALID_DOC))
+        cfg = simconfig_from_dict(json.loads(json.dumps(VALID_DOC)))
         assert cfg.k_factor == 200
         assert cfg.steps == 500
         assert len(cfg.walls) == 1
@@ -185,29 +186,42 @@ class TestConfigJson:
     def test_unknown_field_is_error(self):
         doc = dict(VALID_DOC, skin_factor=3)
         with pytest.raises(ConfigError, match="unknown config field"):
-            simconfig_from_json(json.dumps(doc))
+            simconfig_from_dict(json.loads(json.dumps(doc)))
 
     def test_unknown_contact_field_is_error(self):
         doc = dict(VALID_DOC, contact={"k_n": 1.0, "kn_typo": 2.0})
         with pytest.raises(ConfigError, match="unknown contact field"):
-            simconfig_from_json(json.dumps(doc))
+            simconfig_from_dict(json.loads(json.dumps(doc)))
 
     def test_unknown_wall_field_is_error(self):
         doc = dict(VALID_DOC, walls=[{"point": [0, 0, 0], "normal": [0, 0, 1]}])
         with pytest.raises(ConfigError):
-            simconfig_from_json(json.dumps(doc))
+            simconfig_from_dict(json.loads(json.dumps(doc)))
 
     def test_missing_field_is_error(self):
         doc = {k: v for k, v in VALID_DOC.items() if k != "dt"}
         with pytest.raises(ConfigError, match="missing"):
-            simconfig_from_json(json.dumps(doc))
+            simconfig_from_dict(json.loads(json.dumps(doc)))
 
     def test_walls_and_verlet_enabled_default(self):
         doc = {k: v for k, v in VALID_DOC.items() if k not in ("walls", "verlet_enabled")}
-        cfg = simconfig_from_json(json.dumps(doc))
+        cfg = simconfig_from_dict(json.loads(json.dumps(doc)))
         assert cfg.walls == ()
         assert cfg.verlet_enabled
 
-    def test_invalid_json_is_config_error(self):
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            simconfig_from_json("{not json")
+    def test_invalid_json_is_config_error(self, tmp_path, capsys):
+        # JSON text is parsed where it is read: the CLI's run document
+        path = tmp_path / "cfg.json"
+        path.write_text("{not json")
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"contact": {"k_n": "abc"}},
+        {"contact": {"k_n": [1, 2]}},
+        {"walls": [{"point": "xyz", "outward_normal": [0, 0, 1]}]},
+        {"walls": 5},
+    ])
+    def test_bad_value_is_config_error(self, change):
+        with pytest.raises(ConfigError, match="bad config value"):
+            simconfig_from_dict(dict(VALID_DOC, **change))

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ from hypothesis import strategies as st
 
 import verletdem.engine
 from verletdem.bench import make_scenario, validate_equivalence
-from verletdem.broadphase import PairList, brute_force_pairs
+from verletdem.broadphase import SKIN_UNIFORM_RADIUS, PairList, _skins, brute_force_pairs
 from verletdem.core import (
     ContactParams, Particle, Particles, SimConfig, SimulationError, WallPlane, vec3,
 )
 from verletdem.engine import (
-    SKIN_LOCAL, SKIN_UNIFORM_RADIUS, PhaseMetrics, ShadowMiss, SimState, SimulationUnstable,
-    _Driver, _maybe_broadphase, _skins_for_mode, run, step,
+    PhaseMetrics, RunResult, ShadowMiss, SimState, SimulationUnstable, _Driver, run, step,
 )
 
 
@@ -31,33 +31,43 @@ def open_config(steps, k_factor=100, cell=4.0, half=8.0, dt=1e-3, **contact_kw):
     )
 
 
+def driver_for(state, cfg, **kwargs):
+    """A driver of one run from ``state``, with a fresh opcount record."""
+    return _Driver(RunResult(state, PhaseMetrics()), cfg, **kwargs)
+
+
 class TestMaybeBroadphase:
+    """The driver's rebuild-or-reuse decision, which writes ``state.verlet``."""
+
     def test_first_evaluation_executes(self):
         pset = Particles.from_list([sphere(0, (0, 0, 0))])
-        state = SimState(particles=pset)
-        verlet, executed, _, needed, pair_rows = _maybe_broadphase(
-            state, open_config(1), SKIN_LOCAL)
-        assert executed and not needed and pair_rows is None
-        assert len(verlet.reference_positions) == 1
+        driver = driver_for(SimState(particles=pset), open_config(1))
+        driver.evaluate(pset)
+        assert driver.result.rebuild_events == [(0, False)]    # built, not needed
+        assert driver.metrics.broad_executions == 1
+        assert len(driver.state.verlet.reference_positions) == 1
 
     def test_valid_list_is_reused(self):
         pset = Particles.from_list([sphere(0, (0, 0, 0), vel=(1, 0, 0))])
-        cfg = open_config(1, k_factor=100)
-        state = SimState(particles=pset)
-        state.verlet, *_ = _maybe_broadphase(state, cfg, SKIN_LOCAL)
-        verlet, executed, *_ = _maybe_broadphase(state, cfg, SKIN_LOCAL)
-        assert not executed
-        assert verlet is state.verlet
+        driver = driver_for(SimState(particles=pset), open_config(1, k_factor=100))
+        driver.evaluate(pset)
+        verlet = driver.state.verlet
+        tested, pair_rows = driver._broadphase()
+        assert tested == 0 and pair_rows is not None          # reused, gated rows
+        assert driver.state.verlet is verlet
+        assert driver.metrics.broad_executions == 1
 
     def test_disabled_buffer_rebuilds_every_time(self):
         pset = Particles.from_list([sphere(0, (0, 0, 0))])
         cfg = open_config(1)
         cfg = SimConfig(**{**cfg.__dict__, "verlet_enabled": False})
-        state = SimState(particles=pset)
-        state.verlet, executed, *_ = _maybe_broadphase(state, cfg, SKIN_LOCAL)
-        assert executed
-        _, executed, *_ = _maybe_broadphase(state, cfg, SKIN_LOCAL)
-        assert executed   # no displacement, still rebuilt
+        driver = driver_for(SimState(particles=pset), cfg)
+        driver.evaluate(pset)
+        verlet = driver.state.verlet
+        assert driver._broadphase()[1] is None                 # a fresh list: every row
+        assert driver.state.verlet is not verlet               # no displacement, still rebuilt
+        assert driver.metrics.broad_executions == 2
+        assert np.all(driver.state.verlet.frozen_skins == 0.0)
 
 
 class TestStaticOnly:
@@ -186,17 +196,9 @@ class TestEquivalence:
 
 
     def test_gated_pair_contacts_equal_baseline(self, monkeypatch):
-        # a jostling 5 x 5 x 5 cluster of slightly overlapping spheres on a
-        # floor: the buffered run gates the rows of every reused list, the
-        # baseline rebuilds at every evaluation and tests every row
-        rng = np.random.default_rng(3)
-        g = np.arange(5) * 0.019 + 0.05
-        pos = np.array(np.meshgrid(g, g, g, indexing="ij")).reshape(3, -1).T
-        n = len(pos)
-        pos += rng.uniform(-1e-3, 1e-3, pos.shape)
-        radius = np.full(n, 0.01)
-        pset = Particles(pos, rng.normal(0.0, 0.2, (n, 3)), radius, radius, np.full(n, 1e-3),
-                         np.zeros(n, bool))
+        # the buffered run gates the rows of every reused list, the baseline
+        # rebuilds at every evaluation and tests every row
+        pset = jostling_cluster()
         resolve_contacts = verletdem.engine.resolve_contacts
         offered: list = []     # (list length, rows tested or None) per evaluation
 
@@ -208,13 +210,8 @@ class TestEquivalence:
         results = {}
         for enabled in (True, False):
             offered.append([])
-            results[enabled] = run(
-                SimConfig(dt=1e-4, k_factor=200, gravity=vec3(0, 0, -9.81), cell_size=0.05,
-                          domain_min=vec3(0, 0, 0), domain_max=vec3(0.2, 0.2, 0.2),
-                          contact=ContactParams(k_n=500.0, gamma_n=0.01), seed=0, steps=600,
-                          walls=(WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)),),
-                          verlet_enabled=enabled),
-                pset, record_contact_digest=True)
+            results[enabled] = run(cluster_config(600, enabled), pset,
+                                   record_contact_digest=True)
         buffered, baseline = results[True], results[False]
         assert buffered.metrics.model_time > 10 * buffered.metrics.force_evaluations
         assert buffered.contact_digest == baseline.contact_digest
@@ -228,12 +225,58 @@ class TestEquivalence:
         assert sum(rows for _, rows in gated) < 0.5 * sum(length for length, _ in gated)
 
 
+def jostling_cluster():
+    """A 5 x 5 x 5 cluster of slightly overlapping spheres with random velocities."""
+    rng = np.random.default_rng(3)
+    g = np.arange(5) * 0.019 + 0.05
+    pos = np.array(np.meshgrid(g, g, g, indexing="ij")).reshape(3, -1).T
+    n = len(pos)
+    pos += rng.uniform(-1e-3, 1e-3, pos.shape)
+    radius = np.full(n, 0.01)
+    return Particles(pos, rng.normal(0.0, 0.2, (n, 3)), radius, radius, np.full(n, 1e-3),
+                     np.zeros(n, bool))
+
+
+def cluster_config(steps, verlet_enabled=True):
+    """The jostling cluster's box, on a floor."""
+    return SimConfig(dt=1e-4, k_factor=200, gravity=vec3(0, 0, -9.81), cell_size=0.05,
+                     domain_min=vec3(0, 0, 0), domain_max=vec3(0.2, 0.2, 0.2),
+                     contact=ContactParams(k_n=500.0, gamma_n=0.01), seed=0, steps=steps,
+                     walls=(WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)),),
+                     verlet_enabled=verlet_enabled)
+
+
+class TestWalltimeMode:
+    def test_walltime_run_equals_opcount_run(self):
+        # one path counts and times every phase; the mode only picks which
+        # of the two the *_time fields keep
+        pset, cfg = jostling_cluster(), cluster_config(200)
+        counted = run(cfg, pset, record_contact_digest=True)
+        t0 = time.perf_counter()
+        timed = run(cfg, pset, mode="walltime", record_contact_digest=True)
+        elapsed = time.perf_counter() - t0
+        assert counted.metrics.model_time > 10 * counted.metrics.force_evaluations
+        for field in ("position", "velocity"):
+            assert (getattr(timed.state.particles, field).tobytes()
+                    == getattr(counted.state.particles, field).tobytes())
+        assert timed.rebuild_events == counted.rebuild_events
+        assert timed.contact_digest == counted.contact_digest
+        m = timed.metrics
+        assert m.mode == "walltime"
+        assert all(getattr(m, f) > 0 for f in
+                   ("broad_time", "narrow_time", "model_time", "integrate_time"))
+        assert m.total_time < elapsed                    # seconds, not counts
+        assert ((m.broad_executions, m.force_evaluations, m.pair_list_length_sum)
+                == (counted.metrics.broad_executions, counted.metrics.force_evaluations,
+                    counted.metrics.pair_list_length_sum))
+
+
 def audit(pset, live_keys):
-    """Run one shadow scan of ``pset`` against ``live_keys``; return the driver."""
-    driver = _Driver(SimState(particles=pset), open_config(1), PhaseMetrics(), validation=True)
+    """Run one shadow scan of ``pset`` against ``live_keys``; return the run record."""
+    driver = driver_for(SimState(particles=pset), open_config(1), validation=True)
     driver.live_keys = live_keys
     driver._shadow_scan()
-    return driver
+    return driver.result
 
 
 def assert_audit_equals_oracle(pset):
@@ -256,9 +299,9 @@ class TestShadowScan:
         assert len(oracle) > 1
         dropped = list(oracle)[len(oracle) // 2]
         live = np.delete(oracle.keys(), len(oracle) // 2)
-        driver = audit(pset, live)
-        assert driver.shadow_misses == 1
-        assert driver.shadow_examples == [(0, *dropped)]
+        result = audit(pset, live)
+        assert result.shadow_misses == 1
+        assert result.shadow_examples == [(0, *dropped)]
 
     def test_run_with_stale_list_reports_the_miss(self, monkeypatch):
         # the list built at step 0 holds no pair; with rebuilds switched off
@@ -373,7 +416,7 @@ class TestUniformSkin:
         sc = make_scenario("mini-hopper", 40, 3)
         pset = sc.build_particles()
         assert pset.is_static.any()
-        skins = _skins_for_mode(pset, sc.sim_config(0), SKIN_UNIFORM_RADIUS)
+        skins = _skins(pset, sc.sim_config(0), SKIN_UNIFORM_RADIUS)
         assert np.all(skins[pset.is_static] == 0.0)
         assert np.all(skins[~pset.is_static] > 0.0)
 
@@ -450,7 +493,7 @@ class TestEdgeCases:
         pset = Particles.from_list([sphere(i, (1.0, 1.0, 1.0 + 2 * i)) for i in range(3)])
         pset.position[:, 0] = 1.5e308       # finite, but their sum overflows
         pset.velocity[1] = (-1e308, 1e308, 1e308)
-        driver = _Driver(SimState(particles=pset), open_config(1), PhaseMetrics())
+        driver = driver_for(SimState(particles=pset), open_config(1))
         with np.errstate(over="ignore"):
             driver._check_finite()
 
@@ -459,7 +502,7 @@ class TestEdgeCases:
         pset.velocity[2, 1] = np.nan
         state = SimState(particles=pset, step=7)
         with pytest.raises(SimulationUnstable) as err:
-            _Driver(state, open_config(1), PhaseMetrics())._check_finite()
+            driver_for(state, open_config(1))._check_finite()
         assert (err.value.step, err.value.particle) == (7, 2)
 
     def test_tunneling_is_reported_and_run_continues(self):

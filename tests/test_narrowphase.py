@@ -11,8 +11,8 @@ from verletdem.core import (
     ContactParams, Particle, Particles, SimConfig, WallPlane, row_norm_sq, vec3,
 )
 from verletdem.narrowphase import (
-    CoincidentCenters, Contacts, ParticleBehindWall, resolve_contacts, sphere_overlap,
-    sphere_plane_overlap, wall_sentinel,
+    CoincidentCenters, Contacts, ParticleBehindWall, resolve_contacts, sphere_plane_overlap,
+    wall_sentinel,
 )
 
 FLOOR = WallPlane(vec3(0, 0, 0), vec3(0, 0, 1))
@@ -23,33 +23,44 @@ def sphere(i, pos, radius=0.5, vel=(0, 0, 0)):
                     radius=radius, cutoff=radius, mass=1.0)
 
 
+def pair_contact(a, b):
+    """The contact ``resolve_contacts`` finds between spheres a and b, or None.
+
+    The two spheres become particles 0 and 1, in the order given.
+    """
+    pset = Particles(np.stack([a.position, b.position]), np.zeros((2, 3)),
+                     [a.radius, b.radius], [a.cutoff, b.cutoff], np.ones(2), np.zeros(2, bool))
+    contacts = resolve_contacts(PairList.from_pairs([(0, 1)]), pset)
+    return contacts[0] if len(contacts) else None
+
+
 class TestSphereOverlap:
     def test_overlapping(self):
-        c = sphere_overlap(sphere(0, (0, 0, 0)), sphere(1, (0.8, 0, 0)))
+        c = pair_contact(sphere(0, (0, 0, 0)), sphere(1, (0.8, 0, 0)))
         assert c.overlap == pytest.approx(0.2, abs=1e-12)
 
     def test_exact_touch_is_no_contact(self):
-        assert sphere_overlap(sphere(0, (0, 0, 0)), sphere(1, (1.0, 0, 0))) is None
+        assert pair_contact(sphere(0, (0, 0, 0)), sphere(1, (1.0, 0, 0))) is None
 
     def test_unequal_radii_contact_point(self):
         # overlap segment on the x axis runs from 0.2 (surface of b) to 0.3
         # (surface of a); its midpoint is 0.25
         a = sphere(0, (0, 0, 0), radius=0.3)
         b = sphere(1, (0.9, 0, 0), radius=0.7)
-        c = sphere_overlap(a, b)
+        c = pair_contact(a, b)
         assert c.overlap == pytest.approx(0.1, abs=1e-12)
         np.testing.assert_allclose(c.normal, [1, 0, 0], atol=1e-12)
         np.testing.assert_allclose(c.point, [0.25, 0, 0], atol=1e-12)
 
     def test_coincident_centers(self):
         with pytest.raises(CoincidentCenters):
-            sphere_overlap(sphere(0, (1, 1, 1)), sphere(1, (1, 1, 1)))
+            pair_contact(sphere(0, (1, 1, 1)), sphere(1, (1, 1, 1)))
 
     def test_symmetry(self):
         a = sphere(0, (0.1, 0.2, 0.3), radius=0.4)
         b = sphere(1, (0.5, 0.1, 0.4), radius=0.35)
-        ab = sphere_overlap(a, b)
-        ba = sphere_overlap(b, a)
+        ab = pair_contact(a, b)
+        ba = pair_contact(b, a)
         assert ab.overlap == ba.overlap
         np.testing.assert_array_equal(ab.normal, -ba.normal)
 
@@ -63,8 +74,8 @@ class TestSphereOverlap:
         b = sphere(1, pos_b, radius=1.2)
         moved = sphere(1, np.asarray(pos_b, dtype=float) + eps, radius=1.2)
         try:
-            c0 = sphere_overlap(a, b)
-            c1 = sphere_overlap(a, moved)
+            c0 = pair_contact(a, b)
+            c1 = pair_contact(a, moved)
         except CoincidentCenters:
             return
         ov0 = c0.overlap if c0 else 0.0

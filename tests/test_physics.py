@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from verletdem.core import ContactParams, Particle, Particles, SimConfig, vec3
 from verletdem.engine import run
-from verletdem.broadphase import brute_force_pairs
-from verletdem.narrowphase import Contact, Contacts, resolve_contacts, sphere_overlap
-from verletdem.physics import (
-    compute_forces, contact_force_batch, spring_dashpot_force, velocity_verlet_step,
-)
+from verletdem.broadphase import PairList, brute_force_pairs
+from verletdem.narrowphase import Contacts, resolve_contacts
+from verletdem.physics import compute_forces, contact_force_batch, velocity_verlet_step
 
 
 def sphere(i, pos, vel=(0, 0, 0), radius=0.5, mass=1.0):
@@ -28,12 +26,24 @@ def gas_config(steps, box=0.4, k_n=1000.0, **contact):
     )
 
 
+def pair_forces(a, b, params):
+    """The contact of spheres a and b and the total force on each, without gravity.
+
+    Resolved by ``resolve_contacts`` and summed by ``compute_forces``, as
+    the engine does.
+    """
+    pset = Particles.from_list([a, b])
+    contacts = resolve_contacts(PairList.from_pairs([(0, 1)]), pset)
+    assert len(contacts) == 1
+    forces = compute_forces(pset, contacts, params, vec3(0, 0, 0))
+    return contacts[0], forces[0], forces[1]
+
+
 class TestSpringDashpotForce:
     def test_pure_spring_magnitude(self):
         a = sphere(0, (0, 0, 0))
         b = sphere(1, (0.99, 0, 0))
-        c = sphere_overlap(a, b)
-        f_a, f_b = spring_dashpot_force(c, a, b, ContactParams(k_n=1000.0))
+        c, f_a, f_b = pair_forces(a, b, ContactParams(k_n=1000.0))
         np.testing.assert_allclose(f_a, [-1000.0 * c.overlap, 0, 0], atol=1e-12)
         assert np.linalg.norm(f_a) == pytest.approx(10.0, rel=1e-9)
 
@@ -51,27 +61,23 @@ class TestSpringDashpotForce:
         direction = off / np.linalg.norm(off)
         a = sphere(0, (0, 0, 0), vel=va, radius=0.6)
         b = sphere(1, direction * (1.2 - gap_frac), vel=vb, radius=0.6)
-        c = sphere_overlap(a, b)
-        assert c is not None
         params = ContactParams(k_n=500.0, gamma_n=2.0, mu_s=0.4, k_t=80.0)
-        f_a, f_b = spring_dashpot_force(c, a, b, params)
+        _, f_a, f_b = pair_forces(a, b, params)
         np.testing.assert_array_equal(f_a + f_b, np.zeros(3))
 
     def test_damping_opposes_approach(self):
         a = sphere(0, (0, 0, 0), vel=(1, 0, 0))
         b = sphere(1, (0.9, 0, 0), vel=(-1, 0, 0))
-        c = sphere_overlap(a, b)
-        spring_only, _ = spring_dashpot_force(c, a, b, ContactParams(k_n=100.0))
-        damped, _ = spring_dashpot_force(c, a, b, ContactParams(k_n=100.0, gamma_n=1.0))
+        _, spring_only, _ = pair_forces(a, b, ContactParams(k_n=100.0))
+        _, damped, _ = pair_forces(a, b, ContactParams(k_n=100.0, gamma_n=1.0))
         # while approaching, damping must push a back harder than the spring alone
         assert damped[0] < spring_only[0] < 0
 
     def test_friction_cap(self):
         a = sphere(0, (0, 0, 0), vel=(0, 5.0, 0))
         b = sphere(1, (0.9, 0, 0))
-        c = sphere_overlap(a, b)
         params = ContactParams(k_n=100.0, mu_s=0.2, k_t=1e6)
-        f_a, _ = spring_dashpot_force(c, a, b, params)
+        _, f_a, _ = pair_forces(a, b, params)
         f_n = abs(f_a[0])
         f_t = abs(f_a[1])
         assert f_t == pytest.approx(params.mu_s * f_n, rel=1e-12)
@@ -82,8 +88,7 @@ class TestSpringDashpotForce:
         params = ContactParams(k_n=1000.0, gamma_n=1.0, mu_s=0.5, k_t=1e6)
         a = sphere(0, (0, 0, 0), vel=(-1.0, 0.5, 0.0))
         b = sphere(1, (0.9999, 0, 0), vel=(1.0, 0.0, 0.0))
-        c = sphere_overlap(a, b)                 # overlap 1e-4, normal +x
-        f_a, f_b = spring_dashpot_force(c, a, b, params)
+        _, f_a, f_b = pair_forces(a, b, params)   # overlap 1e-4, normal +x
         # F_n = k_n * overlap + gamma_n * v_n = 0.1 - 2.0 = -1.9: a is
         # pulled toward b
         assert f_a[0] == pytest.approx(1.9)
