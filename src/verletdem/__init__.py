@@ -9,8 +9,8 @@ factor.
 
 from .bench import (
     DEFAULT_K_VALUES, EquivalenceReport, Scenario, SweepReport, SweepRow,
-    emit_report, improvement, load_report, make_scenario, run_scenario,
-    run_sweep, validate_equivalence,
+    emit_report, improvement, load_report, make_scenario, run_sweep,
+    validate_equivalence,
 )
 from .broadphase import (
     CellGrid, PairList, VerletState, brute_force_pairs, build_grid,
@@ -37,7 +37,7 @@ __all__ = [
     "SweepReport", "SweepRow", "Vec3", "VerletState", "WallPlane",
     "brute_force_pairs", "build_grid", "compute_forces", "emit_report",
     "improvement", "linked_cell_pairs", "load_report", "make_scenario", "norm",
-    "resolve_contacts", "run", "run_scenario", "run_sweep",
+    "resolve_contacts", "run", "run_sweep",
     "sphere_plane_overlap", "step", "validate_config", "validate_equivalence",
     "vec3", "velocity_verlet_step", "verlet_build", "verlet_needs_rebuild",
 ]

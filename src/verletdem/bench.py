@@ -7,15 +7,16 @@ spheres flowing over a rough inclined plane.  The sweep runs one baseline
 and reports per-phase cost, the fraction of force evaluations that executed
 a broad-phase, and the improvement of each run over the baseline.
 
-Operation counts are the primary currency: wall-clock mode exists for
-informal measurements but every acceptance check uses deterministic counts.
+Every run records both its operation counts and its seconds; the sweep's
+``mode`` picks which the report shows.  Operation counts are the primary
+currency: every acceptance check uses them, because they are deterministic.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,13 +27,13 @@ from .core import (
     WallPlane, vec3,
 )
 from .broadphase import SKIN_LOCAL, SKIN_UNIFORM_RADIUS
-from .engine import OPCOUNT, RunResult, run
+from .engine import OPCOUNT, PhaseMetrics, RunResult, run
 
 __all__ = [
     "Scenario", "SweepRow", "SweepReport", "EquivalenceReport",
     "UnknownScenario", "NonPositiveBaseline", "PlacementError",
     "DEFAULT_K_VALUES", "SCENARIO_NAMES",
-    "improvement", "make_scenario", "run_scenario", "run_sweep",
+    "improvement", "make_scenario", "run_sweep",
     "emit_report", "load_report", "validate_equivalence",
 ]
 
@@ -363,14 +364,6 @@ def make_scenario(name: str, n: int, seed: int) -> Scenario:
     return _SCENARIOS[name](int(n), int(seed))
 
 
-def run_scenario(scenario: Scenario, k_factor: int, *, verlet_enabled: bool = True,
-                 steps: Optional[int] = None, mode: str = OPCOUNT,
-                 skin_mode: str = SKIN_LOCAL, **kwargs) -> RunResult:
-    """Build the scenario's particles and run it with the given K."""
-    cfg = scenario.sim_config(k_factor, verlet_enabled=verlet_enabled, steps=steps)
-    return run(cfg, scenario.build_particles(), mode=mode, skin_mode=skin_mode, **kwargs)
-
-
 # --- sweep -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -405,38 +398,21 @@ class SweepReport:
 
 
 def _state_digest(result: RunResult) -> str:
-    import hashlib
-
     h = hashlib.sha256()
     h.update(result.state.particles.position.tobytes())
     h.update(result.state.particles.velocity.tobytes())
     return h.hexdigest()
 
 
-def _sweep_point(args) -> tuple[int, float, float, float, float, float, float, str]:
-    scenario, k, mode, steps = args
-    if k == BASELINE_K:
-        result = run_scenario(scenario, 0, verlet_enabled=False, steps=steps, mode=mode)
-    elif k == UNIFORM_SKIN_K:
-        result = run_scenario(scenario, 0, steps=steps, mode=mode,
-                              skin_mode=SKIN_UNIFORM_RADIUS)
-    else:
-        result = run_scenario(scenario, k, steps=steps, mode=mode)
-    m = result.metrics
-    return (
-        k, m.total_time, m.broad_time, m.narrow_time, m.model_time,
-        m.broad_executed_pct, m.mean_pair_list_length, _state_digest(result),
-    )
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _sweep_point(scenario: Scenario, k: int, mode: str,
+                 steps: Optional[int]) -> tuple[int, dict, str]:
+    """(k, the run's record as ``mode`` shows it, final-state digest) of one row."""
+    special = k in (BASELINE_K, UNIFORM_SKIN_K)
+    cfg = scenario.sim_config(0 if special else k, verlet_enabled=k != BASELINE_K,
+                              steps=steps)
+    skin_mode = SKIN_UNIFORM_RADIUS if k == UNIFORM_SKIN_K else SKIN_LOCAL
+    result = run(cfg, scenario.build_particles(), skin_mode=skin_mode)
+    return k, result.metrics.as_dict(mode), _state_digest(result)
 
 
 def run_sweep(scenario: Scenario, k_values: Sequence[int], mode: str = OPCOUNT,
@@ -444,36 +420,30 @@ def run_sweep(scenario: Scenario, k_values: Sequence[int], mode: str = OPCOUNT,
               steps: Optional[int] = None) -> SweepReport:
     """One baseline run plus one run per K on identical initial conditions.
 
-    In opcount mode the report is bit-identical across repeated invocations
-    and sweep points may run in parallel (THREADS env var); wall-time mode
-    always runs points one at a time to avoid timing interference.
+    The points run one at a time.  Each run records both its operation
+    counts and its seconds; ``mode`` (``opcount`` or ``walltime``, checked
+    before any run) picks which the rows show.  An opcount report is
+    bit-identical across repeated invocations.
     """
     if not len(k_values):
         raise ConfigError("k_values must not be empty")
+    PhaseMetrics().as_dict(mode)    # an unknown mode raises ConfigError here
     ks = [BASELINE_K] + [int(k) for k in k_values]
     if uniform_skin_radius:
         ks.append(UNIFORM_SKIN_K)
-    jobs = [(scenario, k, mode, steps) for k in ks]
-
-    threads = _thread_budget()
-    if mode == OPCOUNT and threads > 1 and len(jobs) > 1:
-        from multiprocessing import Pool
-
-        with Pool(processes=min(threads, len(jobs))) as pool:
-            raw = pool.map(_sweep_point, jobs)
-    else:
-        raw = [_sweep_point(job) for job in jobs]
-
-    base_total = raw[0][1]
-    rows = []
-    for k, total, broad, narrow, model, pct, mean_pairs, digest in raw:
-        rows.append(SweepRow(
-            k=k, total=total, broad=broad, narrow=narrow, model=model,
-            broad_executed_pct=pct, mean_pairs=mean_pairs,
-            improvement_pct=improvement(base_total, total) if base_total > 0 else 0.0,
+    points = [_sweep_point(scenario, k, mode, steps) for k in ks]
+    base_total = points[0][1]["total_time"]
+    return SweepReport(rows=tuple(
+        SweepRow(
+            k=k, total=m["total_time"], broad=m["broad_time"], narrow=m["narrow_time"],
+            model=m["model_time"], broad_executed_pct=m["broad_executed_pct"],
+            mean_pairs=m["mean_pair_list_length"],
+            improvement_pct=(improvement(base_total, m["total_time"])
+                             if base_total > 0 else 0.0),
             state_digest=digest,
-        ))
-    return SweepReport(rows=tuple(rows))
+        )
+        for k, m, digest in points
+    ))
 
 
 REPORT_HEADER = ("k", "total", "broad", "narrow", "model",
@@ -495,21 +465,27 @@ def emit_report(report: SweepReport, path: str) -> None:
 
 
 def load_report(path: str) -> SweepReport:
-    """Parse a CSV written by :func:`emit_report`."""
+    """Parse a CSV written by :func:`emit_report`.
+
+    A foreign header, or a row that is short, long or not numeric, raises
+    :class:`ConfigError` naming the line.
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != REPORT_HEADER:
             raise ConfigError(f"unexpected report header {header}")
         for rec in reader:
-            rows.append(SweepRow(
-                k=int(rec[0]),
-                total=float(rec[1]), broad=float(rec[2]),
-                narrow=float(rec[3]), model=float(rec[4]),
-                broad_executed_pct=float(rec[5]), mean_pairs=float(rec[6]),
-                improvement_pct=float(rec[7]),
-            ))
+            try:
+                if len(rec) != len(REPORT_HEADER):
+                    raise ValueError(f"{len(rec)} fields, expected {len(REPORT_HEADER)}")
+                # the columns follow SweepRow's field order
+                rows.append(SweepRow(int(rec[0]), *(float(v) for v in rec[1:])))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path} line {reader.line_num}: bad report row {rec}: {exc}"
+                ) from exc
     return SweepReport(rows=tuple(rows))
 
 

@@ -183,17 +183,24 @@ def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarra
     of travel at the build-time speed) and the radius in the uniform-radius
     mode.  The cap keeps every inflated search radius within half a cell,
     so that searching the immediate neighbour cells is provably sufficient.
+    A cap whose sum ``cutoff + cap`` rounds above half a cell is stepped
+    down by ulps until the sum, as the pair search computes it, fits.
     With the buffer disabled every skin is zero: the list is rebuilt at
     every evaluation and needs no margin.
     """
     if not cfg.verlet_enabled:
         return np.zeros(len(pset))
-    caps = 0.5 * cfg.cell_size - pset.cutoff
+    half = 0.5 * cfg.cell_size
+    caps = half - pset.cutoff
     if len(pset) and caps.min() < 0:
         bad = int(np.argmin(caps))
         raise CapNegative(
-            f"cell_size/2 = {0.5 * cfg.cell_size} < cutoff {pset.cutoff[bad]} of particle {bad}"
+            f"cell_size/2 = {half} < cutoff {pset.cutoff[bad]} of particle {bad}"
         )
+    high = np.flatnonzero(pset.cutoff + caps > half)
+    while len(high):
+        caps[high] = np.nextafter(caps.take(high), -np.inf)
+        high = high[pset.cutoff.take(high) + caps.take(high) > half]
     if mode == SKIN_LOCAL:
         raw = cfg.k_factor * np.sqrt(row_norm_sq(pset.velocity)) * cfg.dt
     elif mode == SKIN_UNIFORM_RADIUS:

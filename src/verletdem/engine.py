@@ -9,10 +9,11 @@ velocity-Verlet, because the cached list is consumed there too.
 
 One driver owns a run: its state, the cached list, the shadow-scan audit
 and the run record, which it fills in place; :func:`run` and :func:`step`
-wrap it.  Every phase is both counted and timed.  The metrics keep either
-the wall-clock seconds or the deterministic operation counts, by ``mode``,
-so that benchmark shapes and acceptance checks need not depend on machine
-speed.
+wrap it.  Every phase is both counted and timed, and the run record keeps
+both: the deterministic operation counts, on which benchmark shapes and
+acceptance checks rely because they do not depend on machine speed, and
+the wall-clock seconds the same phases cost.  A report picks which of the
+two it shows (:meth:`PhaseMetrics.as_dict`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ from .broadphase import (
     SKIN_LOCAL, VerletState, _skins, _verlet_build_stats, verlet_displacement_sq,
     verlet_gate, verlet_needs_rebuild,
 )
-from .core import Particles, SimConfig, SimulationError, as_particles, row_norm_sq, validate_config
+from .core import (
+    ConfigError, Particles, SimConfig, SimulationError, as_particles, row_norm_sq,
+    validate_config,
+)
 from .narrowphase import resolve_contacts
 from .physics import compute_forces, velocity_verlet_step
 
@@ -62,19 +66,21 @@ class ShadowMiss(SimulationError):
         self.pair = pair
 
 
+_TIME_FIELDS = ("broad_time", "narrow_time", "model_time", "integrate_time")
+
+
 @dataclass
 class PhaseMetrics:
-    """Per-phase accumulators for one run.
+    """Per-phase accumulators for one run: operation counts and seconds.
 
-    In ``walltime`` mode the *_time fields hold accumulated seconds; in
-    ``opcount`` mode they hold deterministic operation counts (candidate
-    pairs distance-tested for broad, pair-list rows offered to the narrow
-    phase for narrow, contacts evaluated for model, particles advanced for
-    integrate).  The narrow count is the list length even when the
-    displacement gate skips some of those rows.
+    The *_time fields hold deterministic operation counts: candidate pairs
+    distance-tested for broad, pair-list rows offered to the narrow phase
+    for narrow, contacts evaluated for model, particles advanced for
+    integrate.  The narrow count is the list length even when the
+    displacement gate skips some of those rows.  ``seconds`` holds the
+    wall-clock seconds of the same four phases, keyed by the same names.
     """
 
-    mode: str = OPCOUNT
     broad_time: float = 0.0
     narrow_time: float = 0.0
     model_time: float = 0.0
@@ -83,6 +89,7 @@ class PhaseMetrics:
     total_steps: int = 0
     force_evaluations: int = 0
     pair_list_length_sum: int = 0
+    seconds: dict = field(default_factory=lambda: dict.fromkeys(_TIME_FIELDS, 0.0))
 
     @property
     def broad_executed_pct(self) -> float:
@@ -96,18 +103,23 @@ class PhaseMetrics:
             return 0.0
         return self.pair_list_length_sum / self.force_evaluations
 
-    @property
-    def total_time(self) -> float:
-        return self.broad_time + self.narrow_time + self.model_time + self.integrate_time
+    def as_dict(self, mode: str = OPCOUNT) -> dict:
+        """The record as a report shows it.
 
-    def as_dict(self) -> dict:
+        ``mode`` picks what the *_time fields and their total show: the
+        operation counts (``opcount``) or the seconds (``walltime``).  Any
+        other mode raises :class:`ConfigError`.
+        """
+        if mode == OPCOUNT:
+            times = {name: getattr(self, name) for name in _TIME_FIELDS}
+        elif mode == WALLTIME:
+            times = dict(self.seconds)
+        else:
+            raise ConfigError(f"mode must be {OPCOUNT} or {WALLTIME}, got {mode!r}")
         return {
-            "mode": self.mode,
-            "broad_time": self.broad_time,
-            "narrow_time": self.narrow_time,
-            "model_time": self.model_time,
-            "integrate_time": self.integrate_time,
-            "total_time": self.total_time,
+            "mode": mode,
+            **times,
+            "total_time": sum(times.values()),
             "broad_executions": self.broad_executions,
             "total_steps": self.total_steps,
             "force_evaluations": self.force_evaluations,
@@ -260,15 +272,11 @@ class _Driver:
                 self.result.shadow_examples.append((self.state.step, a, b))
 
     def _charge(self, phase: str, count: int, t0: float) -> float:
-        """Add one phase's cost to the metrics and return the time now.
-
-        Every phase is both counted and timed; this is the one place where
-        ``mode`` picks which the metrics keep: the seconds since ``t0``
-        (walltime) or the operation count (opcount).
-        """
+        """Add one phase's count and its seconds since ``t0``; return the time now."""
         now = time.perf_counter()
-        cost = now - t0 if self.metrics.mode == WALLTIME else count
-        setattr(self.metrics, phase, getattr(self.metrics, phase) + cost)
+        metrics = self.metrics
+        setattr(metrics, phase, getattr(metrics, phase) + count)
+        metrics.seconds[phase] += now - t0
         return now
 
     def _broadphase(self) -> tuple[int, Optional[np.ndarray]]:
@@ -362,7 +370,7 @@ class _Driver:
 
 
 def step(state: SimState, cfg: SimConfig, metrics: Optional[PhaseMetrics] = None,
-         *, validation: bool = False, skin_mode: str = SKIN_LOCAL) -> SimState:
+         *, validation: bool = False) -> SimState:
     """Advance one time step in place and return the state.
 
     With ``validation=True`` the shadow scan audits the step's force
@@ -370,30 +378,30 @@ def step(state: SimState, cfg: SimConfig, metrics: Optional[PhaseMetrics] = None
     :class:`ShadowMiss` (after the step) naming the first one.
     """
     result = RunResult(state, PhaseMetrics() if metrics is None else metrics)
-    _Driver(result, cfg, validation=validation, skin_mode=skin_mode).step_once()
+    _Driver(result, cfg, validation=validation).step_once()
     if result.shadow_examples:
         step_no, a, b = result.shadow_examples[0]
         raise ShadowMiss(step_no, (a, b))
     return state
 
 
-def run(cfg: SimConfig, particles, *, mode: str = OPCOUNT,
-        validation: bool = False, skin_mode: str = SKIN_LOCAL,
-        sample_every: Optional[int] = None,
+def run(cfg: SimConfig, particles, *, validation: bool = False,
+        skin_mode: str = SKIN_LOCAL, sample_every: Optional[int] = None,
         record_contact_digest: bool = False) -> RunResult:
     """Simulate ``cfg.steps`` steps from the given initial particles.
 
-    The input particle set is copied, never mutated.  Aborts with
-    :class:`SimulationUnstable` if any particle state goes non-finite.
-    With ``validation=True`` a shadow scan audits the live pair list at
-    every force evaluation: a sort-and-sweep prefilter inside slabs two
-    largest cutoffs wide, independent of the cell grid, followed by the
-    exact cutoff test on its survivors.  Its misses are counted in the
-    result rather than raised.
+    The result's metrics keep both the operation counts and the seconds of
+    every phase (:class:`PhaseMetrics`).  The input particle set is copied,
+    never mutated.  Aborts with :class:`SimulationUnstable` if any particle
+    state goes non-finite.  With ``validation=True`` a shadow scan audits
+    the live pair list at every force evaluation: a sort-and-sweep
+    prefilter inside slabs two largest cutoffs wide, independent of the
+    cell grid, followed by the exact cutoff test on its survivors.  Its
+    misses are counted in the result rather than raised.
     """
     pset = as_particles(particles)
     validate_config(cfg, pset)
-    result = RunResult(SimState(particles=pset.copy()), PhaseMetrics(mode=mode),
+    result = RunResult(SimState(particles=pset.copy()), PhaseMetrics(),
                        contact_hash=hashlib.sha256() if record_contact_digest else None)
     driver = _Driver(result, cfg, validation=validation, skin_mode=skin_mode)
     state = result.state

@@ -117,12 +117,6 @@ class Contacts:
             self.normal.tobytes(), self.point.tobytes(),
         ))
 
-    def particle_only(self) -> "Contacts":
-        """The subset of particle-particle contacts (wall rows dropped)."""
-        keep = self.id_b >= 0
-        return Contacts(self.id_a[keep], self.id_b[keep], self.overlap[keep],
-                        self.normal[keep], self.point[keep])
-
 
 def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
     """Overlap, normal and contact point for candidate rows with overlap > 0.

@@ -8,6 +8,7 @@ from verletdem.bench import (
     SweepReport, SweepRow, UnknownScenario, emit_report, improvement,
     load_report, make_scenario, run_sweep,
 )
+from verletdem.core import ConfigError
 
 
 class TestImprovement:
@@ -143,13 +144,6 @@ class TestRunSweep:
         b = run_sweep(sc, [0, 100], steps=200)
         assert a == b
 
-    def test_threads_env_does_not_change_results(self, monkeypatch):
-        sc = make_scenario("settling-box", 30, 2)
-        seq = run_sweep(sc, [0, 100], steps=150)
-        monkeypatch.setenv("THREADS", "2")
-        par = run_sweep(sc, [0, 100], steps=150)
-        assert seq == par
-
 
 class TestReportIO:
     HEADER = "k,total,broad,narrow,model,broad_executed_pct,mean_pairs,improvement_pct"
@@ -196,4 +190,12 @@ class TestReportIO:
         path = tmp_path / "bad.csv"
         path.write_text("k,total,elapsed\n1,2,3\n")
         with pytest.raises(Exception, match="header"):
+            load_report(str(path))
+
+    @pytest.mark.parametrize("row", ["1,2,3", "50,1,2,3,4,5,6,x7"],
+                             ids=["short", "non-numeric"])
+    def test_load_rejects_short_or_non_numeric_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{self.HEADER}\n-1,1,1,0,0,100.0,0.0,0.0\n{row}\n")
+        with pytest.raises(ConfigError, match="line 3"):
             load_report(str(path))

@@ -1,18 +1,23 @@
-"""The names the benchmark's tracer (perfbench/tracing.py) rebinds.
+"""The names the benchmark (perfbench/) rebinds and the run record it reads.
 
 The benchmark times each layer by rebinding these module attributes from
 outside the package, and counts contacts from the positional arguments of
 ``resolve_contacts``.  A rename, or a call that no longer goes through the
-module attribute, would leave a layer silently untimed.
+module attribute, would leave a layer silently untimed.  Its workloads
+read their operation counts from the record of a default ``run()``; a
+rename there, or seconds stored in a count field, would change what the
+benchmark measures without notice.
 """
 
 import inspect
 from collections import Counter
 
+import numpy as np
+
 import verletdem.bench
 import verletdem.broadphase
 import verletdem.engine
-from verletdem import make_scenario
+from verletdem import Particles, make_scenario
 
 TRACED = (
     (verletdem.engine, "verlet_needs_rebuild"),
@@ -50,3 +55,21 @@ def test_every_traced_name_is_called_through_its_module(monkeypatch):
                                                   steps=20)
     assert report.ok
     assert {name for _, name in TRACED} == {name for name, n in calls.items() if n > 0}
+
+
+def test_run_record_keeps_the_counts_the_workloads_read():
+    # three overlapping spheres on the settling box's floor: every phase has work
+    cfg = make_scenario("settling-box", 0, 1).sim_config(200, steps=20)
+    pos = np.array([[0.05, 0.05, 0.0049], [0.0595, 0.05, 0.0049], [0.069, 0.05, 0.0049]])
+    r = np.full(3, 0.005)
+    pset = Particles(pos, np.zeros((3, 3)), r, r, np.full(3, 1e-3), np.zeros(3, bool))
+    result = verletdem.engine.run(cfg, pset)
+    m = result.metrics
+    for name in ("broad_time", "narrow_time", "model_time"):
+        value = getattr(m, name)
+        assert value > 0 and float(value).is_integer(), (name, value)
+    assert m.broad_executions >= 1
+    assert m.force_evaluations > cfg.steps
+    assert m.pair_list_length_sum >= m.force_evaluations
+    assert isinstance(result.tunneling, list)
+    assert result.contact_digest is None and result.shadow_misses == 0

@@ -105,6 +105,18 @@ class TestComputeSkin:
         with pytest.raises(CapNegative):
             skin_of(p, 10, 1e-5, 0.08)
 
+    def test_capped_search_radius_fits_half_a_cell(self):
+        # cutoff + (cell/2 - cutoff) rounds one ulp above cell/2 here, which
+        # made the build's guard raise SearchRadiusExceedsCell on a valid config
+        cut, cell = 0.004524571004753451, 0.04592666450280474
+        assert cut + (0.5 * cell - cut) > 0.5 * cell
+        pair = [particle(0, (0.1, 0.1, 0.1), vel=(5, 0, 0), radius=cut),
+                particle(1, (0.3, 0.3, 0.3), radius=cut)]
+        state = verlet_build(pair, config(cell, hi=(1, 1, 1), k_factor=1000, dt=1e-4))
+        skin = state.frozen_skins[0]
+        assert cut + skin <= 0.5 * cell
+        assert skin == np.nextafter(0.5 * cell - cut, 0.0)    # one ulp below the plain cap
+
     def test_buffer_off_gives_zero(self):
         p = particle(0, (1, 1, 1), vel=(1, 0, 0), radius=0.005)
         assert skin_of(p, 200, 1e-5, 0.05, verlet_enabled=False) == 0.0

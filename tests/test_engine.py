@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import time
 
 import numpy as np
@@ -7,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verletdem.engine
-from verletdem.bench import make_scenario, validate_equivalence
+from verletdem.bench import make_scenario, run_sweep, validate_equivalence
 from verletdem.broadphase import SKIN_UNIFORM_RADIUS, PairList, _skins, brute_force_pairs
+from verletdem.cli import EXIT_CONFIG, main
 from verletdem.core import (
-    ContactParams, Particle, Particles, SimConfig, SimulationError, WallPlane, vec3,
+    ConfigError, ContactParams, Particle, Particles, SimConfig, SimulationError, WallPlane,
+    vec3,
 )
 from verletdem.engine import (
-    PhaseMetrics, RunResult, ShadowMiss, SimState, SimulationUnstable, _Driver, run, step,
+    OPCOUNT, WALLTIME, PhaseMetrics, RunResult, ShadowMiss, SimState, SimulationUnstable,
+    _Driver, run, step,
 )
 
 
@@ -246,29 +250,58 @@ def cluster_config(steps, verlet_enabled=True):
                      verlet_enabled=verlet_enabled)
 
 
-class TestWalltimeMode:
-    def test_walltime_run_equals_opcount_run(self):
-        # one path counts and times every phase; the mode only picks which
-        # of the two the *_time fields keep
+class TestRunRecord:
+    def test_one_run_keeps_counts_and_seconds(self, monkeypatch):
+        # every run counts and times each phase; its counts equal a tally
+        # kept outside the record, and its seconds are the run's own
         pset, cfg = jostling_cluster(), cluster_config(200)
-        counted = run(cfg, pset, record_contact_digest=True)
+        tally = dict.fromkeys(("broad_time", "narrow_time", "model_time"), 0)
+        build, resolve = verletdem.engine._verlet_build_stats, verletdem.engine.resolve_contacts
+
+        def tallied_build(*args, **kwargs):
+            verlet, tested = build(*args, **kwargs)
+            tally["broad_time"] += tested
+            return verlet, tested
+
+        def tallied_resolve(candidates, *args, **kwargs):
+            contacts = resolve(candidates, *args, **kwargs)
+            tally["narrow_time"] += len(candidates)
+            tally["model_time"] += len(contacts)
+            return contacts
+
+        monkeypatch.setattr(verletdem.engine, "_verlet_build_stats", tallied_build)
+        monkeypatch.setattr(verletdem.engine, "resolve_contacts", tallied_resolve)
         t0 = time.perf_counter()
-        timed = run(cfg, pset, mode="walltime", record_contact_digest=True)
+        m = run(cfg, pset).metrics
         elapsed = time.perf_counter() - t0
-        assert counted.metrics.model_time > 10 * counted.metrics.force_evaluations
-        for field in ("position", "velocity"):
-            assert (getattr(timed.state.particles, field).tobytes()
-                    == getattr(counted.state.particles, field).tobytes())
-        assert timed.rebuild_events == counted.rebuild_events
-        assert timed.contact_digest == counted.contact_digest
-        m = timed.metrics
-        assert m.mode == "walltime"
-        assert all(getattr(m, f) > 0 for f in
-                   ("broad_time", "narrow_time", "model_time", "integrate_time"))
-        assert m.total_time < elapsed                    # seconds, not counts
-        assert ((m.broad_executions, m.force_evaluations, m.pair_list_length_sum)
-                == (counted.metrics.broad_executions, counted.metrics.force_evaluations,
-                    counted.metrics.pair_list_length_sum))
+        tally["integrate_time"] = len(pset) * cfg.steps
+        assert {name: getattr(m, name) for name in tally} == tally
+        assert m.model_time > 10 * m.force_evaluations
+        assert m.seconds.keys() == tally.keys()
+        assert all(s > 0 for s in m.seconds.values())
+        assert sum(m.seconds.values()) < elapsed
+        counted, timed = m.as_dict(OPCOUNT), m.as_dict(WALLTIME)
+        assert (counted["mode"], timed["mode"]) == (OPCOUNT, WALLTIME)
+        assert counted.keys() == timed.keys()
+        times = {"mode", "total_time", *tally}
+        differ = {key for key in counted if counted[key] != timed[key]}
+        assert differ == times
+        assert timed["total_time"] == pytest.approx(sum(m.seconds.values()))
+        assert counted["total_time"] == sum(tally.values())
+
+    def test_unknown_mode_raises_before_any_step(self, monkeypatch, tmp_path):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(verletdem.engine._Driver, "__init__", no_run)
+        with pytest.raises(ConfigError, match="wallclock"):
+            PhaseMetrics().as_dict("wallclock")
+        with pytest.raises(ConfigError, match="wallclock"):
+            run_sweep(make_scenario("settling-box", 5, 1), [50], mode="wallclock", steps=5)
+        doc = tmp_path / "run.json"
+        doc.write_text(json.dumps({"scenario": {"name": "settling-box", "n": 5, "seed": 1},
+                                   "mode": "wallclock"}))
+        assert main(["run", "--config", str(doc)]) == EXIT_CONFIG
 
 
 def audit(pset, live_keys):
