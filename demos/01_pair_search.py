@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from verletdem import ContactParams, Particles, SimConfig, vec3
-from verletdem.broadphase import brute_force_pairs, build_grid, linked_cell_pairs
+from verletdem.broadphase import brute_force_pairs, linked_cell_pairs
 
 rng = np.random.default_rng(2024)
 n = 2000
@@ -30,8 +30,7 @@ cfg = SimConfig(
 print(f"{n} spheres in a {box.tolist()} m box, cell size {cfg.cell_size} m")
 
 t0 = time.perf_counter()
-grid = build_grid(cloud, cfg)
-fast = linked_cell_pairs(grid, cloud, cloud.cutoff)
+fast = linked_cell_pairs(cloud, cfg, cloud.cutoff)
 t_grid = time.perf_counter() - t0
 
 t0 = time.perf_counter()
@@ -53,6 +52,5 @@ cfg_wide = SimConfig(
     domain_min=vec3(0, 0, 0), domain_max=vec3(*box),
     contact=ContactParams(k_n=1.0), seed=0, steps=1,
 )
-grid2 = build_grid(pair, cfg_wide)
-on_boundary = linked_cell_pairs(grid2, pair, [0.5, 0.5])
+on_boundary = linked_cell_pairs(pair, cfg_wide, [0.5, 0.5])
 print(f"pair at exactly the search distance is included: {(0, 1) in on_boundary}")

@@ -1,6 +1,10 @@
 """Candidate-pair generation: uniform linked-cell grid, brute-force oracle,
 and the per-particle Verlet-buffer layer.
 
+A pair list is a sorted array of int64 keys ``id_a << 32 | id_b`` with
+id_a < id_b.  The grid is only the cell layout the search reads, and each
+search builds its own.
+
 The buffer inflates each particle's search radius by a skin proportional to
 its own speed (``k_factor * |v| * dt``), capped by the cell geometry, and
 freezes both the skins and the positions at build time.  The cached pair
@@ -39,10 +43,10 @@ class SearchRadiusExceedsCell(SimulationError):
 
 
 class SizeMismatch(SimulationError):
-    """Particle count differs from the one the Verlet state was built for."""
+    """Search radii or a Verlet state do not match the particle count."""
 
 
-_EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
+_EMPTY_KEYS = np.empty(0, dtype=np.int64)
 
 SKIN_LOCAL = "local"                    # per-particle k * |v| * dt, capped
 SKIN_UNIFORM_RADIUS = "uniform-radius"  # skin = particle radius, capped
@@ -50,130 +54,88 @@ SKIN_UNIFORM_RADIUS = "uniform-radius"  # skin = particle radius, capped
 
 @dataclass(frozen=True, eq=False)
 class PairList:
-    """Canonical list of candidate pairs.
+    """Canonical list of candidate pairs: sorted, unique int64 ``keys``.
 
-    ``pairs`` is an (m, 2) int64 array with id_a < id_b on every row, rows
-    sorted lexicographically, no duplicates.  Canonical ordering is the
-    determinism contract: equal inputs must give byte-equal pair lists no
-    matter how the search iterated internally.
+    Each key is ``id_a << 32 | id_b`` with id_a < id_b, so key order is the
+    lexicographic order of the pairs, from which :attr:`columns` and
+    :attr:`pairs` are derived.  Canonical ordering is the determinism
+    contract: equal inputs must give byte-equal pair lists no matter how the
+    search iterated internally.
     """
 
-    pairs: np.ndarray
+    keys: np.ndarray
 
     @classmethod
     def empty(cls) -> "PairList":
-        return cls(_EMPTY_PAIRS)
+        return cls(_EMPTY_KEYS)
 
     @classmethod
     def from_pairs(cls, raw) -> "PairList":
         """Canonicalize an arbitrary iterable of index pairs (test helper)."""
         arr = np.asarray(list(raw), dtype=np.int64).reshape(-1, 2)
-        return cls(_canonicalize(arr))
+        return cls(np.unique(_oriented_keys(arr[:, 0], arr[:, 1])))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return (tuple(row) for row in self.pairs.tolist())
+        ia, ib = self.columns
+        return zip(ia.tolist(), ib.tolist())
 
     def __contains__(self, pair) -> bool:
-        a, b = (int(pair[0]), int(pair[1]))
-        if a > b:
-            a, b = b, a
-        idx = np.searchsorted(self.keys(), _key(a, b))
-        return bool(idx < len(self.pairs) and self.keys()[idx] == _key(a, b))
+        a, b = sorted((int(pair[0]), int(pair[1])))
+        key = (a << 32) | b
+        idx = np.searchsorted(self.keys, key)
+        return bool(idx < len(self) and self.keys[idx] == key)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairList):
             return NotImplemented
-        return np.array_equal(self.pairs, other.pairs)
+        return np.array_equal(self.keys, other.keys)
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Contiguous copies of the id_a and id_b columns, made on first use."""
-        return self.pairs[:, 0].copy(), self.pairs[:, 1].copy()
+        """The id_a and id_b columns, contiguous, shifted and masked out of the keys."""
+        return self.keys >> np.int64(32), self.keys & np.int64(0xFFFFFFFF)
 
-    def keys(self) -> np.ndarray:
-        """Sorted scalar keys (a << 32 | b) for fast membership checks."""
-        return _keys(self.pairs)
+    @property
+    def pairs(self) -> np.ndarray:
+        """The (m, 2) array of (id_a, id_b) rows, built from the keys on each read."""
+        return np.column_stack(self.columns)
 
     def issubset(self, other: "PairList") -> bool:
-        if len(self) == 0:
-            return True
-        idx = np.searchsorted(other.keys(), self.keys())
-        idx = np.minimum(idx, max(len(other) - 1, 0))
-        return bool(len(other)) and bool(np.all(other.keys()[idx] == self.keys()))
-
-
-def _key(a, b):
-    return (np.int64(a) << np.int64(32)) | np.int64(b)
-
-
-def _keys(pairs: np.ndarray) -> np.ndarray:
-    return (pairs[:, 0] << np.int64(32)) | pairs[:, 1]
+        return bool(np.isin(self.keys, other.keys, assume_unique=True).all())
 
 
 def _oriented_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.minimum(a, b) << np.int64(32)) | np.maximum(a, b)
 
 
-def _canonicalize(pairs: np.ndarray) -> np.ndarray:
-    if len(pairs) == 0:
-        return _EMPTY_PAIRS
-    return _from_keys(np.unique(_oriented_keys(pairs[:, 0], pairs[:, 1])))
-
-
-def _from_keys(keys: np.ndarray) -> np.ndarray:
-    out = np.empty((len(keys), 2), dtype=np.int64)
-    out[:, 0] = keys >> np.int64(32)
-    out[:, 1] = keys & np.int64(0xFFFFFFFF)
-    return out
-
-
 @dataclass(frozen=True)
 class CellGrid:
-    """Uniform spatial decomposition of the domain box, in counting-sort form.
+    """The pair search's cell layout, in counting-sort form.
 
-    Particles outside the box are clamped into boundary cells rather than
+    Each particle is binned into the domain cell that holds it; particles
+    outside the domain are clamped into boundary cells rather than
     rejected: scenario chutes let particles exit and the broad-phase must
     keep working on whatever is left.
 
-    The search runs on a padded box: the bounding box of the occupied cells
-    plus an empty ghost layer per face, ``shape`` cells per axis with cell
+    The layout is a padded box: the bounding box of the occupied cells plus
+    an empty ghost layer per face, ``shape`` cells per axis with domain cell
     ``ijk`` at ``ijk - corner``, so every neighbour of an occupied cell is a
-    fixed offset of its padded id.  ``order`` lists the ids by padded cell,
-    ascending within a cell; the CSR cell ``starts`` put the residents of
-    padded cell ``c`` at ``order[starts[c]:starts[c + 1]]`` (Green,
-    "Particle Simulation using CUDA", 2010).  ``dims``, :attr:`cells`,
-    :meth:`coords_of` and :meth:`linearize` speak of the domain's cells.
+    fixed offset of its padded id.  ``cell_of`` is each particle's padded
+    cell id, ``order`` lists the ids by padded cell, ascending within a
+    cell, and the CSR cell ``starts`` put the residents of padded cell ``c``
+    at ``order[starts[c]:starts[c + 1]]`` (Green, "Particle Simulation using
+    CUDA", 2010).
     """
 
-    origin: np.ndarray
     cell_size: float
-    dims: np.ndarray
-    corner: np.ndarray = field(repr=False)    # cell coordinates of padded cell 0
+    corner: np.ndarray = field(repr=False)    # domain cell coordinates of padded cell 0
     shape: np.ndarray = field(repr=False)     # padded cells per axis
     cell_of: np.ndarray = field(repr=False)   # (n,) padded cell id per particle
     order: np.ndarray = field(repr=False)     # particle ids sorted by padded cell id
     starts: np.ndarray = field(repr=False)    # (padded cells + 1,) CSR cell starts
-
-    @property
-    def cells(self) -> dict[int, np.ndarray]:
-        """Map linear cell index -> array of resident particle ids."""
-        occupied = np.flatnonzero(np.diff(self.starts))
-        ijk = np.stack(np.unravel_index(occupied, tuple(self.shape)), axis=1) + self.corner
-        return {
-            int(c): self.order[self.starts[p]:self.starts[p + 1]]
-            for c, p in zip(self.linearize(ijk), occupied)
-        }
-
-    def coords_of(self, positions: np.ndarray) -> np.ndarray:
-        """Clamped integer cell coordinates for an (n, 3) position array."""
-        ijk = np.floor((positions - self.origin) / self.cell_size).astype(np.int64)
-        return np.clip(ijk, 0, self.dims - 1)
-
-    def linearize(self, ijk: np.ndarray) -> np.ndarray:
-        return (ijk[..., 0] * self.dims[1] + ijk[..., 1]) * self.dims[2] + ijk[..., 2]
 
 
 def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarray:
@@ -226,9 +188,7 @@ def build_grid(particles, cfg: SimConfig) -> CellGrid:
     starts = np.zeros(int(shape.prod()) + 1, dtype=np.int64)
     np.cumsum(np.bincount(cell_of, minlength=len(starts) - 1), out=starts[1:])
     return CellGrid(
-        origin=cfg.domain_min.copy(),
         cell_size=float(cfg.cell_size),
-        dims=dims,
         corner=corner,
         shape=shape,
         cell_of=cell_of,
@@ -271,15 +231,17 @@ def _candidate_pairs(grid: CellGrid):
     return slot_a, shift + np.arange(len(shift), dtype=np.int64)
 
 
-def _pairs_with_stats(grid: CellGrid, pset: Particles, search_radius: np.ndarray):
-    """(pair list, candidates tested, squared distance of every listed pair)."""
+def _search_radii(pset: Particles, search_radius) -> np.ndarray:
     sr = np.asarray(search_radius, dtype=np.float64)
-    if sr.ndim == 0:
-        sr = np.full(len(pset), float(sr))
-    if len(sr) != len(pset):
-        raise SizeMismatch(f"{len(sr)} search radii for {len(pset)} particles")
-    if len(grid.cell_of) != len(pset):
-        raise SizeMismatch(f"grid built for {len(grid.cell_of)} particles, got {len(pset)}")
+    if sr.shape != (len(pset),):
+        raise SizeMismatch(f"search radii of shape {sr.shape} for {len(pset)} particles")
+    return sr
+
+
+def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii):
+    """(pair list, candidates tested, squared distance of every listed pair)."""
+    sr = _search_radii(pset, radii)
+    grid = build_grid(pset, cfg)
     if len(pset) and sr.max() > 0.5 * grid.cell_size:
         bad = int(np.argmax(sr))
         raise SearchRadiusExceedsCell(
@@ -305,36 +267,31 @@ def _pairs_with_stats(grid: CellGrid, pset: Particles, search_radius: np.ndarray
     keys = _oriented_keys(np.take(grid.order, sa[hit]), np.take(grid.order, sb[hit]))
     # the grid emits every unordered pair once, so a sort canonicalizes
     by_key = np.argsort(keys)
-    return PairList(_from_keys(keys[by_key])), tested, np.take(d2, hit[by_key])
+    return PairList(keys[by_key]), tested, np.take(d2, hit[by_key])
 
 
-def linked_cell_pairs(grid: CellGrid, particles, search_radius) -> PairList:
+def linked_cell_pairs(particles, cfg: SimConfig, search_radius) -> PairList:
     """Pairs (a, b) with |X_a - X_b| <= search_radius[a] + search_radius[b].
 
-    Candidates come from each particle's own cell and the immediate
-    neighbour cells, so every radius must be at most cell_size/2.
+    Candidates come from each particle's own cell of the grid the search
+    builds from ``cfg`` and the immediate neighbour cells, so every radius,
+    one per particle, must be at most cell_size/2.
     """
-    result, _, _ = _pairs_with_stats(grid, as_particles(particles), search_radius)
+    result, _, _ = _pairs_with_stats(as_particles(particles), cfg, search_radius)
     return result
 
 
 def brute_force_pairs(particles, search_radius) -> PairList:
     """Exhaustive O(n^2) pair enumeration: the oracle for the grid search."""
     pset = as_particles(particles)
-    n = len(pset)
-    if n < 2:
-        return PairList.empty()
-    sr = np.asarray(search_radius, dtype=np.float64)
-    if sr.ndim == 0:
-        sr = np.full(n, float(sr))
-    ia, ib = np.triu_indices(n, k=1)
+    sr = _search_radii(pset, search_radius)
+    ia, ib = np.triu_indices(len(pset), k=1)
     diff = pset.position[ia] - pset.position[ib]
     d2 = row_norm_sq(diff)
     reach = sr[ia] + sr[ib]
     hit = d2 <= reach * reach
-    pairs = np.stack([ia[hit], ib[hit]], axis=1).astype(np.int64)
     # triu_indices already yields lexicographic (a < b) order
-    return PairList(pairs)
+    return PairList(_oriented_keys(ia[hit], ib[hit]))
 
 
 def wall_candidates(particles, walls, reach) -> tuple[np.ndarray, ...]:
@@ -360,7 +317,8 @@ class VerletState:
     produced ``list``; the rebuild test compares displacements against these
     frozen values, never against skins recomputed from current velocities,
     because the cached list is only guaranteed to cover motion within the
-    margins it was built with.  ``wall_rows`` holds, per wall of the
+    margins it was built with.  ``pairs_tested`` is the number of candidate
+    pairs the build's search tested.  ``wall_rows`` holds, per wall of the
     configuration, the particles within radius + frozen skin of it at the
     build (see :func:`wall_candidates`); None stands for every particle.
     ``pair_slack`` holds, per row of ``list``, the build distance minus the
@@ -372,6 +330,7 @@ class VerletState:
     reference_positions: np.ndarray
     frozen_skins: np.ndarray
     build_step: int
+    pairs_tested: int = 0
     wall_rows: Optional[tuple] = None
     pair_slack: Optional[np.ndarray] = None
 
@@ -379,35 +338,28 @@ class VerletState:
         return len(self.reference_positions)
 
 
-def _verlet_build_stats(particles, cfg: SimConfig, step: int, skins=None):
+def verlet_build(particles, cfg: SimConfig, step: int = 0, skins=None) -> VerletState:
+    """Run the broad-phase with skin-inflated radii and snapshot positions.
+
+    ``skins`` defaults to the local-mode skins.  The per-row slack, the
+    per-wall candidates of ``cfg.walls`` and the candidate count are cached
+    with the pair list.
+    """
     pset = as_particles(particles)
-    if skins is None:
-        skins = _skins(pset, cfg)
-    else:
-        skins = np.asarray(skins, dtype=np.float64)
-    grid = build_grid(pset, cfg)
-    radii = pset.cutoff + skins
-    pair_list, tested, d2 = _pairs_with_stats(grid, pset, radii)
+    skins = _skins(pset, cfg) if skins is None else np.asarray(skins, dtype=np.float64)
+    pair_list, tested, d2 = _pairs_with_stats(pset, cfg, pset.cutoff + skins)
+    ia, ib = pair_list.columns
     d0 = np.sqrt(d2)
-    rsum = np.take(pset.radius, pair_list.pairs).sum(axis=1)
-    state = VerletState(
+    rsum = pset.radius.take(ia) + pset.radius.take(ib)
+    return VerletState(
         list=pair_list,
         reference_positions=pset.position.copy(),
         frozen_skins=skins,
         build_step=int(step),
+        pairs_tested=tested,
         wall_rows=wall_candidates(pset, cfg.walls, pset.radius + skins),
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
     )
-    return state, tested
-
-
-def verlet_build(particles, cfg: SimConfig, step: int = 0) -> VerletState:
-    """Run the broad-phase with skin-inflated radii and snapshot positions.
-
-    The per-wall candidates of ``cfg.walls`` are cached with the pair list.
-    """
-    state, _ = _verlet_build_stats(particles, cfg, step)
-    return state
 
 
 def verlet_displacement_sq(state: VerletState, particles) -> np.ndarray:

@@ -18,7 +18,7 @@ from .bench import (
     DEFAULT_K_VALUES, SCENARIO_NAMES, emit_report, make_scenario, run_sweep,
     validate_equivalence,
 )
-from .core import ConfigError, SimulationError, config_overrides
+from .core import ConfigError, SimulationError, _strict_int, _strict_keys, config_overrides
 from .engine import OPCOUNT, WALLTIME, PhaseMetrics, SimulationUnstable, run
 
 EXIT_OK = 0
@@ -41,23 +41,20 @@ def _load_run_doc(path: str):
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
-    unknown = set(doc) - set(_RUN_DOC_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown run config field(s): {sorted(unknown)}")
+    _strict_keys(doc, _RUN_DOC_KEYS, "run config")
     if "scenario" not in doc:
         raise ConfigError("run config needs a scenario block")
     sdoc = doc["scenario"]
     if not isinstance(sdoc, dict):
         raise ConfigError("scenario block must be a JSON object")
-    unknown = set(sdoc) - set(_SCENARIO_DOC_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown scenario field(s): {sorted(unknown)}")
+    _strict_keys(sdoc, _SCENARIO_DOC_KEYS, "scenario")
     for key in _SCENARIO_DOC_KEYS:
         if key not in sdoc:
             raise ConfigError(f"scenario block needs {key}")
+    n, seed = _strict_int(sdoc["n"], "scenario.n"), _strict_int(sdoc["seed"], "scenario.seed")
+    every = _strict_int(doc.get("trajectory_every", 100), "trajectory_every")
     try:
-        scenario = make_scenario(sdoc["name"], int(sdoc["n"]), int(sdoc["seed"]))
-        every = int(doc.get("trajectory_every", 100))
+        scenario = make_scenario(sdoc["name"], n, seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run config value: {exc}") from exc
     if every < 1:

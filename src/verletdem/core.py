@@ -8,6 +8,7 @@ identity everywhere in the package is (min id, max id).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
@@ -319,6 +320,15 @@ def _strict_keys(doc: dict, allowed, what: str) -> None:
         raise ConfigError(f"unknown {what} field(s): {sorted(unknown)}")
 
 
+def _strict_int(value, name: str) -> int:
+    """``value`` as an int: an integral number, not a boolean, else ConfigError."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"bad config value: {name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def simconfig_from_dict(doc: dict) -> SimConfig:
     """Build a SimConfig from a parsed JSON document.
 
@@ -339,6 +349,10 @@ def simconfig_from_dict(doc: dict) -> SimConfig:
     _strict_keys(contact_doc, ("k_n", "gamma_n", "mu_s", "k_t"), "contact")
     if "k_n" not in contact_doc:
         raise ConfigError("contact.k_n is required")
+    verlet_enabled = doc.get("verlet_enabled", True)
+    if not isinstance(verlet_enabled, bool):
+        raise ConfigError(
+            f"bad config value: verlet_enabled must be true or false, got {verlet_enabled!r}")
     try:
         walls = []
         for i, wdoc in enumerate(doc.get("walls", ())):
@@ -350,16 +364,16 @@ def simconfig_from_dict(doc: dict) -> SimConfig:
             walls.append(WallPlane(as_vec3(wdoc["point"]), as_vec3(wdoc["outward_normal"])))
         return SimConfig(
             dt=float(doc["dt"]),
-            k_factor=int(doc["k_factor"]),
+            k_factor=_strict_int(doc["k_factor"], "k_factor"),
             gravity=as_vec3(doc["gravity"]),
             cell_size=float(doc["cell_size"]),
             domain_min=as_vec3(doc["domain_min"]),
             domain_max=as_vec3(doc["domain_max"]),
             contact=ContactParams(**{k: float(v) for k, v in contact_doc.items()}),
-            seed=int(doc["seed"]),
-            steps=int(doc["steps"]),
+            seed=_strict_int(doc["seed"], "seed"),
+            steps=_strict_int(doc["steps"], "steps"),
             walls=tuple(walls),
-            verlet_enabled=bool(doc.get("verlet_enabled", True)),
+            verlet_enabled=verlet_enabled,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .broadphase import (
-    SKIN_LOCAL, VerletState, _skins, _verlet_build_stats, verlet_displacement_sq,
+    SKIN_LOCAL, VerletState, _skins, verlet_build, verlet_displacement_sq,
     verlet_gate, verlet_needs_rebuild,
 )
 from .core import (
@@ -178,9 +178,6 @@ class _Driver:
         self.n = len(state.particles)
         self.eval_seconds = 0.0
         self.weight = state.particles.mass[:, None] * np.asarray(cfg.gravity, dtype=np.float64)
-        self.live_keys: Optional[np.ndarray] = None
-        if validation and state.verlet is not None:
-            self.live_keys = state.verlet.list.keys()
         if validation and self.n >= 2:
             self._shadow_cut = state.particles.cutoff
             self._shadow_cut_max = float(self._shadow_cut.max())
@@ -259,7 +256,7 @@ class _Driver:
         if not close.any():
             return
         keys = (ia[close].astype(np.int64) << np.int64(32)) | ib[close].astype(np.int64)
-        live = self.live_keys
+        live = None if self.state.verlet is None else self.state.verlet.list.keys
         if live is not None and len(live):
             idx = np.minimum(np.searchsorted(live, keys), len(live) - 1)
             keys = keys[live[idx] != keys]
@@ -298,12 +295,10 @@ class _Driver:
             if not needed:
                 return 0, verlet_gate(state.verlet, np.sqrt(disp2))
         skins = _skins(state.particles, cfg, self.skin_mode)
-        state.verlet, tested = _verlet_build_stats(state.particles, cfg, state.step, skins=skins)
+        state.verlet = verlet_build(state.particles, cfg, state.step, skins=skins)
         self.metrics.broad_executions += 1
         self.result.rebuild_events.append((self.metrics.force_evaluations - 1, needed))
-        if self.validation:
-            self.live_keys = state.verlet.list.keys()
-        return tested, None
+        return state.verlet.pairs_tested, None
 
     def evaluate(self, pset: Particles) -> np.ndarray:
         """Full force pipeline: broad-phase decision, narrow phase, model."""

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from verletdem.bench import emit_report, improvement, make_scenario, run_sweep, validate_equivalence
-from verletdem.broadphase import brute_force_pairs, build_grid, linked_cell_pairs
+from verletdem.broadphase import brute_force_pairs, linked_cell_pairs
 from verletdem.cli import EXIT_OK, main
 from verletdem.core import ContactParams, Particle, Particles, SimConfig, vec3
 from verletdem.engine import run
@@ -83,8 +83,7 @@ def test_criterion_2_oracle_equivalence():
             contact=ContactParams(k_n=1.0), seed=seed, steps=1,
         )
         sr = rng.uniform(0.02, cell / 2.0, n)
-        grid = build_grid(pset, cfg)
-        if linked_cell_pairs(grid, pset, sr) != brute_force_pairs(pset, sr):
+        if linked_cell_pairs(pset, cfg, sr) != brute_force_pairs(pset, sr):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0

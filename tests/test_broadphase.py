@@ -13,6 +13,9 @@ from verletdem.broadphase import (
 from verletdem.core import ContactParams, Particle, Particles, SimConfig, vec3
 
 
+IDS = st.integers(0, 12) | st.integers(0, 2**31 - 1)
+
+
 def particle(i, pos, vel=(0, 0, 0), radius=0.5, cutoff=None, static=False):
     return Particle(id=i, position=vec3(*pos), velocity=vec3(*vel),
                     radius=radius, cutoff=radius if cutoff is None else cutoff,
@@ -53,15 +56,32 @@ def clamped_cloud(seed, n, thin_axis):
     return pset, config(cell_size=cell, hi=tuple(hi)), rng.uniform(0.01, 0.45, n)
 
 
-def searchsorted_tested(grid, positions):
+def domain_cells(grid):
+    """Each particle's domain cell (i, j, k), read off the padded layout."""
+    return grid.corner + np.stack(np.unravel_index(grid.cell_of, tuple(grid.shape)), axis=1)
+
+
+def cell_residents(grid, padded_cell):
+    return grid.order[grid.starts[padded_cell]:grid.starts[padded_cell + 1]].tolist()
+
+
+def searchsorted_tested(positions, cfg):
     """Candidate count of the searchsorted search the CSR cell starts replaced.
 
-    Each particle is counted against the other residents of its own cell
-    (each pair once) and against every resident of the 13 lower-index
-    neighbour cells that lie inside the grid.
+    Each particle is binned into its clamped domain cell, computed here from
+    ``cfg``.  It is counted against the other residents of its own cell (each
+    pair once) and against every resident of the 13 lower-index neighbour
+    cells that lie inside the domain.
     """
-    coords = grid.coords_of(positions)
-    home = grid.linearize(coords)
+    dims = np.maximum(np.ceil((cfg.domain_max - cfg.domain_min) / cfg.cell_size), 1)
+    dims = dims.astype(np.int64)
+    coords = np.floor((positions - cfg.domain_min) / cfg.cell_size).astype(np.int64)
+    coords = np.clip(coords, 0, dims - 1)
+
+    def linearize(ijk):
+        return (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
+
+    home = linearize(coords)
     sorted_cells = np.sort(home)
 
     def residents(cells):
@@ -72,8 +92,8 @@ def searchsorted_tested(grid, positions):
     for off in [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                 for dz in (-1, 0, 1) if (dx, dy, dz) < (0, 0, 0)]:
         nbr = coords + np.array(off)
-        valid = np.all((nbr >= 0) & (nbr < grid.dims), axis=1)
-        tested += int(residents(grid.linearize(nbr[valid])).sum())
+        valid = np.all((nbr >= 0) & (nbr < dims), axis=1)
+        tested += int(residents(linearize(nbr[valid])).sum())
     return tested
 
 
@@ -140,26 +160,24 @@ class TestComputeSkin:
 
 class TestBuildGrid:
     def test_single_particle_center(self):
-        cfg = config(cell_size=2.5, hi=(10, 10, 10))   # dims (4,4,4)
+        cfg = config(cell_size=2.5, hi=(10, 10, 10))   # 4 x 4 x 4 domain cells
         grid = build_grid([particle(0, (5, 5, 5))], cfg)
-        assert tuple(grid.dims) == (4, 4, 4)
-        assert len(grid.cells) == 1
+        assert domain_cells(grid).tolist() == [[2, 2, 2]]
+        assert tuple(grid.shape) == (3, 3, 3)          # one cell and its ghost layer
+        assert np.count_nonzero(np.diff(grid.starts)) == 1
 
     def test_coincident_particles_share_cell(self):
         cfg = config(cell_size=2.5)
         grid = build_grid([particle(0, (3, 3, 3)), particle(1, (3, 3, 3))], cfg)
-        cells = grid.cells
-        assert len(cells) == 1
-        (ids,) = cells.values()
-        assert sorted(ids.tolist()) == [0, 1]
+        assert grid.cell_of[0] == grid.cell_of[1]
+        assert np.count_nonzero(np.diff(grid.starts)) == 1
+        assert cell_residents(grid, grid.cell_of[0]) == [0, 1]
 
     def test_outside_positions_clamp_to_boundary_cells(self):
         cfg = config(cell_size=2.5)
         grid = build_grid(
             [particle(0, (-4, 5, 5)), particle(1, (5, 5, 99))], cfg)
-        coords = grid.coords_of(np.array([[-4, 5, 5], [5, 5, 99.0]]))
-        assert tuple(coords[0]) == (0, 2, 2)
-        assert tuple(coords[1]) == (2, 2, 3)
+        assert domain_cells(grid).tolist() == [[0, 2, 2], [2, 2, 3]]
 
     def test_reinsertion_oracle(self):
         # independent per-particle recomputation of the cell index
@@ -167,16 +185,16 @@ class TestBuildGrid:
         pset = random_set(rng, 100)
         cfg = config(cell_size=1.5)
         grid = build_grid(pset, cfg)
-        cells = grid.cells
-        dims = grid.dims.tolist()
+        cells = domain_cells(grid)
+        dims = [7, 7, 7]
         for i in range(len(pset)):
             ijk = [
                 min(max(int(np.floor((pset.position[i, d] - cfg.domain_min[d])
                                      / cfg.cell_size)), 0), dims[d] - 1)
                 for d in range(3)
             ]
-            lin = (ijk[0] * dims[1] + ijk[1]) * dims[2] + ijk[2]
-            assert i in cells[lin].tolist()
+            assert cells[i].tolist() == ijk
+            assert i in cell_residents(grid, grid.cell_of[i])
 
     def test_ghost_layer_is_empty(self):
         # every particle, outside the domain too, lands inside the ghost layer
@@ -194,36 +212,32 @@ class TestBuildGrid:
         grid = build_grid(pset, cfg)
         assert tuple(grid.shape) == (4, 3, 3)
         assert len(grid.starts) == 4 * 3 * 3 + 1
-        assert list(linked_cell_pairs(grid, pset, [0.04] * 3)) == [(0, 1), (1, 2)]
+        assert list(linked_cell_pairs(pset, cfg, [0.04] * 3)) == [(0, 1), (1, 2)]
 
 
 class TestLinkedCellPairs:
     def test_boundary_inclusive(self):
         pset = [particle(0, (2, 2, 2)), particle(1, (3, 2, 2))]
         cfg = config(cell_size=2.0)
-        grid = build_grid(pset, cfg)
-        assert list(linked_cell_pairs(grid, pset, [0.5, 0.5])) == [(0, 1)]
+        assert list(linked_cell_pairs(pset, cfg, [0.5, 0.5])) == [(0, 1)]
 
     def test_just_outside_range(self):
         pset = [particle(0, (2, 2, 2)), particle(1, (3.000001, 2, 2))]
         cfg = config(cell_size=2.0)
-        grid = build_grid(pset, cfg)
-        assert len(linked_cell_pairs(grid, pset, [0.5, 0.5])) == 0
+        assert len(linked_cell_pairs(pset, cfg, [0.5, 0.5])) == 0
 
     def test_search_radius_precondition(self):
         pset = [particle(0, (2, 2, 2)), particle(1, (3, 2, 2))]
         cfg = config(cell_size=2.0)
-        grid = build_grid(pset, cfg)
         with pytest.raises(SearchRadiusExceedsCell):
-            linked_cell_pairs(grid, pset, [1.5, 0.5])
+            linked_cell_pairs(pset, cfg, [1.5, 0.5])
 
     def test_matches_brute_force_on_random_200(self):
         rng = np.random.default_rng(7)
         pset = random_set(rng, 200)
         cfg = config(cell_size=0.8)
-        grid = build_grid(pset, cfg)
         sr = pset.cutoff
-        assert linked_cell_pairs(grid, pset, sr) == brute_force_pairs(pset, sr)
+        assert linked_cell_pairs(pset, cfg, sr) == brute_force_pairs(pset, sr)
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 120),
            st.sampled_from([None, 0, 1, 2]))
@@ -233,8 +247,7 @@ class TestLinkedCellPairs:
     @settings(max_examples=60, deadline=None)
     def test_oracle_equivalence_property(self, seed, n, thin_axis):
         pset, cfg, sr = clamped_cloud(seed, n, thin_axis)
-        grid = build_grid(pset, cfg)
-        assert linked_cell_pairs(grid, pset, sr) == brute_force_pairs(pset, sr)
+        assert linked_cell_pairs(pset, cfg, sr) == brute_force_pairs(pset, sr)
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
     @settings(max_examples=60, deadline=None)
@@ -253,8 +266,7 @@ class TestLinkedCellPairs:
         first = rng.uniform(1.0, 9.0, (m, 3))
         pos = np.concatenate([first, first + direction * dist[:, None]])
         pset = Particles(pos, np.zeros((2 * m, 3)), sr, sr, np.ones(2 * m), np.zeros(2 * m, bool))
-        grid = build_grid(pset, config(cell_size=1.0))
-        assert linked_cell_pairs(grid, pset, sr) == brute_force_pairs(pset, sr)
+        assert linked_cell_pairs(pset, config(cell_size=1.0), sr) == brute_force_pairs(pset, sr)
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 120),
            st.sampled_from([None, 0, 1, 2]))
@@ -263,25 +275,24 @@ class TestLinkedCellPairs:
     def test_tested_equals_searchsorted_count(self, seed, n, thin_axis):
         # pairs_tested is a contract number (the opcount "broad" column)
         pset, cfg, sr = clamped_cloud(seed, n, thin_axis)
-        grid = build_grid(pset, cfg)
-        _, tested, _ = _pairs_with_stats(grid, pset, sr)
-        assert tested == searchsorted_tested(grid, pset.position)
+        _, tested, _ = _pairs_with_stats(pset, cfg, sr)
+        assert tested == searchsorted_tested(pset.position, cfg)
 
-    def test_grid_for_another_particle_count(self):
-        cfg = config(cell_size=2.0)
-        grid = build_grid([particle(0, (2, 2, 2)), particle(1, (3, 2, 2))], cfg)
-        three = [particle(0, (2, 2, 2)), particle(1, (3, 2, 2)), particle(2, (5, 5, 5))]
+    @pytest.mark.parametrize("radius", [0.5, [0.5], [0.5] * 3, [[0.5, 0.5]]])
+    def test_both_searches_reject_a_radius_not_one_per_particle(self, radius):
+        pset = [particle(0, (2, 2, 2)), particle(1, (3, 2, 2))]
         with pytest.raises(SizeMismatch):
-            linked_cell_pairs(grid, three, [0.5] * 3)
+            linked_cell_pairs(pset, config(cell_size=2.0), radius)
+        with pytest.raises(SizeMismatch):
+            brute_force_pairs(pset, radius)
 
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(11)
         pset = random_set(rng, 150)
         cfg = config(cell_size=1.0)
-        grid = build_grid(pset, cfg)
-        a = linked_cell_pairs(grid, pset, pset.cutoff)
-        b = linked_cell_pairs(build_grid(pset, cfg), pset, pset.cutoff)
-        assert a.pairs.tobytes() == b.pairs.tobytes()
+        a = linked_cell_pairs(pset, cfg, pset.cutoff)
+        b = linked_cell_pairs(pset, cfg, pset.cutoff)
+        assert a.keys.tobytes() == b.keys.tobytes()
 
 
 class TestBruteForce:
@@ -311,6 +322,28 @@ class TestPairList:
         assert not big.issubset(small)
         assert PairList.empty().issubset(small)
 
+    @given(st.lists(st.tuples(IDS, IDS).filter(lambda p: p[0] != p[1]), max_size=40),
+           st.lists(st.tuples(IDS, IDS).filter(lambda p: p[0] != p[1]), max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_from_pairs_agrees_with_a_set(self, raw, extra):
+        # duplicates and reversed rows collapse to one (low, high) pair each
+        def ref_of(pairs):
+            return {(min(a, b), max(a, b)) for a, b in pairs}
+
+        ref, pl = ref_of(raw), PairList.from_pairs(raw)
+        expected = sorted(ref)
+        assert list(pl) == expected and len(pl) == len(ref)
+        assert pl.keys.tolist() == [a * 2**32 + b for a, b in expected]
+        assert pl.pairs.tolist() == [list(p) for p in expected]
+        assert [c.tolist() for c in pl.columns] == [[p[i] for p in expected] for i in (0, 1)]
+        for a, b in raw + extra:
+            assert ((a, b) in pl) == ((b, a) in pl) == ((min(a, b), max(a, b)) in ref)
+        for other_raw in (raw[::2], raw[::-1], extra, raw + extra):
+            other, other_ref = PairList.from_pairs(other_raw), ref_of(other_raw)
+            assert other.issubset(pl) == (other_ref <= ref)
+            assert pl.issubset(other) == (ref <= other_ref)
+            assert (pl == other) == (ref == other_ref)
+
 
 class TestVerletBuild:
     def _resting_set(self, rng, n=40):
@@ -322,8 +355,8 @@ class TestVerletBuild:
         cfg = config(cell_size=1.0, hi=(5, 5, 5), k_factor=500)
         state = verlet_build(pset, cfg, step=3)
         assert np.all(state.frozen_skins == 0.0)
-        grid = build_grid(pset, cfg)
-        assert state.list == linked_cell_pairs(grid, pset, pset.cutoff)
+        assert state.list == linked_cell_pairs(pset, cfg, pset.cutoff)
+        assert state.pairs_tested == searchsorted_tested(pset.position, cfg)
         assert state.build_step == 3
 
     def test_k_zero_ignores_velocities(self):
@@ -332,8 +365,7 @@ class TestVerletBuild:
         cfg = config(cell_size=1.0, hi=(5, 5, 5), k_factor=0)
         state = verlet_build(pset, cfg)
         assert np.all(state.frozen_skins == 0.0)
-        grid = build_grid(pset, cfg)
-        assert state.list == linked_cell_pairs(grid, pset, pset.cutoff)
+        assert state.list == linked_cell_pairs(pset, cfg, pset.cutoff)
 
     def test_k_monotone_membership(self):
         rng = np.random.default_rng(5)
@@ -398,9 +430,8 @@ class TestVerletBuild:
         pset = Particles(pos, np.zeros((n, 3)), cutoff, cutoff, np.ones(n), np.zeros(n, bool))
         skins = rng.uniform(1e-3, 1.0, n) * (0.5 * cell - cutoff)
         skins[rng.uniform(size=n) < zero_share] = 0.0
-        grid = build_grid(pset, config(cell_size=cell, hi=(5, 5, 5)))
         state = VerletState(
-            list=linked_cell_pairs(grid, pset, cutoff + skins),
+            list=linked_cell_pairs(pset, config(cell_size=cell, hi=(5, 5, 5)), cutoff + skins),
             reference_positions=pos.copy(), frozen_skins=skins, build_step=0,
         )
 

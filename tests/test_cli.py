@@ -69,9 +69,22 @@ class TestRunCommand:
         {"contact": {"k_n": "abc"}},
         {"contact": {"k_n": [1, 2]}},
         {"walls": [{"point": "xyz", "outward_normal": [0, 0, 1]}]},
+        {"verlet_enabled": "false"},
+        {"k_factor": 1.9},
+        {"steps": 50.7},
     ])
     def test_bad_override_value_exits_2(self, tmp_path, capsys, overrides):
         cfg = write_run_config(tmp_path / "cfg.json", overrides=overrides)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "config error: bad config value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"scenario": {"name": "settling-box", "n": 20.9, "seed": 3}},
+        {"scenario": {"name": "settling-box", "n": 20, "seed": True}},
+        {"trajectory_every": 2.5},
+    ])
+    def test_non_integer_run_doc_value_exits_2(self, tmp_path, capsys, change):
+        cfg = write_run_config(tmp_path / "cfg.json", extra=change)
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "config error: bad config value" in capsys.readouterr().err
 

@@ -221,6 +221,12 @@ class TestConfigJson:
         {"contact": {"k_n": [1, 2]}},
         {"walls": [{"point": "xyz", "outward_normal": [0, 0, 1]}]},
         {"walls": 5},
+        {"verlet_enabled": "false"},
+        {"verlet_enabled": 1},
+        {"k_factor": 1.9},
+        {"k_factor": True},
+        {"steps": 50.7},
+        {"seed": True},
     ])
     def test_bad_value_is_config_error(self, change):
         with pytest.raises(ConfigError, match="bad config value"):

@@ -35,3 +35,24 @@ def test_k_sweep_demo_reproduces_committed_csv(tmp_path):
     assert proc.returncode == 0, proc.stderr
     written = (tmp_path / "sweep_settling_box.csv").read_bytes()
     assert written == (ROOT / "sweep_settling_box.csv").read_bytes()
+
+
+def test_verlet_buffer_demo(tmp_path):
+    proc = run_demo("02_verlet_buffer.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert "pair in the list right after the build: True" in out
+    assert "displacement at 0.9 skin -> rebuild needed: False" in out
+    assert "displacement at 1.1 skin -> rebuild needed: True" in out
+    assert "broad-phase executions: 1\n" in out
+
+
+def test_settling_box_demo(tmp_path):
+    proc = run_demo("03_settling_box.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_equivalence_audit_demo(tmp_path):
+    proc = run_demo("05_equivalence_audit.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "audit passed" in proc.stdout

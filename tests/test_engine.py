@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import verletdem.engine
 from verletdem.bench import make_scenario, run_sweep, validate_equivalence
-from verletdem.broadphase import SKIN_UNIFORM_RADIUS, PairList, _skins, brute_force_pairs
+from verletdem.broadphase import (
+    SKIN_UNIFORM_RADIUS, PairList, VerletState, _skins, brute_force_pairs,
+)
 from verletdem.cli import EXIT_CONFIG, main
 from verletdem.core import (
     ConfigError, ContactParams, Particle, Particles, SimConfig, SimulationError, WallPlane,
@@ -256,12 +258,12 @@ class TestRunRecord:
         # kept outside the record, and its seconds are the run's own
         pset, cfg = jostling_cluster(), cluster_config(200)
         tally = dict.fromkeys(("broad_time", "narrow_time", "model_time"), 0)
-        build, resolve = verletdem.engine._verlet_build_stats, verletdem.engine.resolve_contacts
+        build, resolve = verletdem.engine.verlet_build, verletdem.engine.resolve_contacts
 
         def tallied_build(*args, **kwargs):
-            verlet, tested = build(*args, **kwargs)
-            tally["broad_time"] += tested
-            return verlet, tested
+            verlet = build(*args, **kwargs)
+            tally["broad_time"] += verlet.pairs_tested
+            return verlet
 
         def tallied_resolve(candidates, *args, **kwargs):
             contacts = resolve(candidates, *args, **kwargs)
@@ -269,7 +271,7 @@ class TestRunRecord:
             tally["model_time"] += len(contacts)
             return contacts
 
-        monkeypatch.setattr(verletdem.engine, "_verlet_build_stats", tallied_build)
+        monkeypatch.setattr(verletdem.engine, "verlet_build", tallied_build)
         monkeypatch.setattr(verletdem.engine, "resolve_contacts", tallied_resolve)
         t0 = time.perf_counter()
         m = run(cfg, pset).metrics
@@ -305,9 +307,11 @@ class TestRunRecord:
 
 
 def audit(pset, live_keys):
-    """Run one shadow scan of ``pset`` against ``live_keys``; return the run record."""
-    driver = driver_for(SimState(particles=pset), open_config(1), validation=True)
-    driver.live_keys = live_keys
+    """Run one shadow scan of ``pset`` against the list ``live_keys`` (None: no list)."""
+    verlet = None if live_keys is None else VerletState(
+        PairList(live_keys), pset.position.copy(), np.zeros(len(pset)), 0)
+    driver = driver_for(SimState(particles=pset, verlet=verlet), open_config(1),
+                        validation=True)
     driver._shadow_scan()
     return driver.result
 
@@ -319,7 +323,7 @@ def assert_audit_equals_oracle(pset):
     assert empty.shadow_misses == len(oracle)
     assert [ex[1:] for ex in empty.shadow_examples] == list(oracle)[:5]
     # ... and against the oracle's own list none is: the two sets are equal
-    assert audit(pset, oracle.keys()).shadow_misses == 0
+    assert audit(pset, oracle.keys).shadow_misses == 0
 
 
 class TestShadowScan:
@@ -331,7 +335,7 @@ class TestShadowScan:
         oracle = brute_force_pairs(pset, pset.cutoff)
         assert len(oracle) > 1
         dropped = list(oracle)[len(oracle) // 2]
-        live = np.delete(oracle.keys(), len(oracle) // 2)
+        live = np.delete(oracle.keys, len(oracle) // 2)
         result = audit(pset, live)
         assert result.shadow_misses == 1
         assert result.shadow_examples == [(0, *dropped)]
@@ -409,7 +413,7 @@ class TestShadowScan:
         verlet = state.verlet
         drop = list(verlet.list).index((0, 2))
         state.verlet = dataclasses.replace(
-            verlet, list=PairList(np.delete(verlet.list.pairs, drop, axis=0)),
+            verlet, list=PairList(np.delete(verlet.list.keys, drop)),
             pair_slack=np.delete(verlet.pair_slack, drop))
         with pytest.raises(ShadowMiss) as err:
             step(state, cfg, validation=True)

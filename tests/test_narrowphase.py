@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verletdem.broadphase import (
-    PairList, VerletState, _verlet_build_stats, brute_force_pairs, verlet_build,
+    PairList, VerletState, brute_force_pairs, verlet_build,
     verlet_displacement_sq, verlet_gate, verlet_needs_rebuild, wall_candidates,
 )
 from verletdem.core import (
@@ -396,7 +396,7 @@ class TestPairGate:
             pos[1] = pos[0] - step[1]
             step[0] = 0.0
         pset = Particles(pos, np.zeros((n, 3)), radius, cutoff, np.ones(n), np.zeros(n, bool))
-        state, _ = _verlet_build_stats(pset, box_config(cell, 2.0), 0, skins=skins)
+        state = verlet_build(pset, box_config(cell, 2.0), 0, skins=skins)
         moved = pset.copy()
         moved.position += step
         if coincide:
@@ -425,7 +425,7 @@ class TestPairGate:
             start = end + np.array([-skins[0] * u, skins[1] * u])
             pset = Particles(start, np.zeros((2, 3)), radius, radius * 1.05, np.ones(2),
                              np.zeros(2, bool))
-            state, _ = _verlet_build_stats(pset, box_config(0.25, 1.0), 0, skins=skins)
+            state = verlet_build(pset, box_config(0.25, 1.0), 0, skins=skins)
             assert len(state.list) == 1
             moved = pset.copy()
             moved.position[:] = end
@@ -443,7 +443,7 @@ class TestPairGate:
         pos = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.45, 0.0, 0.0]])
         pset = Particles(pos, np.zeros((3, 3)), np.full(3, 0.1), np.full(3, 0.2), np.ones(3),
                          np.zeros(3, bool))
-        state, _ = _verlet_build_stats(pset, box_config(1.0, 2.0), 0, skins=np.zeros(3))
+        state = verlet_build(pset, box_config(1.0, 2.0), 0, skins=np.zeros(3))
         assert state.list.pairs.tolist() == [[0, 1], [1, 2]]
         gated, full, rows = gated_and_full(state, pset)
         assert rows.tolist() == [1]
