@@ -10,18 +10,16 @@ displacement since the build exceeds its frozen skin.
 import numpy as np
 
 from verletdem import (
-    ContactParams, Particle, Particles, SimConfig, run, vec3, verlet_build,
+    ContactParams, Particles, SimConfig, run, vec3, verlet_build,
     verlet_needs_rebuild,
 )
 
 dt = 0.01
 speed = 0.1
-pair = Particles.from_list([
-    Particle(id=0, position=vec3(-1.1, 0, 0), velocity=vec3(speed, 0, 0),
-             radius=0.5, cutoff=0.5, mass=1.0),
-    Particle(id=1, position=vec3(1.1, 0, 0), velocity=vec3(-speed, 0, 0),
-             radius=0.5, cutoff=0.5, mass=1.0),
-])
+pair = Particles(
+    position=[[-1.1, 0, 0], [1.1, 0, 0]], velocity=[[speed, 0, 0], [-speed, 0, 0]],
+    radius=[0.5, 0.5], cutoff=[0.5, 0.5], mass=[1.0, 1.0], is_static=[False, False],
+)
 
 cfg = SimConfig(
     dt=dt, k_factor=2000, gravity=vec3(0, 0, 0), cell_size=10.0,

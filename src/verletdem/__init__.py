@@ -17,27 +17,26 @@ from .broadphase import (
     linked_cell_pairs, verlet_build, verlet_needs_rebuild,
 )
 from .core import (
-    ConfigError, ContactParams, Particle, Particles, SimConfig,
+    ConfigError, ContactParams, Particles, SimConfig,
     SimulationError, Vec3, WallPlane, norm, validate_config, vec3,
 )
 from .engine import (
     PhaseMetrics, RunResult, ShadowMiss, SimState, SimulationUnstable, run,
     step,
 )
-from .narrowphase import Contact, Contacts, resolve_contacts, sphere_plane_overlap
+from .narrowphase import Contacts, resolve_contacts
 from .physics import compute_forces, velocity_verlet_step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellGrid", "ConfigError", "Contact", "ContactParams", "Contacts",
-    "DEFAULT_K_VALUES", "EquivalenceReport", "PairList", "Particle",
-    "Particles", "PhaseMetrics", "RunResult", "Scenario", "ShadowMiss",
-    "SimConfig", "SimState", "SimulationError", "SimulationUnstable",
-    "SweepReport", "SweepRow", "Vec3", "VerletState", "WallPlane",
-    "brute_force_pairs", "build_grid", "compute_forces", "emit_report",
-    "improvement", "linked_cell_pairs", "load_report", "make_scenario", "norm",
-    "resolve_contacts", "run", "run_sweep",
-    "sphere_plane_overlap", "step", "validate_config", "validate_equivalence",
-    "vec3", "velocity_verlet_step", "verlet_build", "verlet_needs_rebuild",
+    "CellGrid", "ConfigError", "ContactParams", "Contacts", "DEFAULT_K_VALUES",
+    "EquivalenceReport", "PairList", "Particles", "PhaseMetrics", "RunResult",
+    "Scenario", "ShadowMiss", "SimConfig", "SimState", "SimulationError",
+    "SimulationUnstable", "SweepReport", "SweepRow", "Vec3", "VerletState",
+    "WallPlane", "brute_force_pairs", "build_grid", "compute_forces",
+    "emit_report", "improvement", "linked_cell_pairs", "load_report",
+    "make_scenario", "norm", "resolve_contacts", "run", "run_sweep", "step",
+    "validate_config", "validate_equivalence", "vec3", "velocity_verlet_step",
+    "verlet_build", "verlet_needs_rebuild",
 ]

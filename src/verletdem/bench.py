@@ -71,8 +71,8 @@ def improvement(time_without_buffer: float, time_case: float) -> float:
 class Scenario:
     """A named, seeded initial condition plus default run parameters.
 
-    Particle generation is a pure function of (name, n, seed): building the
-    particle set twice yields identical arrays.
+    The particle set is a pure function of (name, n, seed): building it
+    twice yields identical arrays.
     """
 
     name: str
@@ -361,6 +361,8 @@ def make_scenario(name: str, n: int, seed: int) -> Scenario:
         )
     if n < 0:
         raise ConfigError(f"particle count must be >= 0, got {n}")
+    if seed < 0:
+        raise ConfigError(f"scenario seed must be >= 0, got {seed}")
     return _SCENARIOS[name](int(n), int(seed))
 
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import Particles, SimConfig, SimulationError, as_particles, row_norm_sq
+from .core import Particles, SimConfig, SimulationError, row_norm_sq
 
 __all__ = [
     "CellGrid", "PairList", "VerletState",
@@ -57,10 +56,10 @@ class PairList:
     """Canonical list of candidate pairs: sorted, unique int64 ``keys``.
 
     Each key is ``id_a << 32 | id_b`` with id_a < id_b, so key order is the
-    lexicographic order of the pairs, from which :attr:`columns` and
-    :attr:`pairs` are derived.  Canonical ordering is the determinism
-    contract: equal inputs must give byte-equal pair lists no matter how the
-    search iterated internally.
+    lexicographic order of the pairs, from which :attr:`columns` is
+    derived.  Canonical ordering is the determinism contract: equal inputs
+    must give byte-equal pair lists no matter how the search iterated
+    internally.
     """
 
     keys: np.ndarray
@@ -69,18 +68,8 @@ class PairList:
     def empty(cls) -> "PairList":
         return cls(_EMPTY_KEYS)
 
-    @classmethod
-    def from_pairs(cls, raw) -> "PairList":
-        """Canonicalize an arbitrary iterable of index pairs (test helper)."""
-        arr = np.asarray(list(raw), dtype=np.int64).reshape(-1, 2)
-        return cls(np.unique(_oriented_keys(arr[:, 0], arr[:, 1])))
-
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        ia, ib = self.columns
-        return zip(ia.tolist(), ib.tolist())
 
     def __contains__(self, pair) -> bool:
         a, b = sorted((int(pair[0]), int(pair[1])))
@@ -97,14 +86,6 @@ class PairList:
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The id_a and id_b columns, contiguous, shifted and masked out of the keys."""
         return self.keys >> np.int64(32), self.keys & np.int64(0xFFFFFFFF)
-
-    @property
-    def pairs(self) -> np.ndarray:
-        """The (m, 2) array of (id_a, id_b) rows, built from the keys on each read."""
-        return np.column_stack(self.columns)
-
-    def issubset(self, other: "PairList") -> bool:
-        return bool(np.isin(self.keys, other.keys, assume_unique=True).all())
 
 
 def _oriented_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,8 +107,8 @@ class CellGrid:
     fixed offset of its padded id.  ``cell_of`` is each particle's padded
     cell id, ``order`` lists the ids by padded cell, ascending within a
     cell, and the CSR cell ``starts`` put the residents of padded cell ``c``
-    at ``order[starts[c]:starts[c + 1]]`` (Green, "Particle Simulation using
-    CUDA", 2010).
+    at ``order[starts[c]:starts[c + 1]]`` (Green's 2010 CUDA particles
+    whitepaper).
     """
 
     cell_size: float
@@ -174,14 +155,13 @@ def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarra
     return skins
 
 
-def build_grid(particles, cfg: SimConfig) -> CellGrid:
+def build_grid(particles: Particles, cfg: SimConfig) -> CellGrid:
     """Bin every particle by a counting sort: ``starts[1:] = cumsum(bincount)``."""
-    pset = as_particles(particles)
     extent = cfg.domain_max - cfg.domain_min
     dims = np.maximum(np.ceil(extent / cfg.cell_size).astype(np.int64), 1)
-    ijk = np.floor((pset.position - cfg.domain_min) / cfg.cell_size).astype(np.int64)
+    ijk = np.floor((particles.position - cfg.domain_min) / cfg.cell_size).astype(np.int64)
     axes = np.ascontiguousarray(np.clip(ijk, 0, dims - 1).T)   # (3, n): fast row reductions
-    box = axes if len(pset) else np.zeros((3, 1), dtype=np.int64)
+    box = axes if len(particles) else np.zeros((3, 1), dtype=np.int64)
     corner = box.min(axis=1) - 1
     shape = box.max(axis=1) - corner + 2
     cell_of = np.ravel_multi_index(tuple(axes - corner[:, None]), tuple(shape))
@@ -270,23 +250,22 @@ def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii):
     return PairList(keys[by_key]), tested, np.take(d2, hit[by_key])
 
 
-def linked_cell_pairs(particles, cfg: SimConfig, search_radius) -> PairList:
+def linked_cell_pairs(particles: Particles, cfg: SimConfig, search_radius) -> PairList:
     """Pairs (a, b) with |X_a - X_b| <= search_radius[a] + search_radius[b].
 
     Candidates come from each particle's own cell of the grid the search
     builds from ``cfg`` and the immediate neighbour cells, so every radius,
     one per particle, must be at most cell_size/2.
     """
-    result, _, _ = _pairs_with_stats(as_particles(particles), cfg, search_radius)
+    result, _, _ = _pairs_with_stats(particles, cfg, search_radius)
     return result
 
 
-def brute_force_pairs(particles, search_radius) -> PairList:
+def brute_force_pairs(particles: Particles, search_radius) -> PairList:
     """Exhaustive O(n^2) pair enumeration: the oracle for the grid search."""
-    pset = as_particles(particles)
-    sr = _search_radii(pset, search_radius)
-    ia, ib = np.triu_indices(len(pset), k=1)
-    diff = pset.position[ia] - pset.position[ib]
+    sr = _search_radii(particles, search_radius)
+    ia, ib = np.triu_indices(len(particles), k=1)
+    diff = particles.position[ia] - particles.position[ib]
     d2 = row_norm_sq(diff)
     reach = sr[ia] + sr[ib]
     hit = d2 <= reach * reach
@@ -294,7 +273,7 @@ def brute_force_pairs(particles, search_radius) -> PairList:
     return PairList(_oriented_keys(ia[hit], ib[hit]))
 
 
-def wall_candidates(particles, walls, reach) -> tuple[np.ndarray, ...]:
+def wall_candidates(particles: Particles, walls, reach) -> tuple[np.ndarray, ...]:
     """Per wall, the sorted ids of the particles with signed distance <= reach.
 
     With ``reach = radius + skin`` this is the wall counterpart of the pair
@@ -303,10 +282,9 @@ def wall_candidates(particles, walls, reach) -> tuple[np.ndarray, ...]:
     its skin, which triggers a rebuild first.  The bound carries a relative
     1e-9 pad so that rounding can never drop such a particle.
     """
-    pset = as_particles(particles)
     reach = np.asarray(reach, dtype=np.float64)
     bound = reach + 1e-9 * (1.0 + reach)
-    return tuple((w.signed_distance(pset.position) <= bound).nonzero()[0] for w in walls)
+    return tuple((w.signed_distance(particles.position) <= bound).nonzero()[0] for w in walls)
 
 
 @dataclass(frozen=True)
@@ -320,59 +298,56 @@ class VerletState:
     margins it was built with.  ``pairs_tested`` is the number of candidate
     pairs the build's search tested.  ``wall_rows`` holds, per wall of the
     configuration, the particles within radius + frozen skin of it at the
-    build (see :func:`wall_candidates`); None stands for every particle.
-    ``pair_slack`` holds, per row of ``list``, the build distance minus the
-    radii sum, less a relative pad (see :func:`verlet_gate`); None tests
-    every row.
+    build (see :func:`wall_candidates`).  ``pair_slack`` holds, per row of
+    ``list``, the build distance minus the radii sum, less a relative pad
+    (see :func:`verlet_gate`).
     """
 
     list: PairList
     reference_positions: np.ndarray
     frozen_skins: np.ndarray
     build_step: int
-    pairs_tested: int = 0
-    wall_rows: Optional[tuple] = None
-    pair_slack: Optional[np.ndarray] = None
+    pairs_tested: int
+    wall_rows: tuple
+    pair_slack: np.ndarray
 
     def __len__(self) -> int:
         return len(self.reference_positions)
 
 
-def verlet_build(particles, cfg: SimConfig, step: int = 0, skins=None) -> VerletState:
+def verlet_build(particles: Particles, cfg: SimConfig, step: int = 0, skins=None) -> VerletState:
     """Run the broad-phase with skin-inflated radii and snapshot positions.
 
     ``skins`` defaults to the local-mode skins.  The per-row slack, the
     per-wall candidates of ``cfg.walls`` and the candidate count are cached
     with the pair list.
     """
-    pset = as_particles(particles)
-    skins = _skins(pset, cfg) if skins is None else np.asarray(skins, dtype=np.float64)
-    pair_list, tested, d2 = _pairs_with_stats(pset, cfg, pset.cutoff + skins)
+    skins = _skins(particles, cfg) if skins is None else np.asarray(skins, dtype=np.float64)
+    pair_list, tested, d2 = _pairs_with_stats(particles, cfg, particles.cutoff + skins)
     ia, ib = pair_list.columns
     d0 = np.sqrt(d2)
-    rsum = pset.radius.take(ia) + pset.radius.take(ib)
+    rsum = particles.radius.take(ia) + particles.radius.take(ib)
     return VerletState(
         list=pair_list,
-        reference_positions=pset.position.copy(),
+        reference_positions=particles.position.copy(),
         frozen_skins=skins,
         build_step=int(step),
         pairs_tested=tested,
-        wall_rows=wall_candidates(pset, cfg.walls, pset.radius + skins),
+        wall_rows=wall_candidates(particles, cfg.walls, particles.radius + skins),
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
     )
 
 
-def verlet_displacement_sq(state: VerletState, particles) -> np.ndarray:
+def verlet_displacement_sq(state: VerletState, particles: Particles) -> np.ndarray:
     """Squared straight-line displacement of every particle since the build."""
-    pset = as_particles(particles)
-    if len(pset) != len(state):
+    if len(particles) != len(state):
         raise SizeMismatch(
-            f"state built for {len(state)} particles, got {len(pset)}"
+            f"state built for {len(state)} particles, got {len(particles)}"
         )
-    return row_norm_sq(pset.position - state.reference_positions)
+    return row_norm_sq(particles.position - state.reference_positions)
 
 
-def verlet_needs_rebuild(state: VerletState, particles, disp2=None) -> bool:
+def verlet_needs_rebuild(state: VerletState, particles: Particles, disp2=None) -> bool:
     """True when any particle moved further than its frozen skin.
 
     Displacement is the straight-line distance since the build, not the
@@ -385,7 +360,7 @@ def verlet_needs_rebuild(state: VerletState, particles, disp2=None) -> bool:
     return bool((disp2 > state.frozen_skins * state.frozen_skins).any())
 
 
-def verlet_gate(state: VerletState, disp: np.ndarray) -> Optional[np.ndarray]:
+def verlet_gate(state: VerletState, disp: np.ndarray) -> np.ndarray:
     """Rows of the cached list that displacements ``disp`` cannot rule out.
 
     By the triangle inequality the pair's distance now is at least its build
@@ -393,9 +368,7 @@ def verlet_gate(state: VerletState, disp: np.ndarray) -> Optional[np.ndarray]:
     below ``pair_slack`` (build distance minus the radii sum, less a pad of
     1e-9 * (1 + build distance) against rounding) cannot overlap and needs no
     test.  The pad exceeds the coincidence tolerance, so a pair that has
-    closed onto itself is always kept.  None means every row.
+    closed onto itself is always kept.
     """
-    if state.pair_slack is None:
-        return None
     ia, ib = state.list.columns
     return (disp.take(ia) + disp.take(ib) >= state.pair_slack).nonzero()[0]

@@ -1,7 +1,7 @@
 """Value types, 3-vector helpers and simulation configuration.
 
 Everything is SI: lengths in meters, times in seconds, masses in kg.
-Particle ids are dense 0..n-1 indices assigned at construction; pair
+The ids of a particle set are its dense 0..n-1 array indices; pair
 identity everywhere in the package is (min id, max id).
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,29 +68,6 @@ def row_norm_sq(diff: np.ndarray) -> np.ndarray:
     brute-force oracle, the narrow phase and the shadow scan.
     """
     return np.einsum("ij,ij->i", diff, diff)
-
-
-@dataclass(frozen=True)
-class Particle:
-    """One sphere: kinematic plus geometric state.
-
-    ``radius`` is the physical sphere radius, ``cutoff`` the interaction
-    cut-off radius used by the broad-phase (``cutoff >= radius``).  A static
-    particle never moves: it takes part in collision detection and exerts
-    forces but is skipped by the integrator, and its velocity must stay zero.
-    """
-
-    id: int
-    position: Vec3
-    velocity: Vec3
-    radius: float
-    cutoff: float
-    mass: float
-    is_static: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", as_vec3(self.position))
-        object.__setattr__(self, "velocity", as_vec3(self.velocity))
 
 
 @dataclass(frozen=True)
@@ -171,9 +147,12 @@ class SimConfig:
 class Particles:
     """Column-oriented storage for a set of particles.
 
-    Holds one numpy array per field so the hot loops can stay vectorized.
-    Index access returns a :class:`Particle` record; ids are the positions
-    in the arrays.
+    Holds one numpy array per field so the hot loops can stay vectorized;
+    ids are the positions in the arrays.  ``radius`` is the physical sphere
+    radius, ``cutoff`` the interaction cut-off radius used by the
+    broad-phase (``cutoff >= radius``).  A static particle never moves: it
+    takes part in collision detection and exerts forces but is skipped by
+    the integrator, and its velocity must stay zero.
     """
 
     __slots__ = ("position", "velocity", "radius", "cutoff", "mass", "is_static")
@@ -194,20 +173,6 @@ class Particles:
                 raise ConfigError(f"{name} has {len(getattr(self, name))} entries, expected {n}")
 
     @classmethod
-    def from_list(cls, particles: Sequence[Particle]) -> "Particles":
-        ids = [p.id for p in particles]
-        if ids != list(range(len(particles))):
-            raise ConfigError("particle ids must be dense 0..n-1 in order")
-        return cls(
-            position=np.array([p.position for p in particles], dtype=np.float64).reshape(-1, 3),
-            velocity=np.array([p.velocity for p in particles], dtype=np.float64).reshape(-1, 3),
-            radius=[p.radius for p in particles],
-            cutoff=[p.cutoff for p in particles],
-            mass=[p.mass for p in particles],
-            is_static=[p.is_static for p in particles],
-        )
-
-    @classmethod
     def empty(cls) -> "Particles":
         return cls(
             np.empty((0, 3)), np.empty((0, 3)),
@@ -216,20 +181,6 @@ class Particles:
 
     def __len__(self) -> int:
         return len(self.position)
-
-    def __getitem__(self, i: int) -> Particle:
-        return Particle(
-            id=int(i),
-            position=self.position[i].copy(),
-            velocity=self.velocity[i].copy(),
-            radius=float(self.radius[i]),
-            cutoff=float(self.cutoff[i]),
-            mass=float(self.mass[i]),
-            is_static=bool(self.is_static[i]),
-        )
-
-    def __iter__(self) -> Iterator[Particle]:
-        return (self[i] for i in range(len(self)))
 
     def copy(self) -> "Particles":
         return Particles(
@@ -242,20 +193,12 @@ class Particles:
         return float(self.cutoff.max()) if len(self) else 0.0
 
 
-def as_particles(particles) -> Particles:
-    """Accept either a Particles set or a sequence of Particle records."""
-    if isinstance(particles, Particles):
-        return particles
-    return Particles.from_list(list(particles))
-
-
-def validate_config(cfg: SimConfig, particles) -> None:
+def validate_config(cfg: SimConfig, particles: Particles) -> None:
     """Check every configuration invariant against the given particle set.
 
     Raises a :class:`ConfigError` subclass on the first violation; returns
     None when the configuration is acceptable.
     """
-    pset = as_particles(particles)
     if not (cfg.dt > 0):
         raise NonPositiveDt(f"dt must be > 0, got {cfg.dt}")
     if cfg.steps <= 0:
@@ -273,9 +216,9 @@ def validate_config(cfg: SimConfig, particles) -> None:
         )
     if not (cfg.cell_size > 0 and math.isfinite(cfg.cell_size)):
         raise ConfigError(f"cell_size must be positive and finite, got {cfg.cell_size}")
-    if len(pset) and cfg.cell_size < 2.0 * pset.max_cutoff():
+    if len(particles) and cfg.cell_size < 2.0 * particles.max_cutoff():
         raise CellTooSmall(
-            f"cell_size {cfg.cell_size} < 2 x max cutoff {pset.max_cutoff()}"
+            f"cell_size {cfg.cell_size} < 2 x max cutoff {particles.max_cutoff()}"
         )
     for w in cfg.walls:
         if not np.all(np.isfinite(w.point)) or not np.all(np.isfinite(w.outward_normal)):
@@ -290,16 +233,17 @@ def validate_config(cfg: SimConfig, particles) -> None:
     if c.gamma_n < 0 or c.mu_s < 0 or c.k_t < 0:
         raise ConfigError("contact gamma_n, mu_s and k_t must be nonnegative")
 
-    if len(pset):
-        if not np.all(np.isfinite(pset.position)) or not np.all(np.isfinite(pset.velocity)):
+    if len(particles):
+        if not (np.all(np.isfinite(particles.position))
+                and np.all(np.isfinite(particles.velocity))):
             raise ConfigError("particle positions and velocities must be finite")
-        if np.any(pset.radius <= 0):
+        if np.any(particles.radius <= 0):
             raise ConfigError("particle radius must be > 0")
-        if np.any(pset.cutoff < pset.radius):
+        if np.any(particles.cutoff < particles.radius):
             raise ConfigError("particle cutoff must be >= radius")
-        if np.any(pset.mass <= 0):
+        if np.any(particles.mass <= 0):
             raise ConfigError("particle mass must be > 0")
-        moving_static = pset.is_static & np.any(pset.velocity != 0.0, axis=1)
+        moving_static = particles.is_static & np.any(particles.velocity != 0.0, axis=1)
         if np.any(moving_static):
             bad = int(np.flatnonzero(moving_static)[0])
             raise ConfigError(f"static particle {bad} has nonzero velocity")

@@ -31,7 +31,7 @@ from .broadphase import (
     verlet_gate, verlet_needs_rebuild,
 )
 from .core import (
-    ConfigError, Particles, SimConfig, SimulationError, as_particles, row_norm_sq,
+    ConfigError, Particles, SimConfig, SimulationError, row_norm_sq,
     validate_config,
 )
 from .narrowphase import resolve_contacts
@@ -380,7 +380,7 @@ def step(state: SimState, cfg: SimConfig, metrics: Optional[PhaseMetrics] = None
     return state
 
 
-def run(cfg: SimConfig, particles, *, validation: bool = False,
+def run(cfg: SimConfig, particles: Particles, *, validation: bool = False,
         skin_mode: str = SKIN_LOCAL, sample_every: Optional[int] = None,
         record_contact_digest: bool = False) -> RunResult:
     """Simulate ``cfg.steps`` steps from the given initial particles.
@@ -394,9 +394,8 @@ def run(cfg: SimConfig, particles, *, validation: bool = False,
     cell grid, followed by the exact cutoff test on its survivors.  Its
     misses are counted in the result rather than raised.
     """
-    pset = as_particles(particles)
-    validate_config(cfg, pset)
-    result = RunResult(SimState(particles=pset.copy()), PhaseMetrics(),
+    validate_config(cfg, particles)
+    result = RunResult(SimState(particles=particles.copy()), PhaseMetrics(),
                        contact_hash=hashlib.sha256() if record_contact_digest else None)
     driver = _Driver(result, cfg, validation=validation, skin_mode=skin_mode)
     state = result.state

@@ -26,13 +26,12 @@ contacts are merged in by one stable argsort of a single int64 key.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .broadphase import PairList
-from .core import Particle, Particles, SimulationError, Vec3, WallPlane, as_particles, row_norm_sq
+from .core import Particles, SimulationError, row_norm_sq
 
 log = logging.getLogger(__name__)
 
@@ -43,30 +42,9 @@ class CoincidentCenters(SimulationError):
     """Two candidate particles share a center: the contact normal is undefined."""
 
 
-class ParticleBehindWall(SimulationError):
-    """A particle center crossed to the back side of a wall (tunneling)."""
-
-
 def wall_sentinel(wall_index: int) -> int:
-    """Contact id_b used for wall contacts: wall k maps to -(k+1)."""
+    """The id_b of a wall contact: wall k maps to -(k+1)."""
     return -(wall_index + 1)
-
-
-@dataclass(frozen=True)
-class Contact:
-    """One resolved contact.
-
-    ``id_b`` is a particle id, or a negative wall sentinel (see
-    :func:`wall_sentinel`).  ``normal`` is the unit vector from side a toward
-    side b; ``point`` is the midpoint of the overlap segment on the line of
-    centers.
-    """
-
-    id_a: int
-    id_b: int
-    overlap: float
-    normal: Vec3
-    point: Vec3
 
 
 class Contacts:
@@ -87,18 +65,6 @@ class Contacts:
 
     def __len__(self) -> int:
         return len(self.id_a)
-
-    def __getitem__(self, i: int) -> Contact:
-        return Contact(
-            id_a=int(self.id_a[i]),
-            id_b=int(self.id_b[i]),
-            overlap=float(self.overlap[i]),
-            normal=self.normal[i].copy(),
-            point=self.point[i].copy(),
-        )
-
-    def __iter__(self) -> Iterator[Contact]:
-        return (self[i] for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Contacts):
@@ -183,27 +149,7 @@ def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],
     return ids, wall_sentinel(wall_of), overlap.take(hit), -outward, point
 
 
-def sphere_plane_overlap(a: Particle, w: WallPlane, wall_index: int = 0) -> Optional[Contact]:
-    """Contact between a sphere and a wall plane, or None.
-
-    Raises :class:`ParticleBehindWall` when the center has signed distance
-    below zero; the engine treats that as a report, not a fatal error.
-    ``d`` is the batch :meth:`WallPlane.signed_distance` of the row taken
-    twice, so it has the bits :func:`resolve_contacts` computes.
-    """
-    d = float(w.signed_distance(np.stack([a.position, a.position]))[0])
-    if d < 0.0:
-        raise ParticleBehindWall(
-            f"particle {a.id} is {abs(d):.3e} m behind wall {wall_index}"
-        )
-    overlap = a.radius - d
-    if overlap <= 0.0:
-        return None
-    point = a.position - 0.5 * (a.radius + d) * w.outward_normal
-    return Contact(a.id, wall_sentinel(wall_index), overlap, -w.outward_normal, point)
-
-
-def resolve_contacts(candidates: PairList, particles, walls=(),
+def resolve_contacts(candidates: PairList, particles: Particles, walls=(),
                      tunneling: Optional[list] = None,
                      wall_rows: Optional[tuple] = None,
                      pair_rows: Optional[np.ndarray] = None) -> Contacts:
@@ -218,12 +164,11 @@ def resolve_contacts(candidates: PairList, particles, walls=(),
     (what :func:`~verletdem.broadphase.verlet_gate` keeps); None tests every
     row.
     """
-    pset = as_particles(particles)
     ia, ib = candidates.columns
     if pair_rows is not None:
         ia, ib = ia.take(pair_rows), ib.take(pair_rows)
-    pair = _pair_contact_arrays(pset, ia, ib) if len(ia) else None
-    wall = _wall_pass(pset, walls, wall_rows, tunneling)
+    pair = _pair_contact_arrays(particles, ia, ib) if len(ia) else None
+    wall = _wall_pass(particles, walls, wall_rows, tunneling)
     if wall is None:
         # the rows of a sorted list stay in (id_a, id_b) order
         return Contacts.empty() if pair is None else Contacts(*pair)

@@ -1,4 +1,4 @@
-"""Contact forces and time integration.
+"""Forces of the contact model, and time integration.
 
 The contact model is a linear normal spring-dashpot with a memoryless
 tangential term capped by static friction.  No tangential displacement
@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ContactParams, Particles, as_particles, row_norm_sq
+from .core import ContactParams, Particles, row_norm_sq
 from .narrowphase import Contacts
 
 __all__ = [
@@ -23,7 +23,8 @@ __all__ = [
 _TANGENT_EPS = 1e-14
 
 
-def contact_force_batch(contacts: Contacts, particles, params: ContactParams) -> np.ndarray:
+def contact_force_batch(contacts: Contacts, particles: Particles,
+                        params: ContactParams) -> np.ndarray:
     """Force on side a of every contact; side b receives the exact negation.
 
     The normal spring pushes the sides apart with k_n * overlap; the dashpot
@@ -34,16 +35,15 @@ def contact_force_batch(contacts: Contacts, particles, params: ContactParams) ->
 
     Wall sides (negative id_b) are treated as static bodies at rest.
     """
-    pset = as_particles(particles)
     m = len(contacts)
     if m == 0:
         return np.zeros((0, 3))
     ia = contacts.id_a
     ib = contacts.id_b
-    v_a = pset.velocity.take(ia, axis=0)
+    v_a = particles.velocity.take(ia, axis=0)
     # a wall side is at rest: its rows keep v_rel = v_a, the bits of v_a - 0.0
     v_rel = v_a.copy()
-    np.subtract(v_a, pset.velocity.take(ib, axis=0, mode="wrap"), out=v_rel,
+    np.subtract(v_a, particles.velocity.take(ib, axis=0, mode="wrap"), out=v_rel,
                 where=(ib >= 0)[:, None])
     n = contacts.normal
     # approach speed: positive while the gap is closing
@@ -61,7 +61,7 @@ def contact_force_batch(contacts: Contacts, particles, params: ContactParams) ->
     return force
 
 
-def compute_forces(particles, contacts: Contacts, params: ContactParams,
+def compute_forces(particles: Particles, contacts: Contacts, params: ContactParams,
                    gravity, weight: Optional[np.ndarray] = None) -> np.ndarray:
     """Total force per particle: gravity plus every contact contribution.
 
@@ -75,14 +75,13 @@ def compute_forces(particles, contacts: Contacts, params: ContactParams,
     ``weight`` may pass in the gravity term ``mass[:, None] * gravity``
     already computed; it is not modified.
     """
-    pset = as_particles(particles)
     if weight is None:
-        weight = pset.mass[:, None] * np.asarray(gravity, dtype=np.float64)
+        weight = particles.mass[:, None] * np.asarray(gravity, dtype=np.float64)
     if len(contacts) == 0:
         return weight.copy()
-    f_a = contact_force_batch(contacts, pset, params)
+    f_a = contact_force_batch(contacts, particles, params)
     pp = (contacts.id_b >= 0).nonzero()[0]
-    n = len(pset)
+    n = len(particles)
     ids = np.concatenate([np.arange(n), contacts.id_a, contacts.id_b.take(pp)])
     terms = np.concatenate([weight.T, f_a.T, -f_a.take(pp, axis=0).T], axis=1)
     forces = np.empty((n, 3))
@@ -91,7 +90,7 @@ def compute_forces(particles, contacts: Contacts, params: ContactParams,
     return forces
 
 
-def velocity_verlet_step(particles, forces_t: np.ndarray,
+def velocity_verlet_step(particles: Particles, forces_t: np.ndarray,
                          force_eval: Callable[[Particles], np.ndarray],
                          dt: float) -> tuple[Particles, np.ndarray]:
     """Advance one step of velocity-Verlet, mutating the particle arrays.
@@ -100,14 +99,14 @@ def velocity_verlet_step(particles, forces_t: np.ndarray,
     v += (F + F') dt / (2 m).  Static particles are left untouched.
     Returns the same Particles object and the new forces.
     """
-    pset = as_particles(particles)
     forces_t = np.asarray(forces_t, dtype=np.float64)
-    free = ~pset.is_static[:, None]
-    inv_m = 1.0 / pset.mass[:, None]
+    free = ~particles.is_static[:, None]
+    inv_m = 1.0 / particles.mass[:, None]
     accel_t = forces_t * inv_m
-    np.add(pset.position, pset.velocity * dt + accel_t * (0.5 * dt * dt),
-           out=pset.position, where=free)
-    forces_new = force_eval(pset)
+    np.add(particles.position, particles.velocity * dt + accel_t * (0.5 * dt * dt),
+           out=particles.position, where=free)
+    forces_new = force_eval(particles)
     accel_new = forces_new * inv_m
-    np.add(pset.velocity, (accel_t + accel_new) * (0.5 * dt), out=pset.velocity, where=free)
-    return pset, forces_new
+    np.add(particles.velocity, (accel_t + accel_new) * (0.5 * dt),
+           out=particles.velocity, where=free)
+    return particles, forces_new

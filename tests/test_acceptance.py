@@ -13,10 +13,11 @@ import time
 import numpy as np
 import pytest
 
+from builders import spheres
 from verletdem.bench import emit_report, improvement, make_scenario, run_sweep, validate_equivalence
 from verletdem.broadphase import brute_force_pairs, linked_cell_pairs
 from verletdem.cli import EXIT_OK, main
-from verletdem.core import ContactParams, Particle, Particles, SimConfig, vec3
+from verletdem.core import ContactParams, Particles, SimConfig, vec3
 from verletdem.engine import run
 from verletdem.physics import velocity_verlet_step
 
@@ -181,9 +182,7 @@ def test_criterion_6_physics_sanity():
 
     # constant force: velocity-Verlet integrates a quadratic exactly
     g = np.array([0.0, 0.0, -9.81])
-    ball = Particles.from_list([Particle(
-        id=0, position=vec3(0, 0, 10), velocity=vec3(0.3, 0, 2),
-        radius=0.1, cutoff=0.1, mass=1.0)])
+    ball = spheres([(0, 0, 10)], [(0.3, 0, 2)], radius=0.1)
     x0, v0 = ball.position.copy(), ball.velocity.copy()
 
     def const_force(ps):
@@ -198,9 +197,7 @@ def test_criterion_6_physics_sanity():
 
     # harmonic oscillator: energy drift < 1e-3 over 1e4 steps at dt = T/100
     k_spring = 4.0 * math.pi ** 2
-    osc = Particles.from_list([Particle(
-        id=0, position=vec3(1, 0, 0), velocity=vec3(0, 0, 0),
-        radius=0.1, cutoff=0.1, mass=1.0)])
+    osc = spheres([(1, 0, 0)], radius=0.1)
 
     def spring(ps):
         return -k_spring * ps.position

@@ -5,21 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from builders import pair_list, spheres
 from verletdem.broadphase import (
-    CapNegative, PairList, SearchRadiusExceedsCell, SizeMismatch, VerletState,
+    CapNegative, SearchRadiusExceedsCell, SizeMismatch,
     SKIN_UNIFORM_RADIUS, _pairs_with_stats, _skins, brute_force_pairs, build_grid,
     linked_cell_pairs, verlet_build, verlet_needs_rebuild,
 )
-from verletdem.core import ContactParams, Particle, Particles, SimConfig, vec3
+from verletdem.core import ContactParams, Particles, SimConfig, vec3
 
 
 IDS = st.integers(0, 12) | st.integers(0, 2**31 - 1)
-
-
-def particle(i, pos, vel=(0, 0, 0), radius=0.5, cutoff=None, static=False):
-    return Particle(id=i, position=vec3(*pos), velocity=vec3(*vel),
-                    radius=radius, cutoff=radius if cutoff is None else cutoff,
-                    mass=1.0, is_static=static)
 
 
 def config(cell_size, lo=(0, 0, 0), hi=(10, 10, 10), k_factor=0, dt=1e-4):
@@ -98,30 +93,35 @@ def searchsorted_tested(positions, cfg):
 
 
 def skin_of(p, k_factor, dt, cell_size, **kwargs):
-    """The skin ``_skins`` gives particle ``p``, alone in the configuration."""
+    """The skin ``_skins`` gives the one particle of set ``p``."""
     cfg = dataclasses.replace(config(cell_size, k_factor=k_factor, dt=dt), **kwargs)
-    return float(_skins(Particles.from_list([p]), cfg)[0])
+    return float(_skins(p, cfg)[0])
+
+
+def all_in(small, big):
+    """True when every pair of list ``small`` is in list ``big``."""
+    return bool(np.isin(small.keys, big.keys).all())
 
 
 class TestComputeSkin:
     def test_cap_inactive(self):
-        p = particle(0, (1, 1, 1), vel=(1, 0, 0), radius=0.005)
+        p = spheres([(1, 1, 1)], [(1, 0, 0)], radius=0.005)
         assert skin_of(p, 200, 1e-5, 0.05) == pytest.approx(0.002)
 
     def test_cap_binds(self):
-        p = particle(0, (1, 1, 1), vel=(1, 0, 0), radius=0.005)
+        p = spheres([(1, 1, 1)], [(1, 0, 0)], radius=0.005)
         assert skin_of(p, 5000, 1e-5, 0.02) == pytest.approx(0.005)
 
     def test_k_zero(self):
-        p = particle(0, (1, 1, 1), vel=(3, -2, 9), radius=0.005)
+        p = spheres([(1, 1, 1)], [(3, -2, 9)], radius=0.005)
         assert skin_of(p, 0, 1e-5, 0.05) == 0.0
 
     def test_static_gets_zero(self):
-        p = particle(0, (1, 1, 1), radius=0.005, static=True)
+        p = spheres([(1, 1, 1)], radius=0.005, is_static=True)
         assert skin_of(p, 5000, 1e-5, 0.05) == 0.0
 
     def test_cap_negative_raises(self):
-        p = particle(0, (1, 1, 1), radius=0.05)
+        p = spheres([(1, 1, 1)], radius=0.05)
         with pytest.raises(CapNegative):
             skin_of(p, 10, 1e-5, 0.08)
 
@@ -130,15 +130,14 @@ class TestComputeSkin:
         # made the build's guard raise SearchRadiusExceedsCell on a valid config
         cut, cell = 0.004524571004753451, 0.04592666450280474
         assert cut + (0.5 * cell - cut) > 0.5 * cell
-        pair = [particle(0, (0.1, 0.1, 0.1), vel=(5, 0, 0), radius=cut),
-                particle(1, (0.3, 0.3, 0.3), radius=cut)]
+        pair = spheres([(0.1, 0.1, 0.1), (0.3, 0.3, 0.3)], [(5, 0, 0), (0, 0, 0)], radius=cut)
         state = verlet_build(pair, config(cell, hi=(1, 1, 1), k_factor=1000, dt=1e-4))
         skin = state.frozen_skins[0]
         assert cut + skin <= 0.5 * cell
         assert skin == np.nextafter(0.5 * cell - cut, 0.0)    # one ulp below the plain cap
 
     def test_buffer_off_gives_zero(self):
-        p = particle(0, (1, 1, 1), vel=(1, 0, 0), radius=0.005)
+        p = spheres([(1, 1, 1)], [(1, 0, 0)], radius=0.005)
         assert skin_of(p, 200, 1e-5, 0.05, verlet_enabled=False) == 0.0
 
     def test_bits_of_each_mode(self):
@@ -161,22 +160,21 @@ class TestComputeSkin:
 class TestBuildGrid:
     def test_single_particle_center(self):
         cfg = config(cell_size=2.5, hi=(10, 10, 10))   # 4 x 4 x 4 domain cells
-        grid = build_grid([particle(0, (5, 5, 5))], cfg)
+        grid = build_grid(spheres([(5, 5, 5)]), cfg)
         assert domain_cells(grid).tolist() == [[2, 2, 2]]
         assert tuple(grid.shape) == (3, 3, 3)          # one cell and its ghost layer
         assert np.count_nonzero(np.diff(grid.starts)) == 1
 
     def test_coincident_particles_share_cell(self):
         cfg = config(cell_size=2.5)
-        grid = build_grid([particle(0, (3, 3, 3)), particle(1, (3, 3, 3))], cfg)
+        grid = build_grid(spheres([(3, 3, 3), (3, 3, 3)]), cfg)
         assert grid.cell_of[0] == grid.cell_of[1]
         assert np.count_nonzero(np.diff(grid.starts)) == 1
         assert cell_residents(grid, grid.cell_of[0]) == [0, 1]
 
     def test_outside_positions_clamp_to_boundary_cells(self):
         cfg = config(cell_size=2.5)
-        grid = build_grid(
-            [particle(0, (-4, 5, 5)), particle(1, (5, 5, 99))], cfg)
+        grid = build_grid(spheres([(-4, 5, 5), (5, 5, 99)]), cfg)
         assert domain_cells(grid).tolist() == [[0, 2, 2], [2, 2, 3]]
 
     def test_reinsertion_oracle(self):
@@ -206,28 +204,27 @@ class TestBuildGrid:
     def test_starts_span_the_occupied_box_not_the_domain(self):
         # a million domain cells, three particles in two adjacent cells
         cfg = config(cell_size=0.1, hi=(100, 100, 100))
-        pset = [particle(0, (50.02, 50.05, 50.05), radius=0.04),
-                particle(1, (50.09, 50.05, 50.05), radius=0.04),
-                particle(2, (50.15, 50.05, 50.05), radius=0.04)]
+        pset = spheres([(50.02, 50.05, 50.05), (50.09, 50.05, 50.05), (50.15, 50.05, 50.05)],
+                       radius=0.04)
         grid = build_grid(pset, cfg)
         assert tuple(grid.shape) == (4, 3, 3)
         assert len(grid.starts) == 4 * 3 * 3 + 1
-        assert list(linked_cell_pairs(pset, cfg, [0.04] * 3)) == [(0, 1), (1, 2)]
+        assert linked_cell_pairs(pset, cfg, [0.04] * 3) == pair_list((0, 1), (1, 2))
 
 
 class TestLinkedCellPairs:
     def test_boundary_inclusive(self):
-        pset = [particle(0, (2, 2, 2)), particle(1, (3, 2, 2))]
+        pset = spheres([(2, 2, 2), (3, 2, 2)])
         cfg = config(cell_size=2.0)
-        assert list(linked_cell_pairs(pset, cfg, [0.5, 0.5])) == [(0, 1)]
+        assert linked_cell_pairs(pset, cfg, [0.5, 0.5]) == pair_list((0, 1))
 
     def test_just_outside_range(self):
-        pset = [particle(0, (2, 2, 2)), particle(1, (3.000001, 2, 2))]
+        pset = spheres([(2, 2, 2), (3.000001, 2, 2)])
         cfg = config(cell_size=2.0)
         assert len(linked_cell_pairs(pset, cfg, [0.5, 0.5])) == 0
 
     def test_search_radius_precondition(self):
-        pset = [particle(0, (2, 2, 2)), particle(1, (3, 2, 2))]
+        pset = spheres([(2, 2, 2), (3, 2, 2)])
         cfg = config(cell_size=2.0)
         with pytest.raises(SearchRadiusExceedsCell):
             linked_cell_pairs(pset, cfg, [1.5, 0.5])
@@ -280,7 +277,7 @@ class TestLinkedCellPairs:
 
     @pytest.mark.parametrize("radius", [0.5, [0.5], [0.5] * 3, [[0.5, 0.5]]])
     def test_both_searches_reject_a_radius_not_one_per_particle(self, radius):
-        pset = [particle(0, (2, 2, 2)), particle(1, (3, 2, 2))]
+        pset = spheres([(2, 2, 2), (3, 2, 2)])
         with pytest.raises(SizeMismatch):
             linked_cell_pairs(pset, config(cell_size=2.0), radius)
         with pytest.raises(SizeMismatch):
@@ -300,49 +297,36 @@ class TestBruteForce:
         assert len(brute_force_pairs(Particles.empty(), np.empty(0))) == 0
 
     def test_three_collinear(self):
-        pset = [particle(i, (float(i), 0, 0), radius=0.6) for i in range(3)]
-        got = list(brute_force_pairs(pset, [0.6] * 3))
-        assert got == [(0, 1), (1, 2)]
+        pset = spheres([(float(i), 0, 0) for i in range(3)], radius=0.6)
+        assert brute_force_pairs(pset, [0.6] * 3) == pair_list((0, 1), (1, 2))
 
 
 class TestPairList:
-    def test_from_pairs_canonicalizes(self):
-        pl = PairList.from_pairs([(3, 1), (0, 2), (1, 3), (2, 0)])
-        assert list(pl) == [(0, 2), (1, 3)]
-
     def test_contains(self):
-        pl = PairList.from_pairs([(0, 2), (1, 3)])
+        pl = pair_list((0, 2), (1, 3))
         assert (2, 0) in pl
         assert (0, 1) not in pl
-
-    def test_issubset(self):
-        small = PairList.from_pairs([(1, 3)])
-        big = PairList.from_pairs([(0, 2), (1, 3)])
-        assert small.issubset(big)
-        assert not big.issubset(small)
-        assert PairList.empty().issubset(small)
 
     @given(st.lists(st.tuples(IDS, IDS).filter(lambda p: p[0] != p[1]), max_size=40),
            st.lists(st.tuples(IDS, IDS).filter(lambda p: p[0] != p[1]), max_size=10))
     @settings(max_examples=150, deadline=None)
-    def test_from_pairs_agrees_with_a_set(self, raw, extra):
-        # duplicates and reversed rows collapse to one (low, high) pair each
+    def test_agrees_with_a_set(self, raw, extra):
+        # the list of a set of (low, high) pairs: its columns, membership in
+        # either orientation and equality agree with the set
         def ref_of(pairs):
             return {(min(a, b), max(a, b)) for a, b in pairs}
 
-        ref, pl = ref_of(raw), PairList.from_pairs(raw)
+        ref = ref_of(raw)
         expected = sorted(ref)
-        assert list(pl) == expected and len(pl) == len(ref)
+        pl = pair_list(*expected)
+        assert len(pl) == len(ref)
         assert pl.keys.tolist() == [a * 2**32 + b for a, b in expected]
-        assert pl.pairs.tolist() == [list(p) for p in expected]
         assert [c.tolist() for c in pl.columns] == [[p[i] for p in expected] for i in (0, 1)]
         for a, b in raw + extra:
             assert ((a, b) in pl) == ((b, a) in pl) == ((min(a, b), max(a, b)) in ref)
         for other_raw in (raw[::2], raw[::-1], extra, raw + extra):
-            other, other_ref = PairList.from_pairs(other_raw), ref_of(other_raw)
-            assert other.issubset(pl) == (other_ref <= ref)
-            assert pl.issubset(other) == (ref <= other_ref)
-            assert (pl == other) == (ref == other_ref)
+            other_ref = ref_of(other_raw)
+            assert (pl == pair_list(*sorted(other_ref))) == (ref == other_ref)
 
 
 class TestVerletBuild:
@@ -376,8 +360,8 @@ class TestVerletBuild:
         l0 = verlet_build(pset, cfg0).list
         l1 = verlet_build(pset, cfg1).list
         l2 = verlet_build(pset, cfg2).list
-        assert l0.issubset(l1)
-        assert l1.issubset(l2)
+        assert all_in(l0, l1)
+        assert all_in(l1, l2)
         assert len(l1) > len(l0)   # velocities are O(1), skins grow
 
     def test_build_freshness(self):
@@ -391,10 +375,11 @@ class TestVerletBuild:
         rng = np.random.default_rng(8)
         pset = random_set(rng, 120, hi=(5, 5, 5))
         cfg = config(cell_size=1.0, hi=(5, 5, 5))
-        pairs = verlet_build(pset, cfg).list.pairs
-        assert np.all(pairs[:, 0] < pairs[:, 1])
-        keys = (pairs[:, 0] << np.int64(32)) | pairs[:, 1]
-        assert np.all(np.diff(keys) > 0)    # strictly sorted, no duplicates
+        pl = verlet_build(pset, cfg).list
+        ia, ib = pl.columns
+        assert np.all(ia < ib)
+        assert np.array_equal(pl.keys, (ia << np.int64(32)) | ib)
+        assert np.all(np.diff(pl.keys) > 0)    # strictly sorted, no duplicates
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 80), st.integers(1, 400))
     @settings(max_examples=40, deadline=None)
@@ -415,7 +400,7 @@ class TestVerletBuild:
 
         assert not verlet_needs_rebuild(state, moved)
         colliding = brute_force_pairs(moved, moved.cutoff)
-        assert colliding.issubset(state.list)
+        assert all_in(colliding, state.list)
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 120), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -430,10 +415,7 @@ class TestVerletBuild:
         pset = Particles(pos, np.zeros((n, 3)), cutoff, cutoff, np.ones(n), np.zeros(n, bool))
         skins = rng.uniform(1e-3, 1.0, n) * (0.5 * cell - cutoff)
         skins[rng.uniform(size=n) < zero_share] = 0.0
-        state = VerletState(
-            list=linked_cell_pairs(pset, config(cell_size=cell, hi=(5, 5, 5)), cutoff + skins),
-            reference_positions=pos.copy(), frozen_skins=skins, build_step=0,
-        )
+        state = verlet_build(pset, config(cell_size=cell, hi=(5, 5, 5)), skins=skins)
 
         direction = rng.normal(size=(n, 3))
         direction /= np.linalg.norm(direction, axis=1)[:, None]
@@ -441,7 +423,7 @@ class TestVerletBuild:
         moved.position += direction * (rng.uniform(0.0, 1.0 - 1e-6, n) * skins)[:, None]
 
         assert not verlet_needs_rebuild(state, moved)
-        assert brute_force_pairs(moved, moved.cutoff).issubset(state.list)
+        assert all_in(brute_force_pairs(moved, moved.cutoff), state.list)
 
 
 class TestNeedsRebuild:

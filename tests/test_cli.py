@@ -88,6 +88,12 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "config error: bad config value" in capsys.readouterr().err
 
+    def test_negative_scenario_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_run_config(tmp_path / "cfg.json", n=5, steps=5,
+                               extra={"scenario": {"name": "settling-box", "n": 5, "seed": -1}})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "config error: scenario seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{broken")
@@ -168,6 +174,13 @@ class TestSweepCommand:
         assert main(["sweep", "--scenario", "settling-box", "--n", "0",
                      "--seed", "1", "--k", "-5", "--out", str(out)]) == EXIT_CONFIG
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--scenario", "settling-box", "--n", "5",
+                     "--seed", "-1", "--k", "10", "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: scenario seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidateCommand:
     def test_validate_passes_on_small_scene(self, capsys):
@@ -177,6 +190,11 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "shadow scan misses:       0" in out
         assert "validation passed" in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["validate", "--scenario", "settling-box", "--n", "5",
+                     "--seed", "-1", "--k", "10", "--steps", "5"]) == EXIT_CONFIG
+        assert "config error: scenario seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_validation_failure_exits_4(self, monkeypatch, capsys):
         from verletdem.bench import EquivalenceReport

@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import spheres
 from verletdem.cli import EXIT_CONFIG, main
 from verletdem.core import (
     CellTooSmall, ConfigError, ContactParams, EmptyDomain, NonPositiveDt,
-    Particle, Particles, SimConfig, WallPlane, norm, simconfig_from_dict,
+    Particles, SimConfig, WallPlane, norm, simconfig_from_dict,
     validate_config, vec3,
 )
 
 
-def make_particle(i=0, pos=(0.1, 0.1, 0.1), vel=(0, 0, 0), radius=0.005,
-                  cutoff=None, mass=1e-3, is_static=False):
-    return Particle(
-        id=i, position=vec3(*pos), velocity=vec3(*vel), radius=radius,
-        cutoff=radius if cutoff is None else cutoff, mass=mass,
-        is_static=is_static,
-    )
+# one small sphere inside the unit box of base_config
+ONE = dict(positions=[(0.1, 0.1, 0.1)], radius=0.005, mass=1e-3)
 
 
 def base_config(**overrides):
@@ -87,16 +83,16 @@ class TestNorm:
 class TestValidateConfig:
     def test_cell_boundary_exactly_satisfied(self):
         cfg = base_config(cell_size=0.02)
-        validate_config(cfg, [make_particle(radius=0.01)])
+        validate_config(cfg, spheres(**ONE | dict(radius=0.01)))
 
     def test_cell_boundary_violated(self):
         cfg = base_config(cell_size=0.019)
         with pytest.raises(CellTooSmall):
-            validate_config(cfg, [make_particle(radius=0.01)])
+            validate_config(cfg, spheres(**ONE | dict(radius=0.01)))
 
     def test_zero_dt(self):
         with pytest.raises(NonPositiveDt):
-            validate_config(base_config(dt=0.0), [make_particle()])
+            validate_config(base_config(dt=0.0), spheres(**ONE))
 
     def test_empty_particle_set_passes(self):
         validate_config(base_config(), Particles.empty())
@@ -119,41 +115,26 @@ class TestValidateConfig:
         (dict(contact=ContactParams(k_n=1.0, mu_s=-0.5)), ConfigError),
     ])
     def test_config_mutation_rejected(self, mutation, error):
-        validate_config(base_config(), [make_particle()])
+        validate_config(base_config(), spheres(**ONE))
         with pytest.raises(error):
-            validate_config(base_config(**mutation), [make_particle()])
+            validate_config(base_config(**mutation), spheres(**ONE))
 
-    @pytest.mark.parametrize("particle", [
-        make_particle(radius=-0.001),
-        make_particle(radius=0.005, cutoff=0.004),
-        make_particle(mass=0.0),
-        make_particle(vel=(1.0, 0, 0), is_static=True),
-        make_particle(pos=(np.nan, 0, 0)),
-        make_particle(vel=(np.inf, 0, 0)),
+    @pytest.mark.parametrize("particle", [    # changed columns of the one particle
+        dict(radius=-0.001),
+        dict(radius=0.005, cutoff=0.004),
+        dict(mass=0.0),
+        dict(velocities=[(1.0, 0, 0)], is_static=True),
+        dict(positions=[(np.nan, 0, 0)]),
+        dict(velocities=[(np.inf, 0, 0)]),
     ])
     def test_particle_mutation_rejected(self, particle):
         with pytest.raises(ConfigError):
-            validate_config(base_config(), [particle])
+            validate_config(base_config(), spheres(**ONE | particle))
 
 
 class TestParticles:
-    def test_ids_must_be_dense(self):
-        with pytest.raises(ConfigError):
-            Particles.from_list([make_particle(i=1)])
-
-    def test_record_round_trip(self):
-        p = make_particle(i=0, pos=(0.3, 0.2, 0.1), vel=(1, 2, 3), is_static=False)
-        q = make_particle(i=1, pos=(0.5, 0.5, 0.5), radius=0.008, is_static=True)
-        pset = Particles.from_list([p, q])
-        got = pset[1]
-        assert got.id == 1
-        assert got.is_static
-        assert got.radius == 0.008
-        np.testing.assert_array_equal(got.position, q.position)
-        assert len(list(pset)) == 2
-
     def test_copy_is_independent(self):
-        pset = Particles.from_list([make_particle()])
+        pset = spheres(**ONE)
         other = pset.copy()
         other.position[0, 0] = 9.0
         assert pset.position[0, 0] != 9.0

@@ -8,24 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verletdem.engine
+from builders import spheres
 from verletdem.bench import make_scenario, run_sweep, validate_equivalence
 from verletdem.broadphase import (
     SKIN_UNIFORM_RADIUS, PairList, VerletState, _skins, brute_force_pairs,
 )
 from verletdem.cli import EXIT_CONFIG, main
 from verletdem.core import (
-    ConfigError, ContactParams, Particle, Particles, SimConfig, SimulationError, WallPlane,
+    ConfigError, ContactParams, Particles, SimConfig, SimulationError, WallPlane,
     vec3,
 )
 from verletdem.engine import (
     OPCOUNT, WALLTIME, PhaseMetrics, RunResult, ShadowMiss, SimState, SimulationUnstable,
     _Driver, run, step,
 )
-
-
-def sphere(i, pos, vel=(0, 0, 0), radius=0.5, mass=1.0, static=False):
-    return Particle(id=i, position=vec3(*pos), velocity=vec3(*vel),
-                    radius=radius, cutoff=radius, mass=mass, is_static=static)
 
 
 def open_config(steps, k_factor=100, cell=4.0, half=8.0, dt=1e-3, **contact_kw):
@@ -46,7 +42,7 @@ class TestMaybeBroadphase:
     """The driver's rebuild-or-reuse decision, which writes ``state.verlet``."""
 
     def test_first_evaluation_executes(self):
-        pset = Particles.from_list([sphere(0, (0, 0, 0))])
+        pset = spheres([(0, 0, 0)])
         driver = driver_for(SimState(particles=pset), open_config(1))
         driver.evaluate(pset)
         assert driver.result.rebuild_events == [(0, False)]    # built, not needed
@@ -54,7 +50,7 @@ class TestMaybeBroadphase:
         assert len(driver.state.verlet.reference_positions) == 1
 
     def test_valid_list_is_reused(self):
-        pset = Particles.from_list([sphere(0, (0, 0, 0), vel=(1, 0, 0))])
+        pset = spheres([(0, 0, 0)], [(1, 0, 0)])
         driver = driver_for(SimState(particles=pset), open_config(1, k_factor=100))
         driver.evaluate(pset)
         verlet = driver.state.verlet
@@ -64,7 +60,7 @@ class TestMaybeBroadphase:
         assert driver.metrics.broad_executions == 1
 
     def test_disabled_buffer_rebuilds_every_time(self):
-        pset = Particles.from_list([sphere(0, (0, 0, 0))])
+        pset = spheres([(0, 0, 0)])
         cfg = open_config(1)
         cfg = SimConfig(**{**cfg.__dict__, "verlet_enabled": False})
         driver = driver_for(SimState(particles=pset), cfg)
@@ -78,9 +74,7 @@ class TestMaybeBroadphase:
 
 class TestStaticOnly:
     def test_single_broadphase_for_static_scene(self):
-        pset = Particles.from_list([
-            sphere(i, (float(i), 0, 0), static=True) for i in range(5)
-        ])
+        pset = spheres([(float(i), 0, 0) for i in range(5)], is_static=True)
         cfg = SimConfig(
             dt=1e-3, k_factor=200, gravity=vec3(0, 0, -9.81), cell_size=4.0,
             domain_min=vec3(-8, -8, -8), domain_max=vec3(8, 8, 8),
@@ -97,10 +91,7 @@ class TestApproachingPair:
         # approach distance is far below each skin (K v dt = 2.0), so the
         # pair enters the list at step 0 and first touches ~600 steps later
         # with no rebuild in between
-        pset = Particles.from_list([
-            sphere(0, (-1.1, 0, 0), vel=(0.1, 0, 0)),
-            sphere(1, (1.1, 0, 0), vel=(-0.1, 0, 0)),
-        ])
+        pset = spheres([(-1.1, 0, 0), (1.1, 0, 0)], [(0.1, 0, 0), (-0.1, 0, 0)])
         cfg = open_config(steps=620, k_factor=2000, cell=10.0, half=20.0, dt=0.01)
         result = run(cfg, pset)
         assert result.metrics.broad_executions == 1
@@ -108,7 +99,7 @@ class TestApproachingPair:
         assert (0, 1) in result.state.verlet.list
 
     def test_rebuild_happens_once_skin_is_outrun(self):
-        pset = Particles.from_list([sphere(0, (0, 0, 0), vel=(1.0, 0, 0))])
+        pset = spheres([(0, 0, 0)], [(1.0, 0, 0)])
         # skin = K v dt = 0.1; the particle covers it in 100 steps
         cfg = open_config(steps=150, k_factor=100, dt=1e-3)
         result = run(cfg, pset)
@@ -309,7 +300,8 @@ class TestRunRecord:
 def audit(pset, live_keys):
     """Run one shadow scan of ``pset`` against the list ``live_keys`` (None: no list)."""
     verlet = None if live_keys is None else VerletState(
-        PairList(live_keys), pset.position.copy(), np.zeros(len(pset)), 0)
+        PairList(live_keys), pset.position.copy(), np.zeros(len(pset)), 0,
+        pairs_tested=0, wall_rows=(), pair_slack=np.zeros(len(live_keys)))
     driver = driver_for(SimState(particles=pset, verlet=verlet), open_config(1),
                         validation=True)
     driver._shadow_scan()
@@ -321,7 +313,8 @@ def assert_audit_equals_oracle(pset):
     # with nothing live, every close pair the scan finds is a miss ...
     empty = audit(pset, np.empty(0, dtype=np.int64))
     assert empty.shadow_misses == len(oracle)
-    assert [ex[1:] for ex in empty.shadow_examples] == list(oracle)[:5]
+    ia, ib = oracle.columns
+    assert [ex[1:] for ex in empty.shadow_examples] == list(zip(ia[:5].tolist(), ib[:5].tolist()))
     # ... and against the oracle's own list none is: the two sets are equal
     assert audit(pset, oracle.keys).shadow_misses == 0
 
@@ -334,8 +327,9 @@ class TestShadowScan:
         pset = Particles(pos, np.zeros((60, 3)), r, r, np.ones(60), np.zeros(60, bool))
         oracle = brute_force_pairs(pset, pset.cutoff)
         assert len(oracle) > 1
-        dropped = list(oracle)[len(oracle) // 2]
-        live = np.delete(oracle.keys, len(oracle) // 2)
+        k = len(oracle) // 2
+        dropped = tuple(int(c[k]) for c in oracle.columns)
+        live = np.delete(oracle.keys, k)
         result = audit(pset, live)
         assert result.shadow_misses == 1
         assert result.shadow_examples == [(0, *dropped)]
@@ -344,22 +338,19 @@ class TestShadowScan:
         # the list built at step 0 holds no pair; with rebuilds switched off
         # the approaching spheres come within cutoff and the audit must say so
         monkeypatch.setattr(verletdem.engine, "verlet_needs_rebuild", lambda *a: False)
-        pset = Particles.from_list([
-            sphere(0, (-0.6, 0, 0), vel=(1.0, 0, 0)),
-            sphere(1, (0.6, 0, 0), vel=(-1.0, 0, 0)),
-        ])
+        pset = spheres([(-0.6, 0, 0), (0.6, 0, 0)], [(1.0, 0, 0), (-1.0, 0, 0)])
         result = run(open_config(steps=200, k_factor=0), pset, validation=True)
         assert len(result.state.verlet.list) == 0
         assert result.shadow_misses >= 1
         assert {(a, b) for _, a, b in result.shadow_examples} == {(0, 1)}
 
     def test_two_particles_touching_exactly(self):
-        pset = Particles.from_list([sphere(0, (0, 0, 0)), sphere(1, (1.0, 0, 0))])
+        pset = spheres([(0, 0, 0), (1.0, 0, 0)])
         assert_audit_equals_oracle(pset)
         assert audit(pset, None).shadow_misses == 1
 
     def test_two_particles_apart(self):
-        pset = Particles.from_list([sphere(0, (0, 0, 0)), sphere(1, (0, 0, 1.0 + 1e-12))])
+        pset = spheres([(0, 0, 0), (0, 0, 1.0 + 1e-12)])
         assert_audit_equals_oracle(pset)
         assert audit(pset, None).shadow_misses == 0
 
@@ -403,15 +394,13 @@ class TestShadowScan:
                             "linked_cell_pairs", "brute_force_pairs", "CellGrid"}
 
     def test_validated_step_raises_on_a_missing_pair(self):
-        pset = Particles.from_list([
-            sphere(i, pos, vel=(1, 0, 0))     # skins of K |v| dt = 0.1: no rebuild
-            for i, pos in enumerate([(0, 0, 0), (0.9, 0, 0), (0, 0.95, 0)])
-        ])
+        # skins of K |v| dt = 0.1: no rebuild
+        pset = spheres([(0, 0, 0), (0.9, 0, 0), (0, 0.95, 0)], [(1, 0, 0)] * 3)
         cfg = open_config(steps=1)
         state = SimState(particles=pset)
         step(state, cfg, validation=True)           # a complete list passes
         verlet = state.verlet
-        drop = list(verlet.list).index((0, 2))
+        drop = verlet.list.keys.tolist().index(0 << 32 | 2)     # the key of (0, 2)
         state.verlet = dataclasses.replace(
             verlet, list=PairList(np.delete(verlet.list.keys, drop)),
             pair_slack=np.delete(verlet.pair_slack, drop))
@@ -510,10 +499,7 @@ class TestEdgeCases:
         # absurdly stiff contact: the acceleration of the overlapping pair
         # overflows on the first evaluation and the run must abort with the
         # offending step and particle rather than march on with inf/nan
-        pset = Particles.from_list([
-            sphere(0, (1.0, 1.0, 1.0), mass=1e-3),
-            sphere(1, (1.9, 1.0, 1.0), mass=1e-3),
-        ])
+        pset = spheres([(1.0, 1.0, 1.0), (1.9, 1.0, 1.0)], mass=1e-3)
         cfg = SimConfig(
             dt=1e-3, k_factor=0, gravity=vec3(0, 0, 0), cell_size=2.0,
             domain_min=vec3(0, 0, 0), domain_max=vec3(4, 4, 4),
@@ -527,7 +513,7 @@ class TestEdgeCases:
             assert err.value.step == 1
 
     def test_huge_finite_state_that_overflows_the_sum_is_not_unstable(self):
-        pset = Particles.from_list([sphere(i, (1.0, 1.0, 1.0 + 2 * i)) for i in range(3)])
+        pset = spheres([(1.0, 1.0, 1.0 + 2 * i) for i in range(3)])
         pset.position[:, 0] = 1.5e308       # finite, but their sum overflows
         pset.velocity[1] = (-1e308, 1e308, 1e308)
         driver = driver_for(SimState(particles=pset), open_config(1))
@@ -535,7 +521,7 @@ class TestEdgeCases:
             driver._check_finite()
 
     def test_nan_velocity_names_its_particle(self):
-        pset = Particles.from_list([sphere(i, (1.0, 1.0, 1.0 + 2 * i)) for i in range(4)])
+        pset = spheres([(1.0, 1.0, 1.0 + 2 * i) for i in range(4)])
         pset.velocity[2, 1] = np.nan
         state = SimState(particles=pset, step=7)
         with pytest.raises(SimulationUnstable) as err:
@@ -543,7 +529,7 @@ class TestEdgeCases:
         assert (err.value.step, err.value.particle) == (7, 2)
 
     def test_tunneling_is_reported_and_run_continues(self):
-        pset = Particles.from_list([sphere(0, (0.1, 0.1, -0.05), radius=0.02, mass=1.0)])
+        pset = spheres([(0.1, 0.1, -0.05)], radius=0.02)
         cfg = SimConfig(
             dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=0.1,
             domain_min=vec3(0, 0, 0), domain_max=vec3(0.2, 0.2, 0.2),
@@ -557,7 +543,7 @@ class TestEdgeCases:
         assert (particle, wall) == (0, 0)
 
     def test_public_step_advances_state(self):
-        pset = Particles.from_list([sphere(0, (0, 0, 0), vel=(1, 0, 0))])
+        pset = spheres([(0, 0, 0)], [(1, 0, 0)])
         cfg = open_config(steps=1)
         state = SimState(particles=pset.copy())
         metrics = PhaseMetrics()

@@ -3,66 +3,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import pair_list, spheres
 from verletdem.broadphase import (
     PairList, VerletState, brute_force_pairs, verlet_build,
     verlet_displacement_sq, verlet_gate, verlet_needs_rebuild, wall_candidates,
 )
-from verletdem.core import (
-    ContactParams, Particle, Particles, SimConfig, WallPlane, row_norm_sq, vec3,
-)
-from verletdem.narrowphase import (
-    CoincidentCenters, Contacts, ParticleBehindWall, resolve_contacts, sphere_plane_overlap,
-    wall_sentinel,
-)
+from verletdem.core import ContactParams, Particles, SimConfig, WallPlane, row_norm_sq, vec3
+from verletdem.narrowphase import CoincidentCenters, Contacts, resolve_contacts, wall_sentinel
 
 FLOOR = WallPlane(vec3(0, 0, 0), vec3(0, 0, 1))
 
 
-def sphere(i, pos, radius=0.5, vel=(0, 0, 0)):
-    return Particle(id=i, position=vec3(*pos), velocity=vec3(*vel),
-                    radius=radius, cutoff=radius, mass=1.0)
+def pair_contact(pset):
+    """The contact ``resolve_contacts`` finds between particles 0 and 1, or None.
 
-
-def pair_contact(a, b):
-    """The contact ``resolve_contacts`` finds between spheres a and b, or None.
-
-    The two spheres become particles 0 and 1, in the order given.
+    Returned as (overlap, normal, point).
     """
-    pset = Particles(np.stack([a.position, b.position]), np.zeros((2, 3)),
-                     [a.radius, b.radius], [a.cutoff, b.cutoff], np.ones(2), np.zeros(2, bool))
-    contacts = resolve_contacts(PairList.from_pairs([(0, 1)]), pset)
-    return contacts[0] if len(contacts) else None
+    contacts = resolve_contacts(pair_list((0, 1)), pset)
+    return (contacts.overlap[0], contacts.normal[0], contacts.point[0]) if len(contacts) else None
+
+
+class BehindWall(Exception):
+    """The scalar reference's report of a center behind the wall."""
+
+
+def sphere_plane_overlap(position, radius, w, wall_index=0):
+    """The scalar reference for one sphere against one wall plane.
+
+    Returns (id_b, overlap, normal, point), or None when the sphere does not
+    touch the plane; raises :class:`BehindWall` when the center has signed
+    distance below zero.  ``d`` is the batch :meth:`WallPlane.signed_distance`
+    of the row taken twice, so it has the bits :func:`resolve_contacts`
+    computes.
+    """
+    d = float(w.signed_distance(np.stack([position, position]))[0])
+    if d < 0.0:
+        raise BehindWall(f"center {abs(d):.3e} m behind wall {wall_index}")
+    overlap = radius - d
+    if overlap <= 0.0:
+        return None
+    point = position - 0.5 * (radius + d) * w.outward_normal
+    return wall_sentinel(wall_index), overlap, -w.outward_normal, point
 
 
 class TestSphereOverlap:
     def test_overlapping(self):
-        c = pair_contact(sphere(0, (0, 0, 0)), sphere(1, (0.8, 0, 0)))
-        assert c.overlap == pytest.approx(0.2, abs=1e-12)
+        overlap, _, _ = pair_contact(spheres([(0, 0, 0), (0.8, 0, 0)]))
+        assert overlap == pytest.approx(0.2, abs=1e-12)
 
     def test_exact_touch_is_no_contact(self):
-        assert pair_contact(sphere(0, (0, 0, 0)), sphere(1, (1.0, 0, 0))) is None
+        assert pair_contact(spheres([(0, 0, 0), (1.0, 0, 0)])) is None
 
     def test_unequal_radii_contact_point(self):
         # overlap segment on the x axis runs from 0.2 (surface of b) to 0.3
         # (surface of a); its midpoint is 0.25
-        a = sphere(0, (0, 0, 0), radius=0.3)
-        b = sphere(1, (0.9, 0, 0), radius=0.7)
-        c = pair_contact(a, b)
-        assert c.overlap == pytest.approx(0.1, abs=1e-12)
-        np.testing.assert_allclose(c.normal, [1, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(c.point, [0.25, 0, 0], atol=1e-12)
+        overlap, normal, point = pair_contact(spheres([(0, 0, 0), (0.9, 0, 0)], radius=[0.3, 0.7]))
+        assert overlap == pytest.approx(0.1, abs=1e-12)
+        np.testing.assert_allclose(normal, [1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(point, [0.25, 0, 0], atol=1e-12)
 
     def test_coincident_centers(self):
         with pytest.raises(CoincidentCenters):
-            pair_contact(sphere(0, (1, 1, 1)), sphere(1, (1, 1, 1)))
+            pair_contact(spheres([(1, 1, 1), (1, 1, 1)]))
 
     def test_symmetry(self):
-        a = sphere(0, (0.1, 0.2, 0.3), radius=0.4)
-        b = sphere(1, (0.5, 0.1, 0.4), radius=0.35)
-        ab = pair_contact(a, b)
-        ba = pair_contact(b, a)
-        assert ab.overlap == ba.overlap
-        np.testing.assert_array_equal(ab.normal, -ba.normal)
+        a, b = (0.1, 0.2, 0.3), (0.5, 0.1, 0.4)
+        ab = pair_contact(spheres([a, b], radius=[0.4, 0.35]))
+        ba = pair_contact(spheres([b, a], radius=[0.35, 0.4]))
+        assert ab[0] == ba[0]
+        np.testing.assert_array_equal(ab[1], -ba[1])
 
     @given(
         st.lists(st.floats(-1, 1), min_size=3, max_size=3),
@@ -70,33 +79,31 @@ class TestSphereOverlap:
     )
     @settings(max_examples=100, deadline=None)
     def test_overlap_is_lipschitz_in_center(self, pos_b, eps):
-        a = sphere(0, (0, 0, 0), radius=1.2)
-        b = sphere(1, pos_b, radius=1.2)
-        moved = sphere(1, np.asarray(pos_b, dtype=float) + eps, radius=1.2)
+        moved = np.asarray(pos_b, dtype=float) + eps
         try:
-            c0 = pair_contact(a, b)
-            c1 = pair_contact(a, moved)
+            c0 = pair_contact(spheres([(0, 0, 0), pos_b], radius=1.2))
+            c1 = pair_contact(spheres([(0, 0, 0), moved], radius=1.2))
         except CoincidentCenters:
             return
-        ov0 = c0.overlap if c0 else 0.0
-        ov1 = c1.overlap if c1 else 0.0
+        ov0 = c0[0] if c0 else 0.0
+        ov1 = c1[0] if c1 else 0.0
         step = float(np.linalg.norm(eps))
         assert abs(ov1 - ov0) <= step * (1 + 1e-9) + 1e-12
 
 
 class TestSpherePlane:
     def test_overlapping_floor(self):
-        c = sphere_plane_overlap(sphere(0, (0, 0, 0.4)), FLOOR)
-        assert c.overlap == pytest.approx(0.1, abs=1e-12)
-        np.testing.assert_array_equal(c.normal, [0, 0, -1])
-        assert c.id_b == wall_sentinel(0) == -1
+        id_b, overlap, normal, _ = sphere_plane_overlap(vec3(0, 0, 0.4), 0.5, FLOOR)
+        assert overlap == pytest.approx(0.1, abs=1e-12)
+        np.testing.assert_array_equal(normal, [0, 0, -1])
+        assert id_b == wall_sentinel(0) == -1
 
     def test_exact_touch(self):
-        assert sphere_plane_overlap(sphere(0, (0, 0, 0.5)), FLOOR) is None
+        assert sphere_plane_overlap(vec3(0, 0, 0.5), 0.5, FLOOR) is None
 
     def test_behind_wall_raises(self):
-        with pytest.raises(ParticleBehindWall):
-            sphere_plane_overlap(sphere(0, (0, 0, -0.1)), FLOOR)
+        with pytest.raises(BehindWall):
+            sphere_plane_overlap(vec3(0, 0, -0.1), 0.5, FLOOR)
 
     def test_twin_equals_resolve_contacts_near_a_tilted_wall(self):
         # centres within rounding of touching (d = r) or of the plane
@@ -117,23 +124,23 @@ class TestSpherePlane:
         d = wall.signed_distance(pos)
         behind = {i for i, _ in reports}
         assert behind == set(np.flatnonzero(d < 0.0).tolist())
-        by_id = {c.id_a: c for c in batch}
-        assert 0 < len(behind) and 0 < len(by_id) < n - len(behind)
+        row_of = {i: k for k, i in enumerate(batch.id_a.tolist())}
+        assert 0 < len(behind) and 0 < len(row_of) < n - len(behind)
         for i in range(n):
-            p = Particle(id=i, position=pos[i], velocity=vec3(0, 0, 0),
-                         radius=float(radius[i]), cutoff=float(radius[i]), mass=1.0)
             if i in behind:
-                with pytest.raises(ParticleBehindWall):
-                    sphere_plane_overlap(p, wall)
+                with pytest.raises(BehindWall):
+                    sphere_plane_overlap(pos[i], float(radius[i]), wall)
                 continue
-            twin = sphere_plane_overlap(p, wall)
-            if i not in by_id:
+            twin = sphere_plane_overlap(pos[i], float(radius[i]), wall)
+            if i not in row_of:
                 assert twin is None
                 continue
-            want = by_id[i]
-            assert twin.overlap == want.overlap == radius[i] - d[i]
-            assert twin.point.tobytes() == want.point.tobytes()
-            assert twin.normal.tobytes() == want.normal.tobytes()
+            k = row_of[i]
+            id_b, overlap, normal, point = twin
+            assert id_b == batch.id_b[k]
+            assert overlap == batch.overlap[k] == radius[i] - d[i]
+            assert point.tobytes() == batch.point[k].tobytes()
+            assert normal.tobytes() == batch.normal[k].tobytes()
 
 
 def random_cluster(seed, n=200, box=2.0, radius_range=(0.08, 0.16)):
@@ -146,17 +153,16 @@ def random_cluster(seed, n=200, box=2.0, radius_range=(0.08, 0.16)):
 
 class TestResolveContacts:
     def test_far_apart_candidates_resolve_to_nothing(self):
-        pset = Particles.from_list([sphere(0, (0, 0, 1)), sphere(1, (5, 5, 1))])
-        contacts = resolve_contacts(PairList.from_pairs([(0, 1)]), pset)
+        pset = spheres([(0, 0, 1), (5, 5, 1)])
+        contacts = resolve_contacts(pair_list((0, 1)), pset)
         assert len(contacts) == 0
 
     def test_single_particle_resting_on_floor(self):
-        pset = Particles.from_list([sphere(0, (0.3, 0.3, 0.4))])
+        pset = spheres([(0.3, 0.3, 0.4)])
         contacts = resolve_contacts(PairList.empty(), pset, walls=(FLOOR,))
         assert len(contacts) == 1
-        c = contacts[0]
-        assert (c.id_a, c.id_b) == (0, -1)
-        assert c.overlap == pytest.approx(0.1, abs=1e-12)
+        assert (contacts.id_a[0], contacts.id_b[0]) == (0, -1)
+        assert contacts.overlap[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_brute_list_and_buffered_list_give_identical_contacts(self):
         # the candidate list only has to be a superset of the true contact
@@ -180,17 +186,15 @@ class TestResolveContacts:
         assert resolve_contacts(exact, pset) == resolve_contacts(everything, pset)
 
     def test_output_ordered_by_ids_with_wall_sentinels_first(self):
-        pset = Particles.from_list([
-            sphere(0, (0.0, 0, 0.4)),
-            sphere(1, (0.8, 0, 0.4)),   # overlaps particle 0 and the floor
-        ])
-        contacts = resolve_contacts(PairList.from_pairs([(0, 1)]), pset, walls=(FLOOR,))
-        keys = [(c.id_a, c.id_b) for c in contacts]
+        # particle 1 overlaps particle 0 and the floor
+        pset = spheres([(0.0, 0, 0.4), (0.8, 0, 0.4)])
+        contacts = resolve_contacts(pair_list((0, 1)), pset, walls=(FLOOR,))
+        keys = list(zip(contacts.id_a.tolist(), contacts.id_b.tolist()))
         assert keys == [(0, -1), (0, 1), (1, -1)]
         assert keys == sorted(keys)
 
     def test_behind_wall_reported_not_fatal(self):
-        pset = Particles.from_list([sphere(0, (0.3, 0.3, -0.2))])
+        pset = spheres([(0.3, 0.3, -0.2)])
         reports = []
         contacts = resolve_contacts(PairList.empty(), pset, walls=(FLOOR,),
                                     tunneling=reports)
@@ -198,9 +202,9 @@ class TestResolveContacts:
         assert reports == [(0, 0)]
 
     def test_coincident_centers_propagates_ids(self):
-        pset = Particles.from_list([sphere(0, (1, 1, 1)), sphere(1, (1, 1, 1))])
+        pset = spheres([(1, 1, 1), (1, 1, 1)])
         with pytest.raises(CoincidentCenters, match="0 and 1"):
-            resolve_contacts(PairList.from_pairs([(0, 1)]), pset)
+            resolve_contacts(pair_list((0, 1)), pset)
 
 
 class TestDistanceFirstPairs:
@@ -220,9 +224,9 @@ class TestDistanceFirstPairs:
         radius = np.concatenate([ra, rb])
         pset = Particles(pos, np.zeros((2 * n, 3)), radius, radius,
                          np.ones(2 * n), np.zeros(2 * n, bool))
-        pairs = PairList.from_pairs((i, n + i) for i in range(n))
+        pairs = pair_list(*((i, n + i) for i in range(n)))
 
-        ia, ib = pairs.pairs[:, 0], pairs.pairs[:, 1]
+        ia, ib = pairs.columns
         diff = pos[ib] - pos[ia]
         d = np.sqrt(row_norm_sq(diff))
         overlap = radius[ia] + radius[ib] - d
@@ -294,7 +298,8 @@ class TestWallCache:
         pset = Particles(pos, np.zeros((n, 3)), radius, radius, np.ones(n), np.zeros(n, bool))
         state = VerletState(
             list=PairList.empty(), reference_positions=pos.copy(), frozen_skins=skins,
-            build_step=0, wall_rows=wall_candidates(pset, walls, radius + skins),
+            build_step=0, pairs_tested=0, wall_rows=wall_candidates(pset, walls, radius + skins),
+            pair_slack=np.empty(0),
         )
 
         direction = rng.normal(size=(n, 3))
@@ -444,7 +449,7 @@ class TestPairGate:
         pset = Particles(pos, np.zeros((3, 3)), np.full(3, 0.1), np.full(3, 0.2), np.ones(3),
                          np.zeros(3, bool))
         state = verlet_build(pset, box_config(1.0, 2.0), 0, skins=np.zeros(3))
-        assert state.list.pairs.tolist() == [[0, 1], [1, 2]]
+        assert state.list == pair_list((0, 1), (1, 2))
         gated, full, rows = gated_and_full(state, pset)
         assert rows.tolist() == [1]
         assert gated == full
@@ -453,10 +458,3 @@ class TestPairGate:
         gated, full, rows = gated_and_full(state, moved)
         assert rows.tolist() == [1]
         assert gated == full == "particles 1 and 2 have coincident centers"
-
-    def test_state_without_slack_tests_every_row(self):
-        pset = Particles.from_list([sphere(0, (0, 0, 0)), sphere(1, (0.8, 0, 0))])
-        state = VerletState(list=PairList.from_pairs([(0, 1)]),
-                            reference_positions=pset.position.copy(),
-                            frozen_skins=np.zeros(2), build_step=0)
-        assert verlet_gate(state, np.zeros(2)) is None

@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verletdem.core import ContactParams, Particle, Particles, SimConfig, vec3
+from builders import pair_list, spheres
+from verletdem.core import ContactParams, Particles, SimConfig, vec3
 from verletdem.engine import run
-from verletdem.broadphase import PairList, brute_force_pairs
+from verletdem.broadphase import brute_force_pairs
 from verletdem.narrowphase import Contacts, resolve_contacts
 from verletdem.physics import compute_forces, contact_force_batch, velocity_verlet_step
-
-
-def sphere(i, pos, vel=(0, 0, 0), radius=0.5, mass=1.0):
-    return Particle(id=i, position=vec3(*pos), velocity=vec3(*vel),
-                    radius=radius, cutoff=radius, mass=mass)
 
 
 def gas_config(steps, box=0.4, k_n=1000.0, **contact):
@@ -26,25 +22,23 @@ def gas_config(steps, box=0.4, k_n=1000.0, **contact):
     )
 
 
-def pair_forces(a, b, params):
-    """The contact of spheres a and b and the total force on each, without gravity.
+def pair_forces(pset, params):
+    """The overlap of particles 0 and 1 and the total force on each, without gravity.
 
     Resolved by ``resolve_contacts`` and summed by ``compute_forces``, as
     the engine does.
     """
-    pset = Particles.from_list([a, b])
-    contacts = resolve_contacts(PairList.from_pairs([(0, 1)]), pset)
+    contacts = resolve_contacts(pair_list((0, 1)), pset)
     assert len(contacts) == 1
     forces = compute_forces(pset, contacts, params, vec3(0, 0, 0))
-    return contacts[0], forces[0], forces[1]
+    return contacts.overlap[0], forces[0], forces[1]
 
 
 class TestSpringDashpotForce:
     def test_pure_spring_magnitude(self):
-        a = sphere(0, (0, 0, 0))
-        b = sphere(1, (0.99, 0, 0))
-        c, f_a, f_b = pair_forces(a, b, ContactParams(k_n=1000.0))
-        np.testing.assert_allclose(f_a, [-1000.0 * c.overlap, 0, 0], atol=1e-12)
+        pair = spheres([(0, 0, 0), (0.99, 0, 0)])
+        overlap, f_a, f_b = pair_forces(pair, ContactParams(k_n=1000.0))
+        np.testing.assert_allclose(f_a, [-1000.0 * overlap, 0, 0], atol=1e-12)
         assert np.linalg.norm(f_a) == pytest.approx(10.0, rel=1e-9)
 
     @given(
@@ -59,25 +53,22 @@ class TestSpringDashpotForce:
         if np.linalg.norm(off) < 1e-3:
             return
         direction = off / np.linalg.norm(off)
-        a = sphere(0, (0, 0, 0), vel=va, radius=0.6)
-        b = sphere(1, direction * (1.2 - gap_frac), vel=vb, radius=0.6)
+        pair = spheres([(0, 0, 0), direction * (1.2 - gap_frac)], [va, vb], radius=0.6)
         params = ContactParams(k_n=500.0, gamma_n=2.0, mu_s=0.4, k_t=80.0)
-        _, f_a, f_b = pair_forces(a, b, params)
+        _, f_a, f_b = pair_forces(pair, params)
         np.testing.assert_array_equal(f_a + f_b, np.zeros(3))
 
     def test_damping_opposes_approach(self):
-        a = sphere(0, (0, 0, 0), vel=(1, 0, 0))
-        b = sphere(1, (0.9, 0, 0), vel=(-1, 0, 0))
-        _, spring_only, _ = pair_forces(a, b, ContactParams(k_n=100.0))
-        _, damped, _ = pair_forces(a, b, ContactParams(k_n=100.0, gamma_n=1.0))
+        pair = spheres([(0, 0, 0), (0.9, 0, 0)], [(1, 0, 0), (-1, 0, 0)])
+        _, spring_only, _ = pair_forces(pair, ContactParams(k_n=100.0))
+        _, damped, _ = pair_forces(pair, ContactParams(k_n=100.0, gamma_n=1.0))
         # while approaching, damping must push a back harder than the spring alone
         assert damped[0] < spring_only[0] < 0
 
     def test_friction_cap(self):
-        a = sphere(0, (0, 0, 0), vel=(0, 5.0, 0))
-        b = sphere(1, (0.9, 0, 0))
+        pair = spheres([(0, 0, 0), (0.9, 0, 0)], [(0, 5.0, 0), (0, 0, 0)])
         params = ContactParams(k_n=100.0, mu_s=0.2, k_t=1e6)
-        _, f_a, _ = pair_forces(a, b, params)
+        _, f_a, _ = pair_forces(pair, params)
         f_n = abs(f_a[0])
         f_t = abs(f_a[1])
         assert f_t == pytest.approx(params.mu_s * f_n, rel=1e-12)
@@ -86,9 +77,8 @@ class TestSpringDashpotForce:
         # documented, not clamped: a just-overlapping pair separating fast
         # feels a net pull, and the friction cap is mu_s * |F_n| of that pull
         params = ContactParams(k_n=1000.0, gamma_n=1.0, mu_s=0.5, k_t=1e6)
-        a = sphere(0, (0, 0, 0), vel=(-1.0, 0.5, 0.0))
-        b = sphere(1, (0.9999, 0, 0), vel=(1.0, 0.0, 0.0))
-        _, f_a, f_b = pair_forces(a, b, params)   # overlap 1e-4, normal +x
+        pair = spheres([(0, 0, 0), (0.9999, 0, 0)], [(-1.0, 0.5, 0.0), (1.0, 0.0, 0.0)])
+        _, f_a, f_b = pair_forces(pair, params)   # overlap 1e-4, normal +x
         # F_n = k_n * overlap + gamma_n * v_n = 0.1 - 2.0 = -1.9: a is
         # pulled toward b
         assert f_a[0] == pytest.approx(1.9)
@@ -102,10 +92,7 @@ class TestSpringDashpotForce:
         # dissipation-free head-on collision of equal masses must exchange
         # the velocities exactly (analytic elastic collision)
         k_n = 100.0
-        pset = Particles.from_list([
-            sphere(0, (-0.6, 0, 0), vel=(1.0, 0, 0)),
-            sphere(1, (0.6, 0, 0), vel=(-1.0, 0, 0)),
-        ])
+        pset = spheres([(-0.6, 0, 0), (0.6, 0, 0)], [(1.0, 0, 0), (-1.0, 0, 0)])
         cfg = SimConfig(
             dt=1e-3, k_factor=1000, gravity=vec3(0, 0, 0), cell_size=4.0,
             domain_min=vec3(-8, -8, -8), domain_max=vec3(8, 8, 8),
@@ -159,10 +146,7 @@ class TestComputeForces:
         raw = vec3(-0.0, 0.0, -9.81)
         cfg = dataclasses.replace(gas_config(1), gravity=raw)
         assert np.signbit(cfg.gravity).tolist() == [False, False, True]
-        pset = Particles.from_list([
-            sphere(0, (0, 0, 0), vel=(0.2, 0, 0)), sphere(1, (0.9, 0, 0)),
-            sphere(2, (5, 5, 5)),
-        ])
+        pset = spheres([(0, 0, 0), (0.9, 0, 0), (5, 5, 5)], [(0.2, 0, 0), (0, 0, 0), (0, 0, 0)])
         contacts = resolve_contacts(brute_force_pairs(pset, pset.cutoff), pset)
         assert len(contacts) == 1
         got = compute_forces(pset, contacts, FRICTION, raw)
@@ -172,10 +156,7 @@ class TestComputeForces:
                 == add_at_reference(pset, contacts, FRICTION, cfg.gravity).tobytes())
 
     def test_precomputed_weight_gives_the_same_bits_and_stays_unchanged(self):
-        pset = Particles.from_list([
-            sphere(0, (0, 0, 0), mass=0.3), sphere(1, (0.9, 0.1, 0), mass=1.7),
-            sphere(2, (0.5, 0.8, 0.1), mass=2.9),
-        ])
+        pset = spheres([(0, 0, 0), (0.9, 0.1, 0), (0.5, 0.8, 0.1)], mass=[0.3, 1.7, 2.9])
         contacts = resolve_contacts(brute_force_pairs(pset, pset.cutoff), pset)
         g = vec3(0.1, -0.3, -9.81)
         weight = pset.mass[:, None] * g
@@ -190,7 +171,7 @@ class TestComputeForces:
 class TestVelocityVerlet:
     def test_constant_force_is_exact(self):
         g = np.array([0.0, 0.0, -9.81])
-        pset = Particles.from_list([sphere(0, (0, 0, 10), vel=(0.3, 0.0, 2.0))])
+        pset = spheres([(0, 0, 10)], [(0.3, 0.0, 2.0)])
         x0 = pset.position.copy()
         v0 = pset.velocity.copy()
         dt = 0.01
@@ -207,7 +188,7 @@ class TestVelocityVerlet:
         np.testing.assert_allclose(pset.position, expected, rtol=1e-12, atol=1e-12)
 
     def test_uniform_motion(self):
-        pset = Particles.from_list([sphere(0, (0, 0, 0), vel=(1, 0, 0))])
+        pset = spheres([(0, 0, 0)], [(1, 0, 0)])
 
         def zero(ps):
             return np.zeros((len(ps), 3))
@@ -218,9 +199,7 @@ class TestVelocityVerlet:
         np.testing.assert_allclose(pset.position[0], [1.0, 0, 0], rtol=1e-12)
 
     def test_static_particles_do_not_move(self):
-        p = Particle(id=0, position=vec3(1, 1, 1), velocity=vec3(0, 0, 0),
-                     radius=0.1, cutoff=0.1, mass=1.0, is_static=True)
-        pset = Particles.from_list([p])
+        pset = spheres([(1, 1, 1)], radius=0.1, is_static=True)
 
         def pull(ps):
             return np.full((len(ps), 3), 5.0)
@@ -269,7 +248,7 @@ class TestVelocityVerlet:
         # must stay below 1e-3 relative
         k = 4.0 * math.pi ** 2          # T = 1 s for m = 1
         dt = 1.0 / 100.0
-        pset = Particles.from_list([sphere(0, (1.0, 0, 0))])
+        pset = spheres([(1.0, 0, 0)])
 
         def spring(ps):
             return -k * ps.position
@@ -306,10 +285,7 @@ class TestConservation:
         assert drift < 1e-9
 
     def test_energy_nonincreasing_with_damping(self):
-        pset = Particles.from_list([
-            sphere(0, (-0.6, 0, 0), vel=(1.0, 0, 0), mass=1.0),
-            sphere(1, (0.6, 0, 0), vel=(-1.0, 0, 0), mass=1.0),
-        ])
+        pset = spheres([(-0.6, 0, 0), (0.6, 0, 0)], [(1.0, 0, 0), (-1.0, 0, 0)])
         cfg = SimConfig(
             dt=1e-3, k_factor=1000, gravity=vec3(0, 0, 0), cell_size=4.0,
             domain_min=vec3(-8, -8, -8), domain_max=vec3(8, 8, 8),
