@@ -24,7 +24,7 @@ cloud = Particles(positions, np.zeros((n, 3)), radii, radii,
 cfg = SimConfig(
     dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=0.25,
     domain_min=vec3(0, 0, 0), domain_max=vec3(*box),
-    contact=ContactParams(k_n=1.0), seed=0, steps=1,
+    contact=ContactParams(k_n=1.0), steps=1,
 )
 
 print(f"{n} spheres in a {box.tolist()} m box, cell size {cfg.cell_size} m")
@@ -50,7 +50,7 @@ pair = Particles(
 cfg_wide = SimConfig(
     dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=1.5,
     domain_min=vec3(0, 0, 0), domain_max=vec3(*box),
-    contact=ContactParams(k_n=1.0), seed=0, steps=1,
+    contact=ContactParams(k_n=1.0), steps=1,
 )
 on_boundary = linked_cell_pairs(pair, cfg_wide, [0.5, 0.5])
 print(f"pair at exactly the search distance is included: {(0, 1) in on_boundary}")

@@ -24,7 +24,7 @@ pair = Particles(
 cfg = SimConfig(
     dt=dt, k_factor=2000, gravity=vec3(0, 0, 0), cell_size=10.0,
     domain_min=vec3(-20, -20, -20), domain_max=vec3(20, 20, 20),
-    contact=ContactParams(k_n=100.0), seed=0, steps=620,
+    contact=ContactParams(k_n=100.0), steps=620,
 )
 
 state = verlet_build(pair, cfg)

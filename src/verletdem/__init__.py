@@ -9,8 +9,7 @@ factor.
 
 from .bench import (
     DEFAULT_K_VALUES, EquivalenceReport, Scenario, SweepReport, SweepRow,
-    emit_report, improvement, load_report, make_scenario, run_sweep,
-    validate_equivalence,
+    emit_report, improvement, make_scenario, run_sweep, validate_equivalence,
 )
 from .broadphase import (
     CellGrid, PairList, VerletState, brute_force_pairs, build_grid,
@@ -20,10 +19,7 @@ from .core import (
     ConfigError, ContactParams, Particles, SimConfig,
     SimulationError, Vec3, WallPlane, norm, validate_config, vec3,
 )
-from .engine import (
-    PhaseMetrics, RunResult, ShadowMiss, SimState, SimulationUnstable, run,
-    step,
-)
+from .engine import PhaseMetrics, RunResult, SimState, SimulationUnstable, run
 from .narrowphase import Contacts, resolve_contacts
 from .physics import compute_forces, velocity_verlet_step
 
@@ -32,11 +28,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CellGrid", "ConfigError", "ContactParams", "Contacts", "DEFAULT_K_VALUES",
     "EquivalenceReport", "PairList", "Particles", "PhaseMetrics", "RunResult",
-    "Scenario", "ShadowMiss", "SimConfig", "SimState", "SimulationError",
-    "SimulationUnstable", "SweepReport", "SweepRow", "Vec3", "VerletState",
-    "WallPlane", "brute_force_pairs", "build_grid", "compute_forces",
-    "emit_report", "improvement", "linked_cell_pairs", "load_report",
-    "make_scenario", "norm", "resolve_contacts", "run", "run_sweep", "step",
-    "validate_config", "validate_equivalence", "vec3", "velocity_verlet_step",
-    "verlet_build", "verlet_needs_rebuild",
+    "Scenario", "SimConfig", "SimState", "SimulationError", "SimulationUnstable",
+    "SweepReport", "SweepRow", "Vec3", "VerletState", "WallPlane",
+    "brute_force_pairs", "build_grid", "compute_forces", "emit_report",
+    "improvement", "linked_cell_pairs", "make_scenario", "norm",
+    "resolve_contacts", "run", "run_sweep", "validate_config",
+    "validate_equivalence", "vec3", "velocity_verlet_step", "verlet_build",
+    "verlet_needs_rebuild",
 ]

@@ -1,4 +1,4 @@
-"""Benchmark harness: bundled scenarios, the K sweep, and report I/O.
+"""Benchmark harness: bundled scenarios, the K sweep, and its CSV report.
 
 Three desk-scale scenarios exercise distinct flow regimes: a box of spheres
 settling under gravity, a miniature hopper discharging through a slot, and
@@ -34,7 +34,7 @@ __all__ = [
     "UnknownScenario", "NonPositiveBaseline", "PlacementError",
     "DEFAULT_K_VALUES", "SCENARIO_NAMES",
     "improvement", "make_scenario", "run_sweep",
-    "emit_report", "load_report", "validate_equivalence",
+    "emit_report", "validate_equivalence",
 ]
 
 DEFAULT_K_VALUES = (0, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
@@ -100,7 +100,6 @@ class Scenario:
             domain_min=self.domain_min,
             domain_max=self.domain_max,
             contact=self.contact,
-            seed=self.seed,
             steps=int(steps if steps is not None else self.steps),
             walls=self.walls,
             verlet_enabled=verlet_enabled,
@@ -171,7 +170,6 @@ def _settling_box_scenario(n: int, seed: int) -> Scenario:
 def _build_settling_box(sc: Scenario) -> Particles:
     rng = np.random.default_rng(sc.seed)
     pos = []
-    i = 0
     layer = 0
     while len(pos) < sc.n:
         for iy in range(_SB_BASE):
@@ -219,7 +217,7 @@ def _mini_hopper_scenario(n: int, seed: int) -> Scenario:
     )
 
 
-def _hopper_static(sc: Scenario) -> list:
+def _hopper_static() -> list:
     xc = _HP_LX / 2.0
     cos_a, sin_a = math.cos(_HP_ANGLE), math.sin(_HP_ANGLE)
     t_max = (_HP_WEDGE_TOP - _HP_SLOT_Z) / sin_a
@@ -255,7 +253,7 @@ def _build_mini_hopper(sc: Scenario) -> Particles:
                     break
                 base = np.array([float(x), float(y), z])
                 free.append(base + rng.uniform(-_HP_JITTER, _HP_JITTER, 3))
-    return _stack(free, _HP_RF, _hopper_static(sc), _HP_RW)
+    return _stack(free, _HP_RF, _hopper_static(), _HP_RW)
 
 
 # --- inclined flow ----------------------------------------------------------
@@ -359,8 +357,8 @@ def make_scenario(name: str, n: int, seed: int) -> Scenario:
         raise UnknownScenario(
             f"unknown scenario {name!r}, expected one of {SCENARIO_NAMES}"
         )
-    if n < 0:
-        raise ConfigError(f"particle count must be >= 0, got {n}")
+    if not 0 <= n < 2 ** 31:     # pair keys pack ids below 2**31
+        raise ConfigError(f"particle count must be in [0, 2**31), got {n}")
     if seed < 0:
         raise ConfigError(f"scenario seed must be >= 0, got {seed}")
     return _SCENARIOS[name](int(n), int(seed))
@@ -466,31 +464,6 @@ def emit_report(report: SweepReport, path: str) -> None:
             ])
 
 
-def load_report(path: str) -> SweepReport:
-    """Parse a CSV written by :func:`emit_report`.
-
-    A foreign header, or a row that is short, long or not numeric, raises
-    :class:`ConfigError` naming the line.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if tuple(header) != REPORT_HEADER:
-            raise ConfigError(f"unexpected report header {header}")
-        for rec in reader:
-            try:
-                if len(rec) != len(REPORT_HEADER):
-                    raise ValueError(f"{len(rec)} fields, expected {len(REPORT_HEADER)}")
-                # the columns follow SweepRow's field order
-                rows.append(SweepRow(int(rec[0]), *(float(v) for v in rec[1:])))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path} line {reader.line_num}: bad report row {rec}: {exc}"
-                ) from exc
-    return SweepReport(rows=tuple(rows))
-
-
 # --- dual-run equivalence harness -------------------------------------------
 
 @dataclass(frozen=True)
@@ -520,10 +493,8 @@ def validate_equivalence(scenario: Scenario, k_factor: int,
                          steps: Optional[int] = None) -> EquivalenceReport:
     """Run buffered and baseline twins, audit the buffer, compare bitwise.
 
-    The buffered run carries the shadow scan at every force evaluation (a
-    sort-and-sweep prefilter inside slabs two largest cutoffs wide, then
-    the exact cutoff test on its survivors); both runs record a digest over
-    their full contact history.
+    The buffered run carries the shadow scan at every force evaluation;
+    both runs record a digest over their full contact history.
     """
     particles = scenario.build_particles()
     nsteps = int(steps if steps is not None else scenario.steps)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Particles, SimConfig, SimulationError, row_norm_sq
+from .core import Particles, SimConfig, SimulationError, grid_dims, row_norm_sq
 
 __all__ = [
     "CellGrid", "PairList", "VerletState",
@@ -157,10 +157,10 @@ def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarra
 
 def build_grid(particles: Particles, cfg: SimConfig) -> CellGrid:
     """Bin every particle by a counting sort: ``starts[1:] = cumsum(bincount)``."""
-    extent = cfg.domain_max - cfg.domain_min
-    dims = np.maximum(np.ceil(extent / cfg.cell_size).astype(np.int64), 1)
-    ijk = np.floor((particles.position - cfg.domain_min) / cfg.cell_size).astype(np.int64)
-    axes = np.ascontiguousarray(np.clip(ijk, 0, dims - 1).T)   # (3, n): fast row reductions
+    cell = np.floor((particles.position - cfg.domain_min) / cfg.cell_size)
+    # clamp before the int64 cast, so no coordinate overflows it; a NaN lands in cell 0
+    ijk = np.fmin(np.fmax(cell, 0.0), grid_dims(cfg) - 1.0).astype(np.int64)
+    axes = np.ascontiguousarray(ijk.T)   # (3, n): fast row reductions
     box = axes if len(particles) else np.zeros((3, 1), dtype=np.int64)
     corner = box.min(axis=1) - 1
     shape = box.max(axis=1) - corner + 2
@@ -306,7 +306,6 @@ class VerletState:
     list: PairList
     reference_positions: np.ndarray
     frozen_skins: np.ndarray
-    build_step: int
     pairs_tested: int
     wall_rows: tuple
     pair_slack: np.ndarray
@@ -315,7 +314,7 @@ class VerletState:
         return len(self.reference_positions)
 
 
-def verlet_build(particles: Particles, cfg: SimConfig, step: int = 0, skins=None) -> VerletState:
+def verlet_build(particles: Particles, cfg: SimConfig, skins=None) -> VerletState:
     """Run the broad-phase with skin-inflated radii and snapshot positions.
 
     ``skins`` defaults to the local-mode skins.  The per-row slack, the
@@ -331,7 +330,6 @@ def verlet_build(particles: Particles, cfg: SimConfig, step: int = 0, skins=None
         list=pair_list,
         reference_positions=particles.position.copy(),
         frozen_skins=skins,
-        build_step=int(step),
         pairs_tested=tested,
         wall_rows=wall_candidates(particles, cfg.walls, particles.radius + skins),
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),

@@ -60,9 +60,8 @@ def _load_run_doc(path: str):
     if every < 1:
         raise ConfigError(f"trajectory_every must be >= 1, got {every}")
     cfg = scenario.sim_config(k_factor=0)
-    overrides = doc.get("config", {})
-    if overrides:
-        cfg = config_overrides(cfg, overrides)
+    if "config" in doc:
+        cfg = config_overrides(cfg, doc["config"])
     mode = doc.get("mode", OPCOUNT)
     PhaseMetrics().as_dict(mode)    # an unknown mode raises ConfigError here
     return scenario, cfg, every, mode
@@ -126,7 +125,7 @@ def _parse_k_list(text: str) -> list[int]:
 
 def _cmd_sweep(args) -> int:
     scenario = make_scenario(args.scenario, args.n, args.seed)
-    k_values = _parse_k_list(args.k) if args.k else list(DEFAULT_K_VALUES)
+    k_values = _parse_k_list(args.k) if args.k is not None else list(DEFAULT_K_VALUES)
     report = run_sweep(scenario, k_values, mode=args.mode,
                        uniform_skin_radius=args.uniform_skin_radius)
     with _writing(args.out):

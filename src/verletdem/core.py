@@ -131,7 +131,6 @@ class SimConfig:
     domain_min: Vec3
     domain_max: Vec3
     contact: ContactParams
-    seed: int
     steps: int
     walls: tuple[WallPlane, ...] = ()
     verlet_enabled: bool = True
@@ -165,12 +164,9 @@ class Particles:
         self.mass = np.asarray(mass, dtype=np.float64).reshape(-1)
         self.is_static = np.asarray(is_static, dtype=bool).reshape(-1)
         n = len(self.position)
-        for name in ("velocity",):
+        for name in ("velocity", "radius", "cutoff", "mass", "is_static"):
             if len(getattr(self, name)) != n:
                 raise ConfigError(f"{name} has {len(getattr(self, name))} rows, expected {n}")
-        for name in ("radius", "cutoff", "mass", "is_static"):
-            if len(getattr(self, name)) != n:
-                raise ConfigError(f"{name} has {len(getattr(self, name))} entries, expected {n}")
 
     @classmethod
     def empty(cls) -> "Particles":
@@ -193,6 +189,12 @@ class Particles:
         return float(self.cutoff.max()) if len(self) else 0.0
 
 
+def grid_dims(cfg: SimConfig) -> np.ndarray:
+    """Per-axis cell count of the domain, at least 1, as floats (may be inf)."""
+    with np.errstate(over="ignore"):
+        return np.maximum(np.ceil((cfg.domain_max - cfg.domain_min) / cfg.cell_size), 1.0)
+
+
 def validate_config(cfg: SimConfig, particles: Particles) -> None:
     """Check every configuration invariant against the given particle set.
 
@@ -201,10 +203,12 @@ def validate_config(cfg: SimConfig, particles: Particles) -> None:
     """
     if not (cfg.dt > 0):
         raise NonPositiveDt(f"dt must be > 0, got {cfg.dt}")
+    if not math.isfinite(cfg.dt):
+        raise ConfigError(f"dt must be finite, got {cfg.dt}")
     if cfg.steps <= 0:
         raise ConfigError(f"steps must be > 0, got {cfg.steps}")
-    if cfg.k_factor < 0:
-        raise ConfigError(f"k_factor must be >= 0, got {cfg.k_factor}")
+    if not 0 <= cfg.k_factor < 2 ** 63:
+        raise ConfigError(f"k_factor must be in [0, 2**63), got {cfg.k_factor}")
     if not np.all(np.isfinite(cfg.gravity)):
         raise ConfigError("gravity components must be finite")
     if not (np.all(np.isfinite(cfg.domain_min)) and np.all(np.isfinite(cfg.domain_max))):
@@ -216,6 +220,9 @@ def validate_config(cfg: SimConfig, particles: Particles) -> None:
         )
     if not (cfg.cell_size > 0 and math.isfinite(cfg.cell_size)):
         raise ConfigError(f"cell_size must be positive and finite, got {cfg.cell_size}")
+    cells = grid_dims(cfg)
+    if not np.all(cells < 2.0 ** 63):
+        raise ConfigError(f"the domain spans {cells.tolist()} cells, beyond int64 cell ids")
     if len(particles) and cfg.cell_size < 2.0 * particles.max_cutoff():
         raise CellTooSmall(
             f"cell_size {cfg.cell_size} < 2 x max cutoff {particles.max_cutoff()}"
@@ -228,10 +235,10 @@ def validate_config(cfg: SimConfig, particles: Particles) -> None:
                 f"wall normal {w.outward_normal.tolist()} is not unit length"
             )
     c = cfg.contact
-    if not (c.k_n > 0):
-        raise ConfigError(f"contact k_n must be > 0, got {c.k_n}")
-    if c.gamma_n < 0 or c.mu_s < 0 or c.k_t < 0:
-        raise ConfigError("contact gamma_n, mu_s and k_t must be nonnegative")
+    if not 0 < c.k_n < math.inf:
+        raise ConfigError(f"contact k_n must be > 0 and finite, got {c.k_n}")
+    if not all(0 <= v < math.inf for v in (c.gamma_n, c.mu_s, c.k_t)):
+        raise ConfigError("contact gamma_n, mu_s and k_t must be nonnegative and finite")
 
     if len(particles):
         if not (np.all(np.isfinite(particles.position))
@@ -253,9 +260,9 @@ def validate_config(cfg: SimConfig, particles: Particles) -> None:
 
 _REQUIRED_KEYS = (
     "dt", "k_factor", "gravity", "cell_size", "domain_min", "domain_max",
-    "contact", "seed", "steps",
+    "contact", "steps",
 )
-_OPTIONAL_KEYS = {"walls": (), "verlet_enabled": True}
+_OPTIONAL_KEYS = ("walls", "verlet_enabled")
 
 
 def _strict_keys(doc: dict, allowed, what: str) -> None:
@@ -273,16 +280,34 @@ def _strict_int(value, name: str) -> int:
     return int(value)
 
 
+def _strict_float(value, name: str) -> float:
+    """``value`` as a float: a number, not a boolean or a string, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"bad config value: {name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"bad config value: {name}: {exc}") from exc
+
+
+def _strict_vec3(value, name: str) -> Vec3:
+    """``value`` as a 3-vector: a list of three numbers (see :func:`_strict_float`)."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"bad config value: {name} must be a list of 3 numbers, got {value!r}")
+    return vec3(*(_strict_float(v, f"{name}[{i}]") for i, v in enumerate(value)))
+
+
 def simconfig_from_dict(doc: dict) -> SimConfig:
     """Build a SimConfig from a parsed JSON document.
 
     Strict mode: any field name not in the schema is an error, so typos in
     sweep configs fail fast instead of silently using defaults.  Every
-    malformed value raises :class:`ConfigError`.
+    malformed value raises :class:`ConfigError`: a float field or a vector
+    component must be a JSON number, never a boolean or a numeric string.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    _strict_keys(doc, _REQUIRED_KEYS + tuple(_OPTIONAL_KEYS), "config")
+    _strict_keys(doc, _REQUIRED_KEYS + _OPTIONAL_KEYS, "config")
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
         raise ConfigError(f"missing config field(s): {missing}")
@@ -297,30 +322,31 @@ def simconfig_from_dict(doc: dict) -> SimConfig:
     if not isinstance(verlet_enabled, bool):
         raise ConfigError(
             f"bad config value: verlet_enabled must be true or false, got {verlet_enabled!r}")
-    try:
-        walls = []
-        for i, wdoc in enumerate(doc.get("walls", ())):
-            if not isinstance(wdoc, dict):
-                raise ConfigError(f"walls[{i}] must be an object")
-            _strict_keys(wdoc, ("point", "outward_normal"), f"walls[{i}]")
-            if "point" not in wdoc or "outward_normal" not in wdoc:
-                raise ConfigError(f"walls[{i}] needs point and outward_normal")
-            walls.append(WallPlane(as_vec3(wdoc["point"]), as_vec3(wdoc["outward_normal"])))
-        return SimConfig(
-            dt=float(doc["dt"]),
-            k_factor=_strict_int(doc["k_factor"], "k_factor"),
-            gravity=as_vec3(doc["gravity"]),
-            cell_size=float(doc["cell_size"]),
-            domain_min=as_vec3(doc["domain_min"]),
-            domain_max=as_vec3(doc["domain_max"]),
-            contact=ContactParams(**{k: float(v) for k, v in contact_doc.items()}),
-            seed=_strict_int(doc["seed"], "seed"),
-            steps=_strict_int(doc["steps"], "steps"),
-            walls=tuple(walls),
-            verlet_enabled=verlet_enabled,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    walls = doc.get("walls", [])
+    if not isinstance(walls, list):
+        raise ConfigError(f"bad config value: walls must be a list, got {walls!r}")
+    planes = []
+    for i, wdoc in enumerate(walls):
+        if not isinstance(wdoc, dict):
+            raise ConfigError(f"bad config value: walls[{i}] must be an object")
+        _strict_keys(wdoc, ("point", "outward_normal"), f"walls[{i}]")
+        if "point" not in wdoc or "outward_normal" not in wdoc:
+            raise ConfigError(f"walls[{i}] needs point and outward_normal")
+        planes.append(WallPlane(_strict_vec3(wdoc["point"], f"walls[{i}].point"),
+                                _strict_vec3(wdoc["outward_normal"], f"walls[{i}].outward_normal")))
+    return SimConfig(
+        dt=_strict_float(doc["dt"], "dt"),
+        k_factor=_strict_int(doc["k_factor"], "k_factor"),
+        gravity=_strict_vec3(doc["gravity"], "gravity"),
+        cell_size=_strict_float(doc["cell_size"], "cell_size"),
+        domain_min=_strict_vec3(doc["domain_min"], "domain_min"),
+        domain_max=_strict_vec3(doc["domain_max"], "domain_max"),
+        contact=ContactParams(**{k: _strict_float(v, f"contact.{k}")
+                                 for k, v in contact_doc.items()}),
+        steps=_strict_int(doc["steps"], "steps"),
+        walls=tuple(planes),
+        verlet_enabled=verlet_enabled,
+    )
 
 
 def config_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
@@ -331,9 +357,11 @@ def config_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
     :func:`simconfig_from_dict`.
     """
     if not isinstance(overrides, dict):
-        raise ConfigError("config override must be a JSON object")
+        raise ConfigError(f"bad config value: config must be a JSON object, got {overrides!r}")
     doc = {f.name: getattr(cfg, f.name) for f in fields(SimConfig)}
-    doc["walls"] = [vars(w) for w in cfg.walls]
+    for name in ("gravity", "domain_min", "domain_max"):
+        doc[name] = doc[name].tolist()
+    doc["walls"] = [{k: v.tolist() for k, v in vars(w).items()} for w in cfg.walls]
     doc.update(overrides)
     contact = overrides.get("contact", {})
     doc["contact"] = {**vars(cfg.contact), **contact} if isinstance(contact, dict) else contact

@@ -8,11 +8,11 @@ check runs before *every* force evaluation, including the mid-step one of
 velocity-Verlet, because the cached list is consumed there too.
 
 One driver owns a run: its state, the cached list, the shadow-scan audit
-and the run record, which it fills in place; :func:`run` and :func:`step`
-wrap it.  Every phase is both counted and timed, and the run record keeps
-both: the deterministic operation counts, on which benchmark shapes and
-acceptance checks rely because they do not depend on machine speed, and
-the wall-clock seconds the same phases cost.  A report picks which of the
+and the run record, which it fills in place; :func:`run` wraps it.  Every
+phase is both counted and timed, and the run record keeps both: the
+deterministic operation counts, on which benchmark shapes and acceptance
+checks rely because they do not depend on machine speed, and the
+wall-clock seconds the same phases cost.  A report picks which of the
 two it shows (:meth:`PhaseMetrics.as_dict`).
 """
 
@@ -40,8 +40,7 @@ from .physics import compute_forces, velocity_verlet_step
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "PhaseMetrics", "SimState", "RunResult", "SimulationUnstable", "ShadowMiss",
-    "step", "run",
+    "PhaseMetrics", "SimState", "RunResult", "SimulationUnstable", "run",
 ]
 
 OPCOUNT = "opcount"
@@ -55,15 +54,6 @@ class SimulationUnstable(SimulationError):
         super().__init__(f"non-finite state for particle {particle} at step {step}")
         self.step = step
         self.particle = particle
-
-
-class ShadowMiss(SimulationError):
-    """The shadow scan found a close pair missing from the live pair list."""
-
-    def __init__(self, step: int, pair: tuple[int, int]):
-        super().__init__(f"close pair {pair} missing from the live pair list at step {step}")
-        self.step = step
-        self.pair = pair
 
 
 _TIME_FIELDS = ("broad_time", "narrow_time", "model_time", "integrate_time")
@@ -136,7 +126,6 @@ class SimState:
     particles: Particles
     verlet: Optional[VerletState] = None
     step: int = 0
-    clock: float = 0.0
     forces: Optional[np.ndarray] = None
 
 
@@ -295,7 +284,7 @@ class _Driver:
             if not needed:
                 return 0, verlet_gate(state.verlet, np.sqrt(disp2))
         skins = _skins(state.particles, cfg, self.skin_mode)
-        state.verlet = verlet_build(state.particles, cfg, state.step, skins=skins)
+        state.verlet = verlet_build(state.particles, cfg, skins=skins)
         self.metrics.broad_executions += 1
         self.result.rebuild_events.append((self.metrics.force_evaluations - 1, needed))
         return state.verlet.pairs_tested, None
@@ -331,13 +320,7 @@ class _Driver:
         self.eval_seconds += self._charge("model_time", len(contacts), t0) - t_begin
         return forces
 
-    def bootstrap(self) -> None:
-        """Initial force evaluation at the starting positions."""
-        if self.state.forces is None:
-            self.state.forces = self.evaluate(self.state.particles)
-
     def step_once(self) -> None:
-        self.bootstrap()
         t0 = time.perf_counter()
         eval_before = self.eval_seconds
         _, self.state.forces = velocity_verlet_step(
@@ -346,7 +329,6 @@ class _Driver:
         # the integrator's own seconds: the step's, less its force evaluation's
         self._charge("integrate_time", self.n, t0 + (self.eval_seconds - eval_before))
         self.state.step += 1
-        self.state.clock += self.cfg.dt
         self.metrics.total_steps += 1
         self._check_finite()
 
@@ -364,22 +346,6 @@ class _Driver:
             raise SimulationUnstable(self.state.step, bad)
 
 
-def step(state: SimState, cfg: SimConfig, metrics: Optional[PhaseMetrics] = None,
-         *, validation: bool = False) -> SimState:
-    """Advance one time step in place and return the state.
-
-    With ``validation=True`` the shadow scan audits the step's force
-    evaluations, and a close pair missing from the live list raises
-    :class:`ShadowMiss` (after the step) naming the first one.
-    """
-    result = RunResult(state, PhaseMetrics() if metrics is None else metrics)
-    _Driver(result, cfg, validation=validation).step_once()
-    if result.shadow_examples:
-        step_no, a, b = result.shadow_examples[0]
-        raise ShadowMiss(step_no, (a, b))
-    return state
-
-
 def run(cfg: SimConfig, particles: Particles, *, validation: bool = False,
         skin_mode: str = SKIN_LOCAL, sample_every: Optional[int] = None,
         record_contact_digest: bool = False) -> RunResult:
@@ -388,11 +354,9 @@ def run(cfg: SimConfig, particles: Particles, *, validation: bool = False,
     The result's metrics keep both the operation counts and the seconds of
     every phase (:class:`PhaseMetrics`).  The input particle set is copied,
     never mutated.  Aborts with :class:`SimulationUnstable` if any particle
-    state goes non-finite.  With ``validation=True`` a shadow scan audits
-    the live pair list at every force evaluation: a sort-and-sweep
-    prefilter inside slabs two largest cutoffs wide, independent of the
-    cell grid, followed by the exact cutoff test on its survivors.  Its
-    misses are counted in the result rather than raised.
+    state goes non-finite.  With ``validation=True`` the shadow scan
+    (:meth:`_Driver._shadow_scan`) audits the live pair list at every force
+    evaluation; its misses are counted in the result, not raised.
     """
     validate_config(cfg, particles)
     result = RunResult(SimState(particles=particles.copy()), PhaseMetrics(),
@@ -410,7 +374,7 @@ def run(cfg: SimConfig, particles: Particles, *, validation: bool = False,
         row[:, 5:8] = state.particles.velocity
         samples.append(row)
 
-    driver.bootstrap()
+    state.forces = driver.evaluate(state.particles)    # at the starting positions
     if sample_every:
         sample()
     for _ in range(cfg.steps):

@@ -19,8 +19,10 @@ a freshly built list is tested in full.  Every tested row keeps its
 arithmetic, so the contacts, and the first coincident pair reported, are
 those of the full list.
 
-Contacts come out ordered by (id_a, id_b).  Pair rows already are; wall
-contacts are merged in by one stable argsort of a single int64 key.
+A contact has four columns: the two ids, the overlap and the unit normal
+(from a to b, or into the wall).  Contacts come out ordered by
+(id_a, id_b).  Pair rows already are; wall contacts are merged in by one
+stable argsort of a single int64 key.
 """
 
 from __future__ import annotations
@@ -48,20 +50,23 @@ def wall_sentinel(wall_index: int) -> int:
 
 
 class Contacts:
-    """Column-oriented batch of contacts, ordered by (id_a, id_b)."""
+    """Column-oriented batch of contacts, ordered by (id_a, id_b).
 
-    __slots__ = ("id_a", "id_b", "overlap", "normal", "point")
+    Four columns: the ids, the overlap and the unit normal from a to b
+    (into the wall for a wall contact).
+    """
 
-    def __init__(self, id_a, id_b, overlap, normal, point):
+    __slots__ = ("id_a", "id_b", "overlap", "normal")
+
+    def __init__(self, id_a, id_b, overlap, normal):
         self.id_a = np.asarray(id_a, dtype=np.int64).reshape(-1)
         self.id_b = np.asarray(id_b, dtype=np.int64).reshape(-1)
         self.overlap = np.asarray(overlap, dtype=np.float64).reshape(-1)
         self.normal = np.asarray(normal, dtype=np.float64).reshape(-1, 3)
-        self.point = np.asarray(point, dtype=np.float64).reshape(-1, 3)
 
     @classmethod
     def empty(cls) -> "Contacts":
-        return cls(np.empty(0), np.empty(0), np.empty(0), np.empty((0, 3)), np.empty((0, 3)))
+        return cls(np.empty(0), np.empty(0), np.empty(0), np.empty((0, 3)))
 
     def __len__(self) -> int:
         return len(self.id_a)
@@ -74,18 +79,17 @@ class Contacts:
             and np.array_equal(self.id_b, other.id_b)
             and np.array_equal(self.overlap, other.overlap)
             and np.array_equal(self.normal, other.normal)
-            and np.array_equal(self.point, other.point)
         )
 
     def tobytes(self) -> bytes:
         return b"".join((
             self.id_a.tobytes(), self.id_b.tobytes(), self.overlap.tobytes(),
-            self.normal.tobytes(), self.point.tobytes(),
+            self.normal.tobytes(),
         ))
 
 
 def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
-    """Overlap, normal and contact point for candidate rows with overlap > 0.
+    """Ids, overlap and normal of the candidate rows with overlap > 0.
 
     Only rows with ``d^2 <= (r_a + r_b)^2 (1 + 1e-9)`` go on to the square
     root.  Every row with overlap > 0 passes: a correctly rounded
@@ -93,8 +97,7 @@ def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
     ``(r_a + r_b)^2``.
     """
     # .take copies whole rows; indexing with [ib] is several times slower
-    pa, pb = pset.position.take(ia, axis=0), pset.position.take(ib, axis=0)
-    diff = pb - pa
+    diff = pset.position.take(ib, axis=0) - pset.position.take(ia, axis=0)
     d2 = row_norm_sq(diff)
     bad = d2 < COINCIDENT_TOL * COINCIDENT_TOL
     if bad.any():
@@ -102,18 +105,14 @@ def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
         raise CoincidentCenters(
             f"particles {int(ia[k])} and {int(ib[k])} have coincident centers"
         )
-    ra, rb = pset.radius.take(ia), pset.radius.take(ib)
-    rsum = ra + rb
+    rsum = pset.radius.take(ia) + pset.radius.take(ib)
     near = (d2 <= rsum * rsum * (1.0 + 1e-9)).nonzero()[0]
     d = np.sqrt(d2.take(near))
     overlap = rsum.take(near) - d
     hit = overlap > 0.0
     rows = near[hit]
-    d = d[hit]
-    normal = diff.take(rows, axis=0) / d[:, None]
-    mid = 0.5 * (pa.take(rows, axis=0) + pb.take(rows, axis=0))
-    point = mid + (0.5 * (ra.take(rows) - rb.take(rows)))[:, None] * normal
-    return ia.take(rows), ib.take(rows), overlap[hit], normal, point
+    normal = diff.take(rows, axis=0) / d[hit][:, None]
+    return ia.take(rows), ib.take(rows), overlap[hit], normal
 
 
 def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],
@@ -138,15 +137,13 @@ def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],
             tunneling.extend(found)
         else:
             log.warning("particle(s) behind a wall, as (particle, wall): %s", found)
-    radius = pset.radius.take(ids)
-    overlap = radius - d
+    overlap = pset.radius.take(ids) - d
     hit = ((overlap > 0.0) & ~behind).nonzero()[0]
     if not len(hit):
         return None
-    ids, wall_of, d = ids.take(hit), wall_of.take(hit), d.take(hit)
+    ids, wall_of = ids.take(hit), wall_of.take(hit)
     outward = np.array([w.outward_normal for w in walls]).take(wall_of, axis=0)
-    point = pset.position.take(ids, axis=0) - (0.5 * (radius.take(hit) + d))[:, None] * outward
-    return ids, wall_sentinel(wall_of), overlap.take(hit), -outward, point
+    return ids, wall_sentinel(wall_of), overlap.take(hit), -outward
 
 
 def resolve_contacts(candidates: PairList, particles: Particles, walls=(),

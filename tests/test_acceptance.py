@@ -81,7 +81,7 @@ def test_criterion_2_oracle_equivalence():
         cfg = SimConfig(
             dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=cell,
             domain_min=vec3(0, 0, 0), domain_max=vec3(*hi),
-            contact=ContactParams(k_n=1.0), seed=seed, steps=1,
+            contact=ContactParams(k_n=1.0), steps=1,
         )
         sr = rng.uniform(0.02, cell / 2.0, n)
         if linked_cell_pairs(pset, cfg, sr) != brute_force_pairs(pset, sr):
@@ -173,7 +173,7 @@ def test_criterion_6_physics_sanity():
     cfg = SimConfig(
         dt=1e-4, k_factor=100, gravity=vec3(0, 0, 0), cell_size=0.1,
         domain_min=vec3(0, 0, 0), domain_max=vec3(0.4, 0.4, 0.4),
-        contact=ContactParams(k_n=1000.0), seed=17, steps=1000,
+        contact=ContactParams(k_n=1000.0), steps=1000,
     )
     p0 = (gas.mass[:, None] * gas.velocity).sum(axis=0)
     out = run(cfg, gas)

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from verletdem.bench import (
     BASELINE_K, UNIFORM_SKIN_K, NonPositiveBaseline, PlacementError,
     SweepReport, SweepRow, UnknownScenario, emit_report, improvement,
-    load_report, make_scenario, run_sweep,
+    make_scenario, run_sweep,
 )
-from verletdem.core import ConfigError
 
 
 class TestImprovement:
@@ -173,29 +172,18 @@ class TestReportIO:
         report = SweepReport(rows=rows)
         path = tmp_path / "rt.csv"
         emit_report(report, str(path))
-        parsed = load_report(str(path))
-        for orig, back in zip(report.rows, parsed.rows):
-            assert back.k == orig.k
-            for fld in ("total", "broad", "narrow", "model",
-                        "broad_executed_pct", "mean_pairs", "improvement_pct"):
-                assert getattr(back, fld) == getattr(orig, fld)
+        header, *records = path.read_text().splitlines()
+        assert header == self.HEADER and len(records) == len(rows)
+        for orig, line in zip(rows, records):
+            k, *values = line.split(",")
+            assert int(k) == orig.k
+            # repr round-trips every float exactly
+            assert [float(v) for v in values] == [
+                orig.total, orig.broad, orig.narrow, orig.model,
+                orig.broad_executed_pct, orig.mean_pairs, orig.improvement_pct]
 
     def test_emitted_bytes_reproducible(self, tmp_path, small_sweep):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_report(small_sweep, str(p1))
         emit_report(small_sweep, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_load_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("k,total,elapsed\n1,2,3\n")
-        with pytest.raises(Exception, match="header"):
-            load_report(str(path))
-
-    @pytest.mark.parametrize("row", ["1,2,3", "50,1,2,3,4,5,6,x7"],
-                             ids=["short", "non-numeric"])
-    def test_load_rejects_short_or_non_numeric_row(self, tmp_path, row):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"{self.HEADER}\n-1,1,1,0,0,100.0,0.0,0.0\n{row}\n")
-        with pytest.raises(ConfigError, match="line 3"):
-            load_report(str(path))

@@ -21,7 +21,7 @@ def config(cell_size, lo=(0, 0, 0), hi=(10, 10, 10), k_factor=0, dt=1e-4):
     return SimConfig(
         dt=dt, k_factor=k_factor, gravity=vec3(0, 0, 0), cell_size=cell_size,
         domain_min=vec3(*lo), domain_max=vec3(*hi),
-        contact=ContactParams(k_n=1.0), seed=0, steps=1,
+        contact=ContactParams(k_n=1.0), steps=1,
     )
 
 
@@ -337,11 +337,10 @@ class TestVerletBuild:
         rng = np.random.default_rng(1)
         pset = self._resting_set(rng)
         cfg = config(cell_size=1.0, hi=(5, 5, 5), k_factor=500)
-        state = verlet_build(pset, cfg, step=3)
+        state = verlet_build(pset, cfg)
         assert np.all(state.frozen_skins == 0.0)
         assert state.list == linked_cell_pairs(pset, cfg, pset.cutoff)
         assert state.pairs_tested == searchsorted_tested(pset.position, cfg)
-        assert state.build_step == 3
 
     def test_k_zero_ignores_velocities(self):
         rng = np.random.default_rng(2)

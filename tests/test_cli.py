@@ -72,9 +72,18 @@ class TestRunCommand:
         {"verlet_enabled": "false"},
         {"k_factor": 1.9},
         {"steps": 50.7},
+        {"dt": "0.0001"},
+        {"dt": True},
+        {"contact": {"k_n": True}},
+        {"gravity": ["0", "0", "-9.81"]},
+        0, [], "", False, None, 5,
     ])
     def test_bad_override_value_exits_2(self, tmp_path, capsys, overrides):
-        cfg = write_run_config(tmp_path / "cfg.json", overrides=overrides)
+        # an object is merged into the config block; anything else is the block
+        if isinstance(overrides, dict):
+            cfg = write_run_config(tmp_path / "cfg.json", overrides=overrides)
+        else:
+            cfg = write_run_config(tmp_path / "cfg.json", extra={"config": overrides})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "config error: bad config value" in capsys.readouterr().err
 
@@ -168,6 +177,13 @@ class TestSweepCommand:
         out = tmp_path / "report.csv"
         assert main(["sweep", "--scenario", "settling-box", "--n", "0",
                      "--seed", "1", "--k", "10,abc", "--out", str(out)]) == EXIT_CONFIG
+
+    def test_empty_k_list_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--scenario", "settling-box", "--n", "3",
+                     "--seed", "1", "--k", "", "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: K list is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_k_exits_2(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -23,7 +23,7 @@ def base_config(**overrides):
         dt=1e-4, k_factor=200, gravity=vec3(0, 0, -9.81), cell_size=0.02,
         domain_min=vec3(0, 0, 0), domain_max=vec3(1, 1, 1),
         contact=ContactParams(k_n=1000.0, gamma_n=1.0, mu_s=0.3, k_t=100.0),
-        seed=1, steps=100, walls=(WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)),),
+        steps=100, walls=(WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)),),
     )
     kw.update(overrides)
     return SimConfig(**kw)
@@ -113,6 +113,13 @@ class TestValidateConfig:
         (dict(contact=ContactParams(k_n=0.0)), ConfigError),
         (dict(contact=ContactParams(k_n=1.0, gamma_n=-0.1)), ConfigError),
         (dict(contact=ContactParams(k_n=1.0, mu_s=-0.5)), ConfigError),
+        (dict(dt=np.inf), ConfigError),
+        (dict(k_factor=2 ** 63), ConfigError),
+        (dict(domain_max=vec3(1e300, 1e300, 1e300)), ConfigError),
+        (dict(domain_min=vec3(-1e308, 0, 0), domain_max=vec3(1e308, 1, 1)), ConfigError),
+        (dict(contact=ContactParams(k_n=np.inf)), ConfigError),
+        (dict(contact=ContactParams(k_n=1.0, gamma_n=np.nan)), ConfigError),
+        (dict(contact=ContactParams(k_n=1.0, k_t=np.inf)), ConfigError),
     ])
     def test_config_mutation_rejected(self, mutation, error):
         validate_config(base_config(), spheres(**ONE))
@@ -148,7 +155,6 @@ VALID_DOC = {
     "domain_min": [0, 0, 0],
     "domain_max": [1, 1, 1],
     "contact": {"k_n": 1000.0, "gamma_n": 1.0, "mu_s": 0.3, "k_t": 100.0},
-    "seed": 7,
     "steps": 500,
     "walls": [{"point": [0, 0, 0], "outward_normal": [0, 0, 1]}],
     "verlet_enabled": True,
@@ -165,9 +171,10 @@ class TestConfigJson:
         np.testing.assert_array_equal(cfg.gravity, vec3(0, 0, -9.81))
 
     def test_unknown_field_is_error(self):
-        doc = dict(VALID_DOC, skin_factor=3)
-        with pytest.raises(ConfigError, match="unknown config field"):
-            simconfig_from_dict(json.loads(json.dumps(doc)))
+        # the seed belongs to the scenario block, not to the config
+        for field in ("skin_factor", "seed"):
+            with pytest.raises(ConfigError, match="unknown config field"):
+                simconfig_from_dict(json.loads(json.dumps(dict(VALID_DOC, **{field: 3}))))
 
     def test_unknown_contact_field_is_error(self):
         doc = dict(VALID_DOC, contact={"k_n": 1.0, "kn_typo": 2.0})
@@ -207,7 +214,18 @@ class TestConfigJson:
         {"k_factor": 1.9},
         {"k_factor": True},
         {"steps": 50.7},
-        {"seed": True},
+        {"dt": "0.0001"},
+        {"dt": True},
+        {"dt": 10 ** 400},
+        {"cell_size": "0.02"},
+        {"contact": {"k_n": True}},
+        {"contact": {"k_n": 1000.0, "gamma_n": "1"}},
+        {"gravity": ["0", "0", "-9.81"]},
+        {"gravity": [0, 0, False]},
+        {"gravity": [0, 0]},
+        {"domain_max": "111"},
+        {"walls": [{"point": [0, 0, "0"], "outward_normal": [0, 0, 1]}]},
+        {"walls": [{"point": [0, 0, 0], "outward_normal": [0, True, 0]}]},
     ])
     def test_bad_value_is_config_error(self, change):
         with pytest.raises(ConfigError, match="bad config value"):

@@ -14,13 +14,9 @@ from verletdem.broadphase import (
     SKIN_UNIFORM_RADIUS, PairList, VerletState, _skins, brute_force_pairs,
 )
 from verletdem.cli import EXIT_CONFIG, main
-from verletdem.core import (
-    ConfigError, ContactParams, Particles, SimConfig, SimulationError, WallPlane,
-    vec3,
-)
+from verletdem.core import ConfigError, ContactParams, Particles, SimConfig, WallPlane, vec3
 from verletdem.engine import (
-    OPCOUNT, WALLTIME, PhaseMetrics, RunResult, ShadowMiss, SimState, SimulationUnstable,
-    _Driver, run, step,
+    OPCOUNT, WALLTIME, PhaseMetrics, RunResult, SimState, SimulationUnstable, _Driver, run,
 )
 
 
@@ -29,7 +25,7 @@ def open_config(steps, k_factor=100, cell=4.0, half=8.0, dt=1e-3, **contact_kw):
     return SimConfig(
         dt=dt, k_factor=k_factor, gravity=vec3(0, 0, 0), cell_size=cell,
         domain_min=vec3(-half, -half, -half), domain_max=vec3(half, half, half),
-        contact=contact, seed=0, steps=steps,
+        contact=contact, steps=steps,
     )
 
 
@@ -78,7 +74,7 @@ class TestStaticOnly:
         cfg = SimConfig(
             dt=1e-3, k_factor=200, gravity=vec3(0, 0, -9.81), cell_size=4.0,
             domain_min=vec3(-8, -8, -8), domain_max=vec3(8, 8, 8),
-            contact=ContactParams(k_n=100.0), seed=0, steps=1000,
+            contact=ContactParams(k_n=100.0), steps=1000,
         )
         result = run(cfg, pset)
         assert result.metrics.broad_executions == 1
@@ -178,7 +174,7 @@ class TestEquivalence:
         results = [
             run(SimConfig(dt=1e-4, k_factor=200, gravity=vec3(0, 0, -9.81), cell_size=0.05,
                           domain_min=vec3(0, 0, 0), domain_max=vec3(0.4, 0.4, 0.4),
-                          contact=ContactParams(k_n=500.0, gamma_n=0.01), seed=0, steps=800,
+                          contact=ContactParams(k_n=500.0, gamma_n=0.01), steps=800,
                           walls=walls, verlet_enabled=enabled),
                 pset, record_contact_digest=True)
             for enabled in (True, False)
@@ -238,7 +234,7 @@ def cluster_config(steps, verlet_enabled=True):
     """The jostling cluster's box, on a floor."""
     return SimConfig(dt=1e-4, k_factor=200, gravity=vec3(0, 0, -9.81), cell_size=0.05,
                      domain_min=vec3(0, 0, 0), domain_max=vec3(0.2, 0.2, 0.2),
-                     contact=ContactParams(k_n=500.0, gamma_n=0.01), seed=0, steps=steps,
+                     contact=ContactParams(k_n=500.0, gamma_n=0.01), steps=steps,
                      walls=(WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)),),
                      verlet_enabled=verlet_enabled)
 
@@ -300,7 +296,7 @@ class TestRunRecord:
 def audit(pset, live_keys):
     """Run one shadow scan of ``pset`` against the list ``live_keys`` (None: no list)."""
     verlet = None if live_keys is None else VerletState(
-        PairList(live_keys), pset.position.copy(), np.zeros(len(pset)), 0,
+        PairList(live_keys), pset.position.copy(), np.zeros(len(pset)),
         pairs_tested=0, wall_rows=(), pair_slack=np.zeros(len(live_keys)))
     driver = driver_for(SimState(particles=pset, verlet=verlet), open_config(1),
                         validation=True)
@@ -397,18 +393,19 @@ class TestShadowScan:
         # skins of K |v| dt = 0.1: no rebuild
         pset = spheres([(0, 0, 0), (0.9, 0, 0), (0, 0.95, 0)], [(1, 0, 0)] * 3)
         cfg = open_config(steps=1)
-        state = SimState(particles=pset)
-        step(state, cfg, validation=True)           # a complete list passes
+        driver = driver_for(SimState(particles=pset), cfg, validation=True)
+        state = driver.state
+        state.forces = driver.evaluate(pset)
+        driver.step_once()                          # a complete list passes
+        assert driver.result.shadow_examples == []
         verlet = state.verlet
         drop = verlet.list.keys.tolist().index(0 << 32 | 2)     # the key of (0, 2)
         state.verlet = dataclasses.replace(
             verlet, list=PairList(np.delete(verlet.list.keys, drop)),
             pair_slack=np.delete(verlet.pair_slack, drop))
-        with pytest.raises(ShadowMiss) as err:
-            step(state, cfg, validation=True)
-        assert isinstance(err.value, SimulationError)
-        assert (err.value.step, err.value.pair) == (1, (0, 2))
-        assert "(0, 2)" in str(err.value) and "step 1" in str(err.value)
+        driver.step_once()
+        assert driver.result.shadow_misses == 1
+        assert driver.result.shadow_examples == [(1, 0, 2)]
 
 
 def straddling_pairs(rng):
@@ -465,7 +462,7 @@ class TestMirrorSymmetry:
                 dt=1e-4, k_factor=100, gravity=vec3(0, 0, -9.81), cell_size=0.06,
                 domain_min=vec3(*lo), domain_max=vec3(*hi),
                 contact=ContactParams(k_n=2000.0, gamma_n=0.5, mu_s=0.3, k_t=400.0),
-                seed=0, steps=300, walls=walls,
+                steps=300, walls=walls,
             )
 
         walls = (
@@ -503,7 +500,7 @@ class TestEdgeCases:
         cfg = SimConfig(
             dt=1e-3, k_factor=0, gravity=vec3(0, 0, 0), cell_size=2.0,
             domain_min=vec3(0, 0, 0), domain_max=vec3(4, 4, 4),
-            contact=ContactParams(k_n=1e308), seed=0, steps=100,
+            contact=ContactParams(k_n=1e308), steps=100,
         )
         for validation in (False, True):    # the audit too sees the bad state
             with np.errstate(over="ignore", invalid="ignore"):
@@ -533,7 +530,7 @@ class TestEdgeCases:
         cfg = SimConfig(
             dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=0.1,
             domain_min=vec3(0, 0, 0), domain_max=vec3(0.2, 0.2, 0.2),
-            contact=ContactParams(k_n=100.0), seed=0, steps=5,
+            contact=ContactParams(k_n=100.0), steps=5,
             walls=(WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)),),
         )
         result = run(cfg, pset)
@@ -541,17 +538,6 @@ class TestEdgeCases:
         assert result.tunneling
         step_no, particle, wall = result.tunneling[0]
         assert (particle, wall) == (0, 0)
-
-    def test_public_step_advances_state(self):
-        pset = spheres([(0, 0, 0)], [(1, 0, 0)])
-        cfg = open_config(steps=1)
-        state = SimState(particles=pset.copy())
-        metrics = PhaseMetrics()
-        step(state, cfg, metrics)
-        assert state.step == 1
-        assert state.clock == cfg.dt
-        assert metrics.force_evaluations == 2   # bootstrap + mid-step
-        assert state.forces is not None
 
     def test_trajectory_sampling(self):
         sc = make_scenario("settling-box", 10, 1)

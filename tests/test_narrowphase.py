@@ -17,10 +17,10 @@ FLOOR = WallPlane(vec3(0, 0, 0), vec3(0, 0, 1))
 def pair_contact(pset):
     """The contact ``resolve_contacts`` finds between particles 0 and 1, or None.
 
-    Returned as (overlap, normal, point).
+    Returned as (overlap, normal).
     """
     contacts = resolve_contacts(pair_list((0, 1)), pset)
-    return (contacts.overlap[0], contacts.normal[0], contacts.point[0]) if len(contacts) else None
+    return (contacts.overlap[0], contacts.normal[0]) if len(contacts) else None
 
 
 class BehindWall(Exception):
@@ -30,7 +30,7 @@ class BehindWall(Exception):
 def sphere_plane_overlap(position, radius, w, wall_index=0):
     """The scalar reference for one sphere against one wall plane.
 
-    Returns (id_b, overlap, normal, point), or None when the sphere does not
+    Returns (id_b, overlap, normal), or None when the sphere does not
     touch the plane; raises :class:`BehindWall` when the center has signed
     distance below zero.  ``d`` is the batch :meth:`WallPlane.signed_distance`
     of the row taken twice, so it has the bits :func:`resolve_contacts`
@@ -42,25 +42,23 @@ def sphere_plane_overlap(position, radius, w, wall_index=0):
     overlap = radius - d
     if overlap <= 0.0:
         return None
-    point = position - 0.5 * (radius + d) * w.outward_normal
-    return wall_sentinel(wall_index), overlap, -w.outward_normal, point
+    return wall_sentinel(wall_index), overlap, -w.outward_normal
 
 
 class TestSphereOverlap:
     def test_overlapping(self):
-        overlap, _, _ = pair_contact(spheres([(0, 0, 0), (0.8, 0, 0)]))
+        overlap, _ = pair_contact(spheres([(0, 0, 0), (0.8, 0, 0)]))
         assert overlap == pytest.approx(0.2, abs=1e-12)
 
     def test_exact_touch_is_no_contact(self):
         assert pair_contact(spheres([(0, 0, 0), (1.0, 0, 0)])) is None
 
-    def test_unequal_radii_contact_point(self):
+    def test_unequal_radii_overlap_and_normal(self):
         # overlap segment on the x axis runs from 0.2 (surface of b) to 0.3
-        # (surface of a); its midpoint is 0.25
-        overlap, normal, point = pair_contact(spheres([(0, 0, 0), (0.9, 0, 0)], radius=[0.3, 0.7]))
+        # (surface of a)
+        overlap, normal = pair_contact(spheres([(0, 0, 0), (0.9, 0, 0)], radius=[0.3, 0.7]))
         assert overlap == pytest.approx(0.1, abs=1e-12)
         np.testing.assert_allclose(normal, [1, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(point, [0.25, 0, 0], atol=1e-12)
 
     def test_coincident_centers(self):
         with pytest.raises(CoincidentCenters):
@@ -93,7 +91,7 @@ class TestSphereOverlap:
 
 class TestSpherePlane:
     def test_overlapping_floor(self):
-        id_b, overlap, normal, _ = sphere_plane_overlap(vec3(0, 0, 0.4), 0.5, FLOOR)
+        id_b, overlap, normal = sphere_plane_overlap(vec3(0, 0, 0.4), 0.5, FLOOR)
         assert overlap == pytest.approx(0.1, abs=1e-12)
         np.testing.assert_array_equal(normal, [0, 0, -1])
         assert id_b == wall_sentinel(0) == -1
@@ -136,10 +134,9 @@ class TestSpherePlane:
                 assert twin is None
                 continue
             k = row_of[i]
-            id_b, overlap, normal, point = twin
+            id_b, overlap, normal = twin
             assert id_b == batch.id_b[k]
             assert overlap == batch.overlap[k] == radius[i] - d[i]
-            assert point.tobytes() == batch.point[k].tobytes()
             assert normal.tobytes() == batch.normal[k].tobytes()
 
 
@@ -172,7 +169,7 @@ class TestResolveContacts:
         cfg = SimConfig(
             dt=1e-3, k_factor=300, gravity=vec3(0, 0, 0), cell_size=0.8,
             domain_min=vec3(0, 0, 0), domain_max=vec3(2, 2, 2),
-            contact=ContactParams(k_n=1.0), seed=0, steps=1,
+            contact=ContactParams(k_n=1.0), steps=1,
         )
         exact = brute_force_pairs(pset, pset.cutoff)
         inflated = verlet_build(pset, cfg).list
@@ -245,7 +242,7 @@ def per_wall_reference(candidates, pset, walls, tunneling, wall_rows=None, pair_
     is resolved on its own, and everything is sorted by (id_a, id_b).
     """
     pairs = resolve_contacts(candidates, pset, pair_rows=pair_rows)
-    cols = [(pairs.id_a, pairs.id_b, pairs.overlap, pairs.normal, pairs.point)]
+    cols = [(pairs.id_a, pairs.id_b, pairs.overlap, pairs.normal)]
     for k, wall in enumerate(walls):
         rows = np.arange(len(pset)) if wall_rows is None else wall_rows[k]
         if len(rows) == 0:
@@ -255,13 +252,12 @@ def per_wall_reference(candidates, pset, walls, tunneling, wall_rows=None, pair_
         tunneling.extend((int(i), k) for i in rows[behind])
         overlap = pset.radius[rows] - d
         hit = (overlap > 0.0) & ~behind
-        ids, ov, d = rows[hit], overlap[hit], d[hit]
-        point = pset.position[ids] - (0.5 * (pset.radius[ids] + d))[:, None] * wall.outward_normal
-        cols.append((ids, np.full(len(ids), wall_sentinel(k)), ov,
-                     np.broadcast_to(-wall.outward_normal, (len(ids), 3)), point))
-    id_a, id_b, overlap, normal, point = (np.concatenate(c) for c in zip(*cols))
+        ids = rows[hit]
+        cols.append((ids, np.full(len(ids), wall_sentinel(k)), overlap[hit],
+                     np.broadcast_to(-wall.outward_normal, (len(ids), 3))))
+    id_a, id_b, overlap, normal = (np.concatenate(c) for c in zip(*cols))
     order = np.lexsort((id_b, id_a))
-    return Contacts(id_a[order], id_b[order], overlap[order], normal[order], point[order])
+    return Contacts(id_a[order], id_b[order], overlap[order], normal[order])
 
 
 def random_walls(rng, n_walls, spread):
@@ -298,7 +294,7 @@ class TestWallCache:
         pset = Particles(pos, np.zeros((n, 3)), radius, radius, np.ones(n), np.zeros(n, bool))
         state = VerletState(
             list=PairList.empty(), reference_positions=pos.copy(), frozen_skins=skins,
-            build_step=0, pairs_tested=0, wall_rows=wall_candidates(pset, walls, radius + skins),
+            pairs_tested=0, wall_rows=wall_candidates(pset, walls, radius + skins),
             pair_slack=np.empty(0),
         )
 
@@ -362,7 +358,7 @@ def box_config(cell, hi):
     return SimConfig(
         dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=cell,
         domain_min=vec3(-hi, -hi, -hi), domain_max=vec3(hi, hi, hi),
-        contact=ContactParams(k_n=1.0), seed=0, steps=1,
+        contact=ContactParams(k_n=1.0), steps=1,
     )
 
 
@@ -401,7 +397,7 @@ class TestPairGate:
             pos[1] = pos[0] - step[1]
             step[0] = 0.0
         pset = Particles(pos, np.zeros((n, 3)), radius, cutoff, np.ones(n), np.zeros(n, bool))
-        state = verlet_build(pset, box_config(cell, 2.0), 0, skins=skins)
+        state = verlet_build(pset, box_config(cell, 2.0), skins=skins)
         moved = pset.copy()
         moved.position += step
         if coincide:
@@ -430,7 +426,7 @@ class TestPairGate:
             start = end + np.array([-skins[0] * u, skins[1] * u])
             pset = Particles(start, np.zeros((2, 3)), radius, radius * 1.05, np.ones(2),
                              np.zeros(2, bool))
-            state = verlet_build(pset, box_config(0.25, 1.0), 0, skins=skins)
+            state = verlet_build(pset, box_config(0.25, 1.0), skins=skins)
             assert len(state.list) == 1
             moved = pset.copy()
             moved.position[:] = end
@@ -448,7 +444,7 @@ class TestPairGate:
         pos = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.45, 0.0, 0.0]])
         pset = Particles(pos, np.zeros((3, 3)), np.full(3, 0.1), np.full(3, 0.2), np.ones(3),
                          np.zeros(3, bool))
-        state = verlet_build(pset, box_config(1.0, 2.0), 0, skins=np.zeros(3))
+        state = verlet_build(pset, box_config(1.0, 2.0), skins=np.zeros(3))
         assert state.list == pair_list((0, 1), (1, 2))
         gated, full, rows = gated_and_full(state, pset)
         assert rows.tolist() == [1]

@@ -18,7 +18,7 @@ def gas_config(steps, box=0.4, k_n=1000.0, **contact):
     return SimConfig(
         dt=1e-4, k_factor=100, gravity=vec3(0, 0, 0), cell_size=0.1,
         domain_min=vec3(0, 0, 0), domain_max=vec3(box, box, box),
-        contact=ContactParams(k_n=k_n, **contact), seed=0, steps=steps,
+        contact=ContactParams(k_n=k_n, **contact), steps=steps,
     )
 
 
@@ -96,7 +96,7 @@ class TestSpringDashpotForce:
         cfg = SimConfig(
             dt=1e-3, k_factor=1000, gravity=vec3(0, 0, 0), cell_size=4.0,
             domain_min=vec3(-8, -8, -8), domain_max=vec3(8, 8, 8),
-            contact=ContactParams(k_n=k_n), seed=0, steps=600,
+            contact=ContactParams(k_n=k_n), steps=600,
         )
         result = run(cfg, pset)
         v = result.state.particles.velocity
@@ -135,7 +135,7 @@ class TestComputeForces:
         normal = rng.normal(size=(m, 3))
         normal /= np.linalg.norm(normal, axis=1)[:, None]
         contacts = Contacts(rng.integers(0, n, m), rng.integers(-n_walls, n, m),
-                            rng.uniform(0.0, 1e-2, m), normal, rng.normal(size=(m, 3)))
+                            rng.uniform(0.0, 1e-2, m), normal)
         gravity = np.where(rng.uniform(size=3) < 0.5, 0.0, rng.normal(size=3))
         assert (compute_forces(pset, contacts, FRICTION, gravity).tobytes()
                 == add_at_reference(pset, contacts, FRICTION, gravity).tobytes())
@@ -289,7 +289,7 @@ class TestConservation:
         cfg = SimConfig(
             dt=1e-3, k_factor=1000, gravity=vec3(0, 0, 0), cell_size=4.0,
             domain_min=vec3(-8, -8, -8), domain_max=vec3(8, 8, 8),
-            contact=ContactParams(k_n=100.0, gamma_n=1.5), seed=0, steps=600,
+            contact=ContactParams(k_n=100.0, gamma_n=1.5), steps=600,
         )
         result = run(cfg, pset)
         v = result.state.particles.velocity
