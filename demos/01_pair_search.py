@@ -18,8 +18,7 @@ box = np.array([4.0, 4.0, 4.0])
 
 positions = rng.uniform(np.zeros(3), box, (n, 3))
 radii = rng.uniform(0.02, 0.05, n)
-cloud = Particles(positions, np.zeros((n, 3)), radii, radii,
-                  np.ones(n), np.zeros(n, bool))
+cloud = Particles(positions, np.zeros((n, 3)), radii, np.ones(n), np.zeros(n, bool))
 
 cfg = SimConfig(
     dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=0.25,
@@ -30,11 +29,11 @@ cfg = SimConfig(
 print(f"{n} spheres in a {box.tolist()} m box, cell size {cfg.cell_size} m")
 
 t0 = time.perf_counter()
-fast = linked_cell_pairs(cloud, cfg, cloud.cutoff)
+fast = linked_cell_pairs(cloud, cfg, cloud.radius)
 t_grid = time.perf_counter() - t0
 
 t0 = time.perf_counter()
-slow = brute_force_pairs(cloud, cloud.cutoff)
+slow = brute_force_pairs(cloud, cloud.radius)
 t_brute = time.perf_counter() - t0
 
 print(f"grid search:   {len(fast):5d} pairs in {1e3 * t_grid:7.2f} ms")
@@ -45,7 +44,7 @@ print(f"identical result: {fast == slow}")
 # the grid is also exact at the inclusion boundary
 pair = Particles(
     np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0]]), np.zeros((2, 3)),
-    [0.1, 0.1], [0.1, 0.1], [1.0, 1.0], [False, False],
+    [0.1, 0.1], [1.0, 1.0], [False, False],
 )
 cfg_wide = SimConfig(
     dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=1.5,

@@ -18,7 +18,7 @@ dt = 0.01
 speed = 0.1
 pair = Particles(
     position=[[-1.1, 0, 0], [1.1, 0, 0]], velocity=[[speed, 0, 0], [-speed, 0, 0]],
-    radius=[0.5, 0.5], cutoff=[0.5, 0.5], mass=[1.0, 1.0], is_static=[False, False],
+    radius=[0.5, 0.5], mass=[1.0, 1.0], is_static=[False, False],
 )
 
 cfg = SimConfig(

@@ -10,8 +10,8 @@ from verletdem import make_scenario, run
 
 scenario = make_scenario("settling-box", 300, seed=7)
 particles = scenario.build_particles()
-print(f"scenario {scenario.name}: {len(particles)} spheres, dt={scenario.dt}, "
-      f"cell={scenario.cell_size} m")
+print(f"scenario {scenario.name}: {len(particles)} spheres, dt={scenario.config.dt}, "
+      f"cell={scenario.config.cell_size} m")
 
 steps = 4000    # long enough for the bed to land and pile up
 for verlet_enabled, label in ((True, "buffer on (K=200)"), (False, "buffer off")):

@@ -1,13 +1,13 @@
 """The safety audit: buffered runs must be indistinguishable from baseline runs.
 
 Runs one scenario twice, with and without the buffer, while a shadow scan
-checks at every force evaluation that no pair of spheres within cut-off
-range is missing from the live candidate list.  The scan cuts the
-second-widest axis into slabs two largest cut-offs wide, sorts the spheres
-by slab and then along their widest axis, and sweeps each one's window of
-reach in its own slab and the next (a sort-and-sweep prefilter that shares
-no code with the cell grid it audits), then applies the exact cut-off test
-to the survivors.  The two runs must agree bit for bit: same contact
+checks at every force evaluation that no pair of touching spheres (centers
+closer than their radii sum) is missing from the live candidate list.  The
+scan cuts the second-widest axis into slabs two largest radii wide, sorts
+the spheres by slab and then along their widest axis, and sweeps each one's
+window of reach in its own slab and the next (a sort-and-sweep prefilter
+that shares no code with the cell grid it audits), then applies the exact
+radii-sum test to the survivors.  The two runs must agree bit for bit: same contact
 history digest, same final positions and velocities.
 """
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_K_VALUES = (0, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
-SCENARIO_NAMES = ("settling-box", "mini-hopper", "inclined-flow")
 
 BASELINE_K = -1        # CSV sentinel for the buffer-disabled row
 UNIFORM_SKIN_K = -2    # CSV sentinel for the uniform skin = radius row
@@ -69,41 +68,37 @@ def improvement(time_without_buffer: float, time_case: float) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, seeded initial condition plus default run parameters.
+    """A named, seeded initial condition plus its default run configuration.
 
     The particle set is a pure function of (name, n, seed): building it
-    twice yields identical arrays.
+    twice yields identical arrays.  ``config`` is the run configuration
+    (with ``k_factor`` 0) that :meth:`sim_config` varies.
     """
 
     name: str
     n: int
     seed: int
-    dt: float
-    steps: int
-    cell_size: float
-    gravity: np.ndarray
-    domain_min: np.ndarray
-    domain_max: np.ndarray
-    walls: tuple[WallPlane, ...]
-    contact: ContactParams
+    config: SimConfig
 
     def build_particles(self) -> Particles:
-        return _BUILDERS[self.name](self)
+        _, build = _SCENARIOS[self.name]
+        return build(self)
 
     def sim_config(self, k_factor: int, verlet_enabled: bool = True,
                    steps: Optional[int] = None) -> SimConfig:
-        return SimConfig(
-            dt=self.dt,
-            k_factor=int(k_factor),
-            gravity=self.gravity,
-            cell_size=self.cell_size,
-            domain_min=self.domain_min,
-            domain_max=self.domain_max,
-            contact=self.contact,
-            steps=int(steps if steps is not None else self.steps),
-            walls=self.walls,
-            verlet_enabled=verlet_enabled,
+        return replace(
+            self.config, k_factor=int(k_factor), verlet_enabled=verlet_enabled,
+            steps=int(steps if steps is not None else self.config.steps),
         )
+
+
+def _config(cell_size: float, domain_max, walls, contact: ContactParams) -> SimConfig:
+    """The run settings every bundled scenario shares, around its own geometry."""
+    return SimConfig(
+        dt=4e-5, k_factor=0, gravity=vec3(0, 0, -9.81), cell_size=cell_size,
+        domain_min=vec3(0, 0, 0), domain_max=domain_max, contact=contact,
+        steps=5000, walls=walls,
+    )
 
 
 def _box_walls(lx: float, ly: float) -> tuple[WallPlane, ...]:
@@ -132,7 +127,6 @@ def _stack(free_pos: list, free_r: float, static_pos: list, static_r: float) -> 
         position=pos,
         velocity=np.zeros_like(pos),
         radius=radius,
-        cutoff=radius.copy(),
         mass=np.where(
             np.arange(n_free + n_static) < n_free,
             _sphere_mass(free_r), _sphere_mass(static_r),
@@ -150,21 +144,20 @@ _SB_JITTER = 0.001
 _SB_BASE = 10            # lattice columns per horizontal axis
 _SB_MARGIN = 0.01
 _SB_DROP = 0.05
+_SB_MAX_LAYERS = 1000    # 100,000 particles; the builder places one per iteration
 
 
-def _settling_box_scenario(n: int, seed: int) -> Scenario:
-    layers = max(1, math.ceil(n / (_SB_BASE * _SB_BASE))) if n else 1
+def _settling_box_config(n: int) -> SimConfig:
+    layers = max(1, math.ceil(n / (_SB_BASE * _SB_BASE)))
+    if layers > _SB_MAX_LAYERS:
+        raise PlacementError(
+            f"{n} particles need {layers} lattice layers in the settling box, "
+            f"more than {_SB_MAX_LAYERS}"
+        )
     lx = ly = _SB_BASE * _SB_SPACING + 2 * _SB_MARGIN
     z_top = _SB_DROP + layers * _SB_SPACING
-    return Scenario(
-        name="settling-box", n=n, seed=seed,
-        dt=4e-5, steps=5000, cell_size=0.02,
-        gravity=vec3(0, 0, -9.81),
-        domain_min=vec3(0, 0, 0),
-        domain_max=vec3(lx, ly, z_top + 0.08),
-        walls=_box_walls(lx, ly),
-        contact=ContactParams(k_n=8000.0, gamma_n=1.2, mu_s=0.3, k_t=1200.0),
-    )
+    return _config(0.02, vec3(lx, ly, z_top + 0.08), _box_walls(lx, ly),
+                   ContactParams(k_n=8000.0, gamma_n=1.2, mu_s=0.3, k_t=1200.0))
 
 
 def _build_settling_box(sc: Scenario) -> Particles:
@@ -205,16 +198,9 @@ _HP_BLOCK_Z = 0.225
 _HP_BLOCK_X = (0.07, 0.17)
 
 
-def _mini_hopper_scenario(n: int, seed: int) -> Scenario:
-    return Scenario(
-        name="mini-hopper", n=n, seed=seed,
-        dt=4e-5, steps=5000, cell_size=0.016,
-        gravity=vec3(0, 0, -9.81),
-        domain_min=vec3(0, 0, 0),
-        domain_max=vec3(_HP_LX, _HP_LY, _HP_LZ),
-        walls=_box_walls(_HP_LX, _HP_LY),
-        contact=ContactParams(k_n=4000.0, gamma_n=0.8, mu_s=0.3, k_t=800.0),
-    )
+def _mini_hopper_config(n: int) -> SimConfig:
+    return _config(0.016, vec3(_HP_LX, _HP_LY, _HP_LZ), _box_walls(_HP_LX, _HP_LY),
+                   ContactParams(k_n=4000.0, gamma_n=0.8, mu_s=0.3, k_t=800.0))
 
 
 def _hopper_static() -> list:
@@ -282,7 +268,7 @@ def _incline_axes():
     return p0, downslope, normal
 
 
-def _inclined_flow_scenario(n: int, seed: int) -> Scenario:
+def _inclined_flow_config(n: int) -> SimConfig:
     _, _, normal = _incline_axes()
     walls = (
         WallPlane(vec3(*_IF_P0), vec3(*normal)),       # the tilted floor
@@ -292,15 +278,8 @@ def _inclined_flow_scenario(n: int, seed: int) -> Scenario:
         WallPlane(vec3(0, 0, 0), vec3(0, 1, 0)),
         WallPlane(vec3(0, _IF_LY, 0), vec3(0, -1, 0)),
     )
-    return Scenario(
-        name="inclined-flow", n=n, seed=seed,
-        dt=4e-5, steps=5000, cell_size=0.016,
-        gravity=vec3(0, 0, -9.81),
-        domain_min=vec3(0, 0, 0),
-        domain_max=vec3(_IF_LX, _IF_LY, _IF_LZ),
-        walls=walls,
-        contact=ContactParams(k_n=4000.0, gamma_n=0.8, mu_s=0.3, k_t=800.0),
-    )
+    return _config(0.016, vec3(_IF_LX, _IF_LY, _IF_LZ), walls,
+                   ContactParams(k_n=4000.0, gamma_n=0.8, mu_s=0.3, k_t=800.0))
 
 
 def _build_inclined_flow(sc: Scenario) -> Particles:
@@ -338,17 +317,13 @@ def _build_inclined_flow(sc: Scenario) -> Particles:
     return _stack(free, _IF_RF, static, _IF_RS)
 
 
-_BUILDERS = {
-    "settling-box": _build_settling_box,
-    "mini-hopper": _build_mini_hopper,
-    "inclined-flow": _build_inclined_flow,
-}
-
+# name -> (default run configuration for n particles, particle builder)
 _SCENARIOS = {
-    "settling-box": _settling_box_scenario,
-    "mini-hopper": _mini_hopper_scenario,
-    "inclined-flow": _inclined_flow_scenario,
+    "settling-box": (_settling_box_config, _build_settling_box),
+    "mini-hopper": (_mini_hopper_config, _build_mini_hopper),
+    "inclined-flow": (_inclined_flow_config, _build_inclined_flow),
 }
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def make_scenario(name: str, n: int, seed: int) -> Scenario:
@@ -361,7 +336,8 @@ def make_scenario(name: str, n: int, seed: int) -> Scenario:
         raise ConfigError(f"particle count must be in [0, 2**31), got {n}")
     if seed < 0:
         raise ConfigError(f"scenario seed must be >= 0, got {seed}")
-    return _SCENARIOS[name](int(n), int(seed))
+    config, _ = _SCENARIOS[name]
+    return Scenario(name, int(n), int(seed), config(int(n)))
 
 
 # --- sweep -----------------------------------------------------------------
@@ -497,7 +473,7 @@ def validate_equivalence(scenario: Scenario, k_factor: int,
     both runs record a digest over their full contact history.
     """
     particles = scenario.build_particles()
-    nsteps = int(steps if steps is not None else scenario.steps)
+    nsteps = int(steps if steps is not None else scenario.config.steps)
 
     cfg_on = scenario.sim_config(k_factor, verlet_enabled=True, steps=nsteps)
     buffered = run(cfg_on, particles, validation=True, record_contact_digest=True)

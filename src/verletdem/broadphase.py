@@ -34,7 +34,7 @@ __all__ = [
 
 
 class CapNegative(SimulationError):
-    """cell_size/2 is smaller than a particle cutoff: the grid is invalid."""
+    """cell_size/2 is smaller than a particle radius: the grid is invalid."""
 
 
 class SearchRadiusExceedsCell(SimulationError):
@@ -120,13 +120,13 @@ class CellGrid:
 
 
 def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarray:
-    """Per-particle skins: min(raw, cell_size/2 - cutoff), zero for static particles.
+    """Per-particle skins: min(raw, cell_size/2 - radius), zero for static particles.
 
     ``raw`` is ``k_factor * |v| * dt`` in the local mode (``k_factor`` steps
     of travel at the build-time speed) and the radius in the uniform-radius
     mode.  The cap keeps every inflated search radius within half a cell,
     so that searching the immediate neighbour cells is provably sufficient.
-    A cap whose sum ``cutoff + cap`` rounds above half a cell is stepped
+    A cap whose sum ``radius + cap`` rounds above half a cell is stepped
     down by ulps until the sum, as the pair search computes it, fits.
     With the buffer disabled every skin is zero: the list is rebuilt at
     every evaluation and needs no margin.
@@ -134,16 +134,16 @@ def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarra
     if not cfg.verlet_enabled:
         return np.zeros(len(pset))
     half = 0.5 * cfg.cell_size
-    caps = half - pset.cutoff
+    caps = half - pset.radius
     if len(pset) and caps.min() < 0:
         bad = int(np.argmin(caps))
         raise CapNegative(
-            f"cell_size/2 = {half} < cutoff {pset.cutoff[bad]} of particle {bad}"
+            f"cell_size/2 = {half} < radius {pset.radius[bad]} of particle {bad}"
         )
-    high = np.flatnonzero(pset.cutoff + caps > half)
+    high = np.flatnonzero(pset.radius + caps > half)
     while len(high):
         caps[high] = np.nextafter(caps.take(high), -np.inf)
-        high = high[pset.cutoff.take(high) + caps.take(high) > half]
+        high = high[pset.radius.take(high) + caps.take(high) > half]
     if mode == SKIN_LOCAL:
         raw = cfg.k_factor * np.sqrt(row_norm_sq(pset.velocity)) * cfg.dt
     elif mode == SKIN_UNIFORM_RADIUS:
@@ -317,12 +317,14 @@ class VerletState:
 def verlet_build(particles: Particles, cfg: SimConfig, skins=None) -> VerletState:
     """Run the broad-phase with skin-inflated radii and snapshot positions.
 
+    Each particle reaches radius + skin, for pairs and for walls alike.
     ``skins`` defaults to the local-mode skins.  The per-row slack, the
     per-wall candidates of ``cfg.walls`` and the candidate count are cached
     with the pair list.
     """
     skins = _skins(particles, cfg) if skins is None else np.asarray(skins, dtype=np.float64)
-    pair_list, tested, d2 = _pairs_with_stats(particles, cfg, particles.cutoff + skins)
+    reach = particles.radius + skins
+    pair_list, tested, d2 = _pairs_with_stats(particles, cfg, reach)
     ia, ib = pair_list.columns
     d0 = np.sqrt(d2)
     rsum = particles.radius.take(ia) + particles.radius.take(ib)
@@ -331,7 +333,7 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None) -> VerletStat
         reference_positions=particles.position.copy(),
         frozen_skins=skins,
         pairs_tested=tested,
-        wall_rows=wall_candidates(particles, cfg.walls, particles.radius + skins),
+        wall_rows=wall_candidates(particles, cfg.walls, reach),
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
     )
 

@@ -59,7 +59,7 @@ def _load_run_doc(path: str):
         raise ConfigError(f"bad run config value: {exc}") from exc
     if every < 1:
         raise ConfigError(f"trajectory_every must be >= 1, got {every}")
-    cfg = scenario.sim_config(k_factor=0)
+    cfg = scenario.config
     if "config" in doc:
         cfg = config_overrides(cfg, doc["config"])
     mode = doc.get("mode", OPCOUNT)

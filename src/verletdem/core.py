@@ -121,7 +121,7 @@ class SimConfig:
     ``k_factor`` sizes the per-particle skin margin (number of broad-phase
     skips the skin is provisioned for).  ``cell_size`` is the uniform edge
     of the search grid and must be at least twice the largest particle
-    cut-off so that adjacent-cell search never misses a candidate pair.
+    radius so that adjacent-cell search never misses a candidate pair.
     """
 
     dt: float
@@ -147,24 +147,24 @@ class Particles:
     """Column-oriented storage for a set of particles.
 
     Holds one numpy array per field so the hot loops can stay vectorized;
-    ids are the positions in the arrays.  ``radius`` is the physical sphere
-    radius, ``cutoff`` the interaction cut-off radius used by the
-    broad-phase (``cutoff >= radius``).  A static particle never moves: it
-    takes part in collision detection and exerts forces but is skipped by
-    the integrator, and its velocity must stay zero.
+    ids are the positions in the arrays.  ``radius`` is the sphere radius:
+    two spheres touch when their centers are closer than their radii sum,
+    and the broad-phase reach of a particle is its radius plus its skin.
+    A static particle never moves: it takes part in collision detection and
+    exerts forces but is skipped by the integrator, and its velocity must
+    stay zero.
     """
 
-    __slots__ = ("position", "velocity", "radius", "cutoff", "mass", "is_static")
+    __slots__ = ("position", "velocity", "radius", "mass", "is_static")
 
-    def __init__(self, position, velocity, radius, cutoff, mass, is_static):
+    def __init__(self, position, velocity, radius, mass, is_static):
         self.position = np.ascontiguousarray(position, dtype=np.float64).reshape(-1, 3)
         self.velocity = np.ascontiguousarray(velocity, dtype=np.float64).reshape(-1, 3)
         self.radius = np.asarray(radius, dtype=np.float64).reshape(-1)
-        self.cutoff = np.asarray(cutoff, dtype=np.float64).reshape(-1)
         self.mass = np.asarray(mass, dtype=np.float64).reshape(-1)
         self.is_static = np.asarray(is_static, dtype=bool).reshape(-1)
         n = len(self.position)
-        for name in ("velocity", "radius", "cutoff", "mass", "is_static"):
+        for name in ("velocity", "radius", "mass", "is_static"):
             if len(getattr(self, name)) != n:
                 raise ConfigError(f"{name} has {len(getattr(self, name))} rows, expected {n}")
 
@@ -172,7 +172,7 @@ class Particles:
     def empty(cls) -> "Particles":
         return cls(
             np.empty((0, 3)), np.empty((0, 3)),
-            np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=bool),
+            np.empty(0), np.empty(0), np.empty(0, dtype=bool),
         )
 
     def __len__(self) -> int:
@@ -181,12 +181,8 @@ class Particles:
     def copy(self) -> "Particles":
         return Particles(
             self.position.copy(), self.velocity.copy(),
-            self.radius.copy(), self.cutoff.copy(),
-            self.mass.copy(), self.is_static.copy(),
+            self.radius.copy(), self.mass.copy(), self.is_static.copy(),
         )
-
-    def max_cutoff(self) -> float:
-        return float(self.cutoff.max()) if len(self) else 0.0
 
 
 def grid_dims(cfg: SimConfig) -> np.ndarray:
@@ -223,9 +219,9 @@ def validate_config(cfg: SimConfig, particles: Particles) -> None:
     cells = grid_dims(cfg)
     if not np.all(cells < 2.0 ** 63):
         raise ConfigError(f"the domain spans {cells.tolist()} cells, beyond int64 cell ids")
-    if len(particles) and cfg.cell_size < 2.0 * particles.max_cutoff():
+    if len(particles) and cfg.cell_size < 2.0 * particles.radius.max():
         raise CellTooSmall(
-            f"cell_size {cfg.cell_size} < 2 x max cutoff {particles.max_cutoff()}"
+            f"cell_size {cfg.cell_size} < 2 x max radius {particles.radius.max()}"
         )
     for w in cfg.walls:
         if not np.all(np.isfinite(w.point)) or not np.all(np.isfinite(w.outward_normal)):
@@ -244,12 +240,10 @@ def validate_config(cfg: SimConfig, particles: Particles) -> None:
         if not (np.all(np.isfinite(particles.position))
                 and np.all(np.isfinite(particles.velocity))):
             raise ConfigError("particle positions and velocities must be finite")
-        if np.any(particles.radius <= 0):
-            raise ConfigError("particle radius must be > 0")
-        if np.any(particles.cutoff < particles.radius):
-            raise ConfigError("particle cutoff must be >= radius")
-        if np.any(particles.mass <= 0):
-            raise ConfigError("particle mass must be > 0")
+        for name in ("radius", "mass"):
+            column = getattr(particles, name)
+            if not np.all((column > 0) & np.isfinite(column)):
+                raise ConfigError(f"particle {name} must be finite and > 0")
         moving_static = particles.is_static & np.any(particles.velocity != 0.0, axis=1)
         if np.any(moving_static):
             bad = int(np.flatnonzero(moving_static)[0])

@@ -166,26 +166,20 @@ class _Driver:
         self.skin_mode = skin_mode
         self.n = len(state.particles)
         self.eval_seconds = 0.0
-        self.weight = state.particles.mass[:, None] * np.asarray(cfg.gravity, dtype=np.float64)
-        if validation and self.n >= 2:
-            self._shadow_cut = state.particles.cutoff
-            self._shadow_cut_max = float(self._shadow_cut.max())
-            self._slab_width = 2.0 * self._shadow_cut_max * (1.0 + 1e-9)
-        else:
-            self._shadow_cut = None
+        self.weight = state.particles.mass[:, None] * cfg.gravity
 
     # -- phases ----------------------------------------------------------
 
     def _shadow_scan(self) -> None:
-        """Audit: every cutoff-overlapping pair must be in the live list.
+        """Audit: every pair closer than its radii sum must be in the live list.
 
         A slab sort-and-sweep prefilter, independent of the cell grid it
         audits, selects a conservative superset of close pairs.  The axis of
         second-widest extent is cut into slabs of width 2 x the largest
-        cutoff (with a relative 1e-9 pad), so a close pair lies in one slab
+        radius (with a relative 1e-9 pad), so a close pair lies in one slab
         or in two adjacent ones.  The particles are sorted by slab, then
         along the axis of widest extent (the sweep axis).  Each takes the
-        window of sweep gap <= its cutoff + the largest cutoff: forward in
+        window of sweep gap <= its radius + the largest radius: forward in
         its own slab, on both sides in the next slab.  Candidates too far
         apart on either other axis are then dropped.  Every bound carries a
         relative 1e-9 pad so that rounding can never hide a truly close
@@ -193,18 +187,20 @@ class _Driver:
         elementwise arithmetic as the pair search, so the audit agrees
         bit-for-bit with the membership predicate it checks.
         """
-        cut = self._shadow_cut
-        if cut is None:
+        n = self.n
+        if n < 2:
             return
         pos = self.state.particles.position
-        n = self.n
+        rad = self.state.particles.radius
+        rad_max = float(rad.max())
         cols = pos.T.copy()                 # one row per axis
         low = cols.min(axis=1)
         sweep, across = np.argsort(cols.max(axis=1) - low)[:0:-1]
-        slab = ((cols[across] - low[across]) / self._slab_width).astype(np.int64)
+        slab_width = 2.0 * rad_max * (1.0 + 1e-9)
+        slab = ((cols[across] - low[across]) / slab_width).astype(np.int64)
         by_x = np.argsort(cols[sweep], kind="stable")
         xs = cols[sweep].take(by_x)
-        window = cut.take(by_x) + self._shadow_cut_max
+        window = rad.take(by_x) + rad_max
         window += 1e-9 * (1.0 + window)
         # sweep ranks [rank_lo, rank_hi) of each particle's window
         rank_hi = np.searchsorted(xs, xs + window, side="right")
@@ -228,7 +224,7 @@ class _Driver:
         total = int(counts.sum())
         sa = np.repeat(np.concatenate((j, j)), counts)
         sb = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(total)
-        cs = cut.take(order)
+        cs = rad.take(order)
         reach = cs.take(sa) + cs.take(sb)
         bound = reach + 1e-9 * (1.0 + reach)
         near = np.ones(total, dtype=bool)
@@ -240,7 +236,7 @@ class _Driver:
         ia, ib = np.minimum(a, b), np.maximum(a, b)
         diff = np.take(pos, ia, axis=0) - np.take(pos, ib, axis=0)
         d2 = row_norm_sq(diff)
-        reach = np.take(cut, ia) + np.take(cut, ib)
+        reach = np.take(rad, ia) + np.take(rad, ib)
         close = d2 <= reach * reach
         if not close.any():
             return
@@ -315,8 +311,7 @@ class _Driver:
             self.result.contact_hash.update(contacts.tobytes())
             t0 = time.perf_counter()
 
-        forces = compute_forces(pset, contacts, self.cfg.contact, self.cfg.gravity,
-                                weight=self.weight)
+        forces = compute_forces(pset, contacts, self.cfg.contact, self.weight)
         self.eval_seconds += self._charge("model_time", len(contacts), t0) - t_begin
         return forces
 

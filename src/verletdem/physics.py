@@ -9,7 +9,7 @@ once per step at the updated positions.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -62,21 +62,19 @@ def contact_force_batch(contacts: Contacts, particles: Particles,
 
 
 def compute_forces(particles: Particles, contacts: Contacts, params: ContactParams,
-                   gravity, weight: Optional[np.ndarray] = None) -> np.ndarray:
-    """Total force per particle: gravity plus every contact contribution.
+                   weight: np.ndarray) -> np.ndarray:
+    """Total force per particle: its weight plus every contact contribution.
 
-    Contacts arrive sorted by (id_a, id_b) and are accumulated in that one
-    canonical order, which is what makes repeated runs bit-identical.  One
-    ``np.bincount`` sums, per particle and axis, the gravity term, then the
-    side-a forces in contact order, then the side-b reactions in contact
-    order: the order of additions ``np.add.at`` onto the gravity term makes.
-    The sums start from +0.0, so a -0.0 gravity component comes out +0.0 on
-    a particle that no contact touches (:class:`SimConfig` stores it as +0.0).
-    ``weight`` may pass in the gravity term ``mass[:, None] * gravity``
-    already computed; it is not modified.
+    ``weight`` is the (n, 3) gravity term ``mass[:, None] * gravity``; it is
+    not modified.  Contacts arrive sorted by (id_a, id_b) and are
+    accumulated in that one canonical order, which is what makes repeated
+    runs bit-identical.  One ``np.bincount`` sums, per particle and axis,
+    the weight, then the side-a forces in contact order, then the side-b
+    reactions in contact order: the order of additions ``np.add.at`` onto
+    the weight makes.  The sums start from +0.0, so a -0.0 weight component
+    comes out +0.0 on a particle that no contact touches
+    (:class:`SimConfig` stores gravity with +0.0 components).
     """
-    if weight is None:
-        weight = particles.mass[:, None] * np.asarray(gravity, dtype=np.float64)
     if len(contacts) == 0:
         return weight.copy()
     f_a = contact_force_batch(contacts, particles, params)

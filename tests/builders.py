@@ -6,12 +6,11 @@ from verletdem.broadphase import PairList
 from verletdem.core import Particles
 
 
-def spheres(positions, velocities=None, radius=0.5, cutoff=None, mass=1.0, is_static=False):
+def spheres(positions, velocities=None, radius=0.5, mass=1.0, is_static=False):
     """A particle set with one row of ``positions`` per sphere.
 
-    ``velocities`` default to rest and ``cutoff`` to the radius.  Each of
-    ``radius``, ``cutoff``, ``mass`` and ``is_static`` is one value for
-    every sphere or one value per sphere.
+    ``velocities`` default to rest.  Each of ``radius``, ``mass`` and
+    ``is_static`` is one value for every sphere or one value per sphere.
     """
     position = np.array(positions, dtype=np.float64).reshape(-1, 3)
     n = len(position)
@@ -23,7 +22,6 @@ def spheres(positions, velocities=None, radius=0.5, cutoff=None, mass=1.0, is_st
         position=position,
         velocity=np.zeros((n, 3)) if velocities is None else np.array(velocities, dtype=np.float64),
         radius=column(radius),
-        cutoff=column(radius if cutoff is None else cutoff),
         mass=column(mass),
         is_static=column(is_static, bool),
     )

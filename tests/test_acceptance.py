@@ -75,7 +75,7 @@ def test_criterion_2_oracle_equivalence():
         hi = rng.uniform(4.0, 8.0, 3)
         pos = rng.uniform(np.zeros(3), hi, (n, 3))
         radius = rng.uniform(0.05, 0.3, n)
-        pset = Particles(pos, np.zeros((n, 3)), radius, radius,
+        pset = Particles(pos, np.zeros((n, 3)), radius,
                          np.ones(n), np.zeros(n, bool))
         cell = 0.9
         cfg = SimConfig(
@@ -168,7 +168,7 @@ def test_criterion_6_physics_sanity():
     n = 50
     pos = rng.uniform(0.05, 0.35, (n, 3))
     vel = rng.normal(0, 1.0, (n, 3))
-    gas = Particles(pos, vel, np.full(n, 0.04), np.full(n, 0.04),
+    gas = Particles(pos, vel, np.full(n, 0.04),
                     np.full(n, 0.01), np.zeros(n, bool))
     cfg = SimConfig(
         dt=1e-4, k_factor=100, gravity=vec3(0, 0, 0), cell_size=0.1,

@@ -76,7 +76,7 @@ class TestMakeScenario:
             sc = make_scenario(name, 200, 5)
             pset = sc.build_particles()
             candidates = brute_force_pairs(pset, pset.radius)
-            assert len(resolve_contacts(candidates, pset, sc.walls)) == 0, name
+            assert len(resolve_contacts(candidates, pset, sc.config.walls)) == 0, name
 
     def test_placement_failure_for_absurd_count(self):
         with pytest.raises(PlacementError):

@@ -62,7 +62,7 @@ def test_run_record_keeps_the_counts_the_workloads_read():
     cfg = make_scenario("settling-box", 0, 1).sim_config(200, steps=20)
     pos = np.array([[0.05, 0.05, 0.0049], [0.0595, 0.05, 0.0049], [0.069, 0.05, 0.0049]])
     r = np.full(3, 0.005)
-    pset = Particles(pos, np.zeros((3, 3)), r, r, np.full(3, 1e-3), np.zeros(3, bool))
+    pset = Particles(pos, np.zeros((3, 3)), r, np.full(3, 1e-3), np.zeros(3, bool))
     result = verletdem.engine.run(cfg, pset)
     m = result.metrics
     for name in ("broad_time", "narrow_time", "model_time"):

@@ -29,7 +29,7 @@ def random_set(rng, n, hi=(10, 10, 10), r_range=(0.1, 0.3), with_velocity=False)
     pos = rng.uniform(np.zeros(3), np.array(hi), (n, 3))
     r = rng.uniform(*r_range, n)
     vel = rng.normal(0, 1, (n, 3)) if with_velocity else np.zeros((n, 3))
-    return Particles(pos, vel, r, r, np.ones(n), np.zeros(n, bool))
+    return Particles(pos, vel, r, np.ones(n), np.zeros(n, bool))
 
 
 def clamped_cloud(seed, n, thin_axis):
@@ -47,7 +47,7 @@ def clamped_cloud(seed, n, thin_axis):
     out = rng.uniform(size=n) < 1 / 3
     pos[out] = rng.uniform(-0.25 * hi - 0.5, 1.25 * hi + 0.5, (int(out.sum()), 3))
     r = rng.uniform(0.05, 0.35, n)
-    pset = Particles(pos, np.zeros((n, 3)), r, r, np.ones(n), np.zeros(n, bool))
+    pset = Particles(pos, np.zeros((n, 3)), r, np.ones(n), np.zeros(n, bool))
     return pset, config(cell_size=cell, hi=tuple(hi)), rng.uniform(0.01, 0.45, n)
 
 
@@ -126,7 +126,7 @@ class TestComputeSkin:
             skin_of(p, 10, 1e-5, 0.08)
 
     def test_capped_search_radius_fits_half_a_cell(self):
-        # cutoff + (cell/2 - cutoff) rounds one ulp above cell/2 here, which
+        # radius + (cell/2 - radius) rounds one ulp above cell/2 here, which
         # made the build's guard raise SearchRadiusExceedsCell on a valid config
         cut, cell = 0.004524571004753451, 0.04592666450280474
         assert cut + (0.5 * cell - cut) > 0.5 * cell
@@ -147,7 +147,7 @@ class TestComputeSkin:
         pset.is_static[::7] = True
         pset.velocity[pset.is_static] = 0.0
         cfg = config(cell_size=1.0, k_factor=3000, dt=1e-4)
-        caps = 0.5 * cfg.cell_size - pset.cutoff
+        caps = 0.5 * cfg.cell_size - pset.radius
         speed = np.sqrt(np.einsum("ij,ij->i", pset.velocity, pset.velocity))
         for skins, raw in ((_skins(pset, cfg), cfg.k_factor * speed * cfg.dt),
                            (_skins(pset, cfg, SKIN_UNIFORM_RADIUS), pset.radius)):
@@ -233,7 +233,7 @@ class TestLinkedCellPairs:
         rng = np.random.default_rng(7)
         pset = random_set(rng, 200)
         cfg = config(cell_size=0.8)
-        sr = pset.cutoff
+        sr = pset.radius
         assert linked_cell_pairs(pset, cfg, sr) == brute_force_pairs(pset, sr)
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 120),
@@ -262,7 +262,7 @@ class TestLinkedCellPairs:
         dist = reach * (1.0 + rng.integers(-4, 5, m) * np.finfo(float).eps)
         first = rng.uniform(1.0, 9.0, (m, 3))
         pos = np.concatenate([first, first + direction * dist[:, None]])
-        pset = Particles(pos, np.zeros((2 * m, 3)), sr, sr, np.ones(2 * m), np.zeros(2 * m, bool))
+        pset = Particles(pos, np.zeros((2 * m, 3)), sr, np.ones(2 * m), np.zeros(2 * m, bool))
         assert linked_cell_pairs(pset, config(cell_size=1.0), sr) == brute_force_pairs(pset, sr)
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 120),
@@ -287,8 +287,8 @@ class TestLinkedCellPairs:
         rng = np.random.default_rng(11)
         pset = random_set(rng, 150)
         cfg = config(cell_size=1.0)
-        a = linked_cell_pairs(pset, cfg, pset.cutoff)
-        b = linked_cell_pairs(pset, cfg, pset.cutoff)
+        a = linked_cell_pairs(pset, cfg, pset.radius)
+        b = linked_cell_pairs(pset, cfg, pset.radius)
         assert a.keys.tobytes() == b.keys.tobytes()
 
 
@@ -339,7 +339,7 @@ class TestVerletBuild:
         cfg = config(cell_size=1.0, hi=(5, 5, 5), k_factor=500)
         state = verlet_build(pset, cfg)
         assert np.all(state.frozen_skins == 0.0)
-        assert state.list == linked_cell_pairs(pset, cfg, pset.cutoff)
+        assert state.list == linked_cell_pairs(pset, cfg, pset.radius)
         assert state.pairs_tested == searchsorted_tested(pset.position, cfg)
 
     def test_k_zero_ignores_velocities(self):
@@ -348,7 +348,7 @@ class TestVerletBuild:
         cfg = config(cell_size=1.0, hi=(5, 5, 5), k_factor=0)
         state = verlet_build(pset, cfg)
         assert np.all(state.frozen_skins == 0.0)
-        assert state.list == linked_cell_pairs(pset, cfg, pset.cutoff)
+        assert state.list == linked_cell_pairs(pset, cfg, pset.radius)
 
     def test_k_monotone_membership(self):
         rng = np.random.default_rng(5)
@@ -385,7 +385,7 @@ class TestVerletBuild:
     def test_list_stays_safe_while_displacements_within_skins(self, seed, n, k):
         # the heart of the buffer: as long as nobody outruns their frozen
         # skin, the cached list still contains every pair of particles whose
-        # cutoffs overlap, with no rebuild required
+        # spheres overlap, with no rebuild required
         rng = np.random.default_rng(seed)
         pset = random_set(rng, n, hi=(5, 5, 5), with_velocity=True)
         cfg = config(cell_size=1.0, hi=(5, 5, 5), k_factor=k, dt=1e-3)
@@ -398,21 +398,21 @@ class TestVerletBuild:
         moved.position += direction * dist[:, None]
 
         assert not verlet_needs_rebuild(state, moved)
-        colliding = brute_force_pairs(moved, moved.cutoff)
+        colliding = brute_force_pairs(moved, moved.radius)
         assert all_in(colliding, state.list)
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 120), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_rebuild_invariant_for_arbitrary_skins(self, seed, n, zero_share):
         # skins drawn independently of velocity (some exactly zero, as for
-        # static particles), mixed cutoffs: moving each particle by at most
+        # static particles), mixed radii: moving each particle by at most
         # its frozen skin keeps every zero-skin pair in the cached list
         rng = np.random.default_rng(seed)
         cell = 1.0
         pos = rng.uniform(0.0, 5.0, (n, 3))
-        cutoff = rng.uniform(0.05, 0.3, n)
-        pset = Particles(pos, np.zeros((n, 3)), cutoff, cutoff, np.ones(n), np.zeros(n, bool))
-        skins = rng.uniform(1e-3, 1.0, n) * (0.5 * cell - cutoff)
+        radius = rng.uniform(0.05, 0.3, n)
+        pset = Particles(pos, np.zeros((n, 3)), radius, np.ones(n), np.zeros(n, bool))
+        skins = rng.uniform(1e-3, 1.0, n) * (0.5 * cell - radius)
         skins[rng.uniform(size=n) < zero_share] = 0.0
         state = verlet_build(pset, config(cell_size=cell, hi=(5, 5, 5)), skins=skins)
 
@@ -422,7 +422,7 @@ class TestVerletBuild:
         moved.position += direction * (rng.uniform(0.0, 1.0 - 1e-6, n) * skins)[:, None]
 
         assert not verlet_needs_rebuild(state, moved)
-        assert all_in(brute_force_pairs(moved, moved.cutoff), state.list)
+        assert all_in(brute_force_pairs(moved, moved.radius), state.list)
 
 
 class TestNeedsRebuild:
@@ -431,7 +431,7 @@ class TestNeedsRebuild:
         # is exact in floating point
         pset = Particles(
             position=np.array([[0.0, 1.0, 1.0]]), velocity=np.zeros((1, 3)),
-            radius=[0.005], cutoff=[0.005], mass=[1.0], is_static=[False],
+            radius=[0.005], mass=[1.0], is_static=[False],
         )
         cfg = config(cell_size=0.05, hi=(2, 2, 2))
         state = verlet_build(pset, cfg)
@@ -464,7 +464,7 @@ class TestNeedsRebuild:
         state, _ = self._state()
         two = Particles(
             position=np.zeros((2, 3)), velocity=np.zeros((2, 3)),
-            radius=[0.1, 0.1], cutoff=[0.1, 0.1], mass=[1, 1],
+            radius=[0.1, 0.1], mass=[1, 1],
             is_static=[False, False],
         )
         with pytest.raises(SizeMismatch):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from verletdem.bench import Scenario
+from verletdem.bench import Scenario, make_scenario
 from verletdem.broadphase import CapNegative, SearchRadiusExceedsCell, SizeMismatch
 from verletdem.cli import (
     EXIT_CONFIG, EXIT_OK, EXIT_SIMULATION, EXIT_UNSTABLE, EXIT_VALIDATION, main,
@@ -195,6 +195,20 @@ class TestSweepCommand:
         assert main(["sweep", "--scenario", "settling-box", "--n", "5",
                      "--seed", "-1", "--k", "10", "--out", str(out)]) == EXIT_CONFIG
         assert "config error: scenario seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_settling_box_above_its_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 100,000 particles fill 1,000 lattice layers, the most the box takes;
+        # one more is refused before a single particle is placed
+        def never(scenario):
+            raise AssertionError("the particles were built")
+
+        monkeypatch.setattr(Scenario, "build_particles", never)
+        assert make_scenario("settling-box", 100_000, 1).n == 100_000
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--scenario", "settling-box", "--n", "100001",
+                     "--seed", "1", "--k", "10", "--out", str(out)]) == EXIT_CONFIG
+        assert "need 1001 lattice layers" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -42,7 +42,7 @@ FUZZ = settings(max_examples=150, deadline=None,
 def short_scenario(name, n, seed):
     """A bundled scenario whose default run is at most MAX_STEPS steps."""
     sc = make_scenario(name, n, seed)
-    return replace(sc, steps=min(sc.steps, MAX_STEPS))
+    return replace(sc, config=replace(sc.config, steps=min(sc.config.steps, MAX_STEPS)))
 
 
 def exit_code(argv) -> int:

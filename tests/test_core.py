@@ -128,11 +128,13 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("particle", [    # changed columns of the one particle
         dict(radius=-0.001),
-        dict(radius=0.005, cutoff=0.004),
+        dict(radius=np.nan),
         dict(mass=0.0),
         dict(velocities=[(1.0, 0, 0)], is_static=True),
         dict(positions=[(np.nan, 0, 0)]),
         dict(velocities=[(np.inf, 0, 0)]),
+        dict(mass=np.nan),
+        dict(mass=np.inf),
     ])
     def test_particle_mutation_rejected(self, particle):
         with pytest.raises(ConfigError):

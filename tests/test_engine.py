@@ -168,7 +168,7 @@ class TestEquivalence:
                                rng.uniform(0.03, 0.12, n)])
         vel = rng.normal(0.0, 0.3, (n, 3)) + vec3(-0.5, 0.0, -1.0)
         radius = np.full(n, 0.01)
-        pset = Particles(pos, vel, radius, radius, np.full(n, 1e-3), np.zeros(n, bool))
+        pset = Particles(pos, vel, radius, np.full(n, 1e-3), np.zeros(n, bool))
         tilt = vec3(1.0, 0.0, 0.3) / np.linalg.norm([1.0, 0.0, 0.3])
         walls = (WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)), WallPlane(vec3(0, 0, 0), tilt))
         results = [
@@ -226,7 +226,7 @@ def jostling_cluster():
     n = len(pos)
     pos += rng.uniform(-1e-3, 1e-3, pos.shape)
     radius = np.full(n, 0.01)
-    return Particles(pos, rng.normal(0.0, 0.2, (n, 3)), radius, radius, np.full(n, 1e-3),
+    return Particles(pos, rng.normal(0.0, 0.2, (n, 3)), radius, np.full(n, 1e-3),
                      np.zeros(n, bool))
 
 
@@ -305,7 +305,7 @@ def audit(pset, live_keys):
 
 
 def assert_audit_equals_oracle(pset):
-    oracle = brute_force_pairs(pset, pset.cutoff)
+    oracle = brute_force_pairs(pset, pset.radius)
     # with nothing live, every close pair the scan finds is a miss ...
     empty = audit(pset, np.empty(0, dtype=np.int64))
     assert empty.shadow_misses == len(oracle)
@@ -320,8 +320,8 @@ class TestShadowScan:
         rng = np.random.default_rng(5)
         pos = rng.uniform(0.0, 2.0, (60, 3))
         r = np.full(60, 0.3)
-        pset = Particles(pos, np.zeros((60, 3)), r, r, np.ones(60), np.zeros(60, bool))
-        oracle = brute_force_pairs(pset, pset.cutoff)
+        pset = Particles(pos, np.zeros((60, 3)), r, np.ones(60), np.zeros(60, bool))
+        oracle = brute_force_pairs(pset, pset.radius)
         assert len(oracle) > 1
         k = len(oracle) // 2
         dropped = tuple(int(c[k]) for c in oracle.columns)
@@ -332,7 +332,7 @@ class TestShadowScan:
 
     def test_run_with_stale_list_reports_the_miss(self, monkeypatch):
         # the list built at step 0 holds no pair; with rebuilds switched off
-        # the approaching spheres come within cutoff and the audit must say so
+        # the approaching spheres come into contact and the audit must say so
         monkeypatch.setattr(verletdem.engine, "verlet_needs_rebuild", lambda *a: False)
         pset = spheres([(-0.6, 0, 0), (0.6, 0, 0)], [(1.0, 0, 0), (-1.0, 0, 0)])
         result = run(open_config(steps=200, k_factor=0), pset, validation=True)
@@ -357,11 +357,11 @@ class TestShadowScan:
     def test_close_set_equals_oracle(self, seed, n, layout):
         rng = np.random.default_rng(seed)
         if layout == "straddle":
-            pos, cutoff = straddling_pairs(rng)
+            pos, radius = straddling_pairs(rng)
             n = len(pos)
         else:
             pos = rng.uniform(0.0, [4.0, 3.0, 2.0], (n, 3))
-            cutoff = rng.uniform(0.05, 0.6, n)  # mixed cutoffs
+            radius = rng.uniform(0.05, 0.6, n)  # mixed radii
         if layout == "ties":
             # few distinct values on the widest (sort) axis
             pos[:, 0] = rng.integers(0, 5, n) * 1.0
@@ -372,14 +372,14 @@ class TestShadowScan:
         elif layout == "one-slab":
             pos[:, 1:] *= 0.025             # both narrow axes within one slab
         elif layout == "thin-slabs":
-            pos *= [0.25, 0.2, 0.025]       # tens of slabs two cutoffs wide
-            cutoff *= 0.04
+            pos *= [0.25, 0.2, 0.025]       # tens of slabs two radii wide
+            radius *= 0.04
         elif layout == "tied-slabs":
             # ties on the sweep axis, spread over several slabs
             pos[:, 0] = rng.integers(0, 5, n) * 1.0
             pos[:, 1:] *= [0.4, 0.1]
-            cutoff *= 0.15
-        pset = Particles(pos, np.zeros((n, 3)), cutoff, cutoff, np.ones(n), np.zeros(n, bool))
+            radius *= 0.15
+        pset = Particles(pos, np.zeros((n, 3)), radius, np.ones(n), np.zeros(n, bool))
         assert_audit_equals_oracle(pset)
 
     def test_scan_shares_no_code_with_the_grid(self):
@@ -409,7 +409,7 @@ class TestShadowScan:
 
 
 def straddling_pairs(rng):
-    """Pairs one reach apart (+-4 ulps) across slab boundaries, equal cutoffs c.
+    """Pairs one reach apart (+-4 ulps) across slab boundaries, equal radii c.
 
     Particle 0 sits at the low end ``lo < 0`` of axis 1, the axis of middle
     extent, so the slab boundaries lie near ``lo + k * 2c``; shifting by a
@@ -451,7 +451,7 @@ class TestMirrorSymmetry:
         pos = rng.uniform([0.02, 0.02, 0.02], [0.28, 0.28, 0.2], (n, 3))
         vel = rng.normal(0, 0.5, (n, 3))
         r = np.full(n, 0.02)
-        pset = Particles(pos, vel, r, r, np.full(n, 0.01), np.zeros(n, bool))
+        pset = Particles(pos, vel, r, np.full(n, 0.01), np.zeros(n, bool))
 
         mirrored = pset.copy()
         mirrored.position[:, 0] *= -1

@@ -116,7 +116,7 @@ class TestSpherePlane:
         level = np.where(np.arange(n) % 2 == 0, radius, 0.0) + rng.normal(0, 1e-16, n)
         tangent = np.cross(normal, rng.normal(size=(n, 3)))
         pos = wall.point + level[:, None] * normal + tangent
-        pset = Particles(pos, np.zeros((n, 3)), radius, radius, np.ones(n), np.zeros(n, bool))
+        pset = Particles(pos, np.zeros((n, 3)), radius, np.ones(n), np.zeros(n, bool))
         reports = []
         batch = resolve_contacts(PairList.empty(), pset, [wall], tunneling=reports)
         d = wall.signed_distance(pos)
@@ -145,7 +145,7 @@ def random_cluster(seed, n=200, box=2.0, radius_range=(0.08, 0.16)):
     pos = rng.uniform(0, box, (n, 3))
     r = rng.uniform(*radius_range, n)
     vel = rng.normal(0, 0.5, (n, 3))
-    return Particles(pos, vel, r, r, np.ones(n), np.zeros(n, bool))
+    return Particles(pos, vel, r, np.ones(n), np.zeros(n, bool))
 
 
 class TestResolveContacts:
@@ -171,14 +171,14 @@ class TestResolveContacts:
             domain_min=vec3(0, 0, 0), domain_max=vec3(2, 2, 2),
             contact=ContactParams(k_n=1.0), steps=1,
         )
-        exact = brute_force_pairs(pset, pset.cutoff)
+        exact = brute_force_pairs(pset, pset.radius)
         inflated = verlet_build(pset, cfg).list
         assert len(inflated) > len(exact)
         assert resolve_contacts(exact, pset) == resolve_contacts(inflated, pset)
 
     def test_superset_filter_idempotence(self):
         pset = random_cluster(5, n=60)
-        exact = brute_force_pairs(pset, pset.cutoff)
+        exact = brute_force_pairs(pset, pset.radius)
         everything = brute_force_pairs(pset, np.full(len(pset), 10.0))
         assert resolve_contacts(exact, pset) == resolve_contacts(everything, pset)
 
@@ -219,7 +219,7 @@ class TestDistanceFirstPairs:
         a_pos = rng.uniform(0.0, 2.0, (n, 3))
         pos = np.concatenate([a_pos, a_pos + direction * gap[:, None]])
         radius = np.concatenate([ra, rb])
-        pset = Particles(pos, np.zeros((2 * n, 3)), radius, radius,
+        pset = Particles(pos, np.zeros((2 * n, 3)), radius,
                          np.ones(2 * n), np.zeros(2 * n, bool))
         pairs = pair_list(*((i, n + i) for i in range(n)))
 
@@ -291,7 +291,7 @@ class TestWallCache:
         skins[rng.uniform(size=n) < zero_share] = 0.0
         along = radius * rng.uniform(-1.0, 2.0, n) + skins * rng.uniform(0.0, 2.0, n)
         pos = near_walls(rng, normals, points, along, 1.0)
-        pset = Particles(pos, np.zeros((n, 3)), radius, radius, np.ones(n), np.zeros(n, bool))
+        pset = Particles(pos, np.zeros((n, 3)), radius, np.ones(n), np.zeros(n, bool))
         state = VerletState(
             list=PairList.empty(), reference_positions=pos.copy(), frozen_skins=skins,
             pairs_tested=0, wall_rows=wall_candidates(pset, walls, radius + skins),
@@ -304,7 +304,7 @@ class TestWallCache:
         moved.position += direction * (rng.uniform(0.0, 1.0 - 1e-6, n) * skins)[:, None]
         assert not verlet_needs_rebuild(state, moved)
 
-        pairs = brute_force_pairs(moved, moved.cutoff)
+        pairs = brute_force_pairs(moved, moved.radius)
         every_row, cached, looped = [], [], []
         full = resolve_contacts(pairs, moved, walls, tunneling=every_row)
         fast = resolve_contacts(pairs, moved, walls, tunneling=cached,
@@ -328,7 +328,7 @@ class TestWallCache:
         pos = near_walls(rng, normals, points, radius * rng.uniform(-1.0, 2.0, n), 0.3)
         pos[0] = points[0] + normals[0] * 0.5 * radius[0]
         pos[1] = pos[0] + normals[0] * 0.5 * (radius[0] + radius[1])
-        pset = Particles(pos, np.zeros((n, 3)), radius, radius, np.ones(n), np.zeros(n, bool))
+        pset = Particles(pos, np.zeros((n, 3)), radius, np.ones(n), np.zeros(n, bool))
         wall_rows = []
         for k in range(n_walls):
             size = rng.integers(0 if k else 1, 3)
@@ -339,7 +339,7 @@ class TestWallCache:
                 mask[0] |= k == 0
                 rows = np.flatnonzero(mask)
             wall_rows.append(rows)
-        pairs = brute_force_pairs(pset, pset.cutoff)
+        pairs = brute_force_pairs(pset, pset.radius)
         keep = rng.uniform(size=len(pairs)) < 0.6
         keep[0] = True                   # (0, 1), the smallest row
         pair_rows = np.flatnonzero(keep)
@@ -380,14 +380,16 @@ class TestPairGate:
     @given(st.integers(0, 2**31 - 1), st.integers(2, 80), st.floats(0.0, 1.0), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_gated_rows_equal_every_row(self, seed, n, zero_share, coincide):
-        # mixed radii, cutoffs and skins (some zero); each particle moves by
-        # less than its skin.  With ``coincide`` particle 1 starts within its
-        # skin of particle 0 and moves onto it: the gate must keep that row
+        # mixed radii and skins (some zero); each particle moves by less than
+        # its skin.  The build adds up to half a radius to each skin, so the
+        # list also holds rows that never touch.  With ``coincide`` particle 1
+        # starts within its skin of particle 0 and moves onto it: the gate
+        # must keep that row
         rng = np.random.default_rng(seed)
         cell = 1.0
         radius = rng.uniform(0.05, 0.2, n)
-        cutoff = radius * rng.uniform(1.0, 1.5, n)
-        skins = rng.uniform(0.0, 1.0, n) * (0.5 * cell - cutoff)
+        extra = radius * (rng.uniform(1.0, 1.5, n) - 1.0)
+        skins = rng.uniform(0.0, 1.0, n) * (0.5 * cell - radius - extra)
         skins[rng.uniform(size=n) < zero_share] = 0.0
         pos = rng.uniform(0.0, 1.5, (n, 3))
         direction = rng.normal(size=(n, 3))
@@ -396,8 +398,8 @@ class TestPairGate:
         if coincide:
             pos[1] = pos[0] - step[1]
             step[0] = 0.0
-        pset = Particles(pos, np.zeros((n, 3)), radius, cutoff, np.ones(n), np.zeros(n, bool))
-        state = verlet_build(pset, box_config(cell, 2.0), skins=skins)
+        pset = Particles(pos, np.zeros((n, 3)), radius, np.ones(n), np.zeros(n, bool))
+        state = verlet_build(pset, box_config(cell, 2.0), skins=skins + extra)
         moved = pset.copy()
         moved.position += step
         if coincide:
@@ -424,9 +426,9 @@ class TestPairGate:
             rsum = radius.sum()
             end = np.array([np.zeros(3), u * (rsum + k * np.spacing(rsum))])
             start = end + np.array([-skins[0] * u, skins[1] * u])
-            pset = Particles(start, np.zeros((2, 3)), radius, radius * 1.05, np.ones(2),
-                             np.zeros(2, bool))
-            state = verlet_build(pset, box_config(0.25, 1.0), skins=skins)
+            pset = Particles(start, np.zeros((2, 3)), radius, np.ones(2), np.zeros(2, bool))
+            # 5% of a radius beyond the skins lists the pair whatever the rounding
+            state = verlet_build(pset, box_config(0.25, 1.0), skins=skins + 0.05 * radius)
             assert len(state.list) == 1
             moved = pset.copy()
             moved.position[:] = end
@@ -437,14 +439,14 @@ class TestPairGate:
         assert contacts > 100
 
     def test_far_rows_are_skipped_and_coincident_rows_kept(self):
-        # spheres of radius 0.1 at x = 0, 0.3 and 0.45, cutoff 0.2, skins 0:
-        # at rest the gate rules out (0, 1), 0.1 clear of touching, and keeps
-        # the overlapping (1, 2).  Moved onto particle 1, particle 2 must be
-        # kept and raise (the triangle inequality holds for any displacement)
+        # spheres of radius 0.1 at x = 0, 0.3 and 0.45, built with skins 0.1
+        # and never moved: at rest the gate rules out (0, 1), 0.1 clear of
+        # touching, and keeps the overlapping (1, 2).  Moved onto particle 1,
+        # particle 2 must be kept and raise (the triangle inequality holds
+        # for any displacement)
         pos = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.45, 0.0, 0.0]])
-        pset = Particles(pos, np.zeros((3, 3)), np.full(3, 0.1), np.full(3, 0.2), np.ones(3),
-                         np.zeros(3, bool))
-        state = verlet_build(pset, box_config(1.0, 2.0), skins=np.zeros(3))
+        pset = Particles(pos, np.zeros((3, 3)), np.full(3, 0.1), np.ones(3), np.zeros(3, bool))
+        state = verlet_build(pset, box_config(1.0, 2.0), skins=np.full(3, 0.1))
         assert state.list == pair_list((0, 1), (1, 2))
         gated, full, rows = gated_and_full(state, pset)
         assert rows.tolist() == [1]
