@@ -3,7 +3,8 @@ and the per-particle Verlet-buffer layer.
 
 A pair list is a sorted array of int64 keys ``id_a << 32 | id_b`` with
 id_a < id_b.  The grid is only the cell layout the search reads, and each
-search builds its own.
+search builds its own.  A search given the previous build tests that
+build's candidate pairs again while no particle has changed cell.
 
 The buffer inflates each particle's search radius by a skin proportional to
 its own speed (``k_factor * |v| * dt``), capped by the cell geometry, and
@@ -45,8 +46,6 @@ class SizeMismatch(SimulationError):
     """Search radii or a Verlet state do not match the particle count."""
 
 
-_EMPTY_KEYS = np.empty(0, dtype=np.int64)
-
 SKIN_LOCAL = "local"                    # per-particle k * |v| * dt, capped
 SKIN_UNIFORM_RADIUS = "uniform-radius"  # skin = particle radius, capped
 
@@ -63,10 +62,6 @@ class PairList:
     """
 
     keys: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "PairList":
-        return cls(_EMPTY_KEYS)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -190,13 +185,14 @@ _HALF_STENCIL = np.array([
 
 
 def _candidate_pairs(grid: CellGrid):
-    """All pairs of sorted slots sharing a cell or sitting in adjacent cells.
+    """All pairs of particles sharing a cell or sitting in adjacent cells.
 
-    Slot s holds particle ``grid.order[s]``.  It pairs with the later slots
-    of its own cell and with every slot of the 13 lower-index neighbour
-    cells, whose ranges are read straight off ``grid.starts``: ghost cells
-    are empty, so no neighbour needs a validity test.  Returns
-    (slot_a, slot_b), each candidate pair exactly once.
+    Slot s of the sorted layout holds particle ``grid.order[s]``.  It pairs
+    with the later slots of its own cell and with every slot of the 13
+    lower-index neighbour cells, whose ranges are read straight off
+    ``grid.starts``: ghost cells are empty, so no neighbour needs a validity
+    test.  Returns (id_a, id_b), the particle ids of each candidate pair
+    exactly once, in slot order.
     """
     slots = np.arange(len(grid.order), dtype=np.int64)
     home = grid.cell_of[grid.order]
@@ -205,10 +201,14 @@ def _candidate_pairs(grid: CellGrid):
     lo = np.concatenate([slots + 1, grid.starts[nbr].ravel()])
     hi = np.concatenate([grid.starts[home + 1], grid.starts[nbr + 1].ravel()])
     counts = hi - lo
+    id_a = np.repeat(np.tile(grid.order, len(_HALF_STENCIL) + 1), counts)
     # slot_b runs through [lo[i], hi[i]) for every range i in turn
-    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    slot_a = np.repeat(np.tile(slots, len(_HALF_STENCIL) + 1), counts)
-    return slot_a, shift + np.arange(len(shift), dtype=np.int64)
+    id_b = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    id_b += np.arange(len(id_b), dtype=np.int64)
+    # slots to ids in place: every slot is in range, and "clip" skips the
+    # copy of ``out`` that the default mode makes
+    np.take(grid.order, id_b, out=id_b, mode="clip")
+    return id_a, id_b
 
 
 def _search_radii(pset: Particles, search_radius) -> np.ndarray:
@@ -218,8 +218,13 @@ def _search_radii(pset: Particles, search_radius) -> np.ndarray:
     return sr
 
 
-def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii):
-    """(pair list, candidates tested, squared distance of every listed pair)."""
+def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
+    """(pair list, candidates tested, squared distance of every listed pair, grid, candidates).
+
+    The candidates of a ``previous`` build are reused when the new grid has
+    the same ``shape`` and ``cell_of``, of which the candidate set is a
+    function; every candidate is still tested.
+    """
     sr = _search_radii(pset, radii)
     grid = build_grid(pset, cfg)
     if len(pset) and sr.max() > 0.5 * grid.cell_size:
@@ -228,26 +233,34 @@ def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii):
             f"search radius {sr[bad]} of particle {bad} exceeds cell_size/2 = "
             f"{0.5 * grid.cell_size}"
         )
-    sa, sb = _candidate_pairs(grid)
-    tested = len(sa)
-    # np.take copies whole rows, several times faster than indexing with [idx]
-    pos = np.take(pset.position, grid.order, axis=0)
-    rad = np.take(sr, grid.order)
-    reach = np.take(rad, sa) + np.take(rad, sb)
-    reach2 = reach * reach
+    if (previous is not None and np.array_equal(grid.shape, previous.grid_shape)
+            and np.array_equal(grid.cell_of, previous.cell_of)):
+        candidates = previous.candidates
+    else:
+        candidates = _candidate_pairs(grid)
+    # the candidate-long columns are computed in place: the build's peak
+    # memory holds the previous build's candidates too
+    ia, ib = candidates
+    reach2 = np.take(sr, ia)
+    reach2 += np.take(sr, ib)
+    reach2 *= reach2
     # exact x-gap prefilter: a rounded sum of non-negative squares is never
     # below one of its rounded terms, so every pair the full test accepts passes
-    x = np.ascontiguousarray(pos[:, 0])
-    dx = np.take(x, sa) - np.take(x, sb)
-    keep = (dx * dx <= reach2).nonzero()[0]
-    sa, sb = sa[keep], sb[keep]
-    diff = np.take(pos, sa, axis=0) - np.take(pos, sb, axis=0)
+    x = np.ascontiguousarray(pset.position[:, 0])
+    dx2 = np.take(x, ia)
+    dx2 -= np.take(x, ib)
+    dx2 *= dx2
+    keep = (dx2 <= reach2).nonzero()[0]
+    del dx2
+    ia, ib, reach2 = np.take(ia, keep), np.take(ib, keep), np.take(reach2, keep)
+    # np.take copies whole rows, several times faster than indexing with [idx]
+    diff = np.take(pset.position, ia, axis=0) - np.take(pset.position, ib, axis=0)
     d2 = row_norm_sq(diff)
-    hit = (d2 <= reach2[keep]).nonzero()[0]
-    keys = _oriented_keys(np.take(grid.order, sa[hit]), np.take(grid.order, sb[hit]))
+    hit = (d2 <= reach2).nonzero()[0]
+    keys = _oriented_keys(np.take(ia, hit), np.take(ib, hit))
     # the grid emits every unordered pair once, so a sort canonicalizes
     by_key = np.argsort(keys)
-    return PairList(keys[by_key]), tested, np.take(d2, hit[by_key])
+    return PairList(keys[by_key]), len(candidates[0]), np.take(d2, hit[by_key]), grid, candidates
 
 
 def linked_cell_pairs(particles: Particles, cfg: SimConfig, search_radius) -> PairList:
@@ -257,8 +270,7 @@ def linked_cell_pairs(particles: Particles, cfg: SimConfig, search_radius) -> Pa
     builds from ``cfg`` and the immediate neighbour cells, so every radius,
     one per particle, must be at most cell_size/2.
     """
-    result, _, _ = _pairs_with_stats(particles, cfg, search_radius)
-    return result
+    return _pairs_with_stats(particles, cfg, search_radius)[0]
 
 
 def brute_force_pairs(particles: Particles, search_radius) -> PairList:
@@ -295,36 +307,50 @@ class VerletState:
     produced ``list``; the rebuild test compares displacements against these
     frozen values, never against skins recomputed from current velocities,
     because the cached list is only guaranteed to cover motion within the
-    margins it was built with.  ``pairs_tested`` is the number of candidate
-    pairs the build's search tested.  ``wall_rows`` holds, per wall of the
+    margins it was built with.  ``wall_rows`` holds, per wall of the
     configuration, the particles within radius + frozen skin of it at the
     build (see :func:`wall_candidates`).  ``pair_slack`` holds, per row of
     ``list``, the build distance minus the radii sum, less a relative pad
-    (see :func:`verlet_gate`).
+    (see :func:`verlet_gate`).  ``candidates`` holds the (id_a, id_b)
+    columns of every candidate pair the build's search tested, a function
+    of its grid's ``shape`` and ``cell_of``, kept as ``grid_shape`` and
+    ``cell_of``: the stencil a later build reuses while no particle has
+    changed cell.  The grid's cell starts, sized by the occupied box, are
+    not kept.
     """
 
     list: PairList
     reference_positions: np.ndarray
     frozen_skins: np.ndarray
-    pairs_tested: int
     wall_rows: tuple
     pair_slack: np.ndarray
+    grid_shape: np.ndarray
+    cell_of: np.ndarray
+    candidates: tuple
 
     def __len__(self) -> int:
         return len(self.reference_positions)
 
+    @property
+    def pairs_tested(self) -> int:
+        """The number of candidate pairs the build's search tested."""
+        return len(self.candidates[0])
 
-def verlet_build(particles: Particles, cfg: SimConfig, skins=None) -> VerletState:
+
+def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
+                 previous: VerletState | None = None) -> VerletState:
     """Run the broad-phase with skin-inflated radii and snapshot positions.
 
     Each particle reaches radius + skin, for pairs and for walls alike.
     ``skins`` defaults to the local-mode skins.  The per-row slack, the
-    per-wall candidates of ``cfg.walls`` and the candidate count are cached
-    with the pair list.
+    per-wall candidates of ``cfg.walls`` and the stencil are cached with the
+    pair list.  While every particle sits in the cell of the same layout as
+    at the ``previous`` build, that build's candidates are tested again
+    instead of enumerated anew; the result is the same either way.
     """
     skins = _skins(particles, cfg) if skins is None else np.asarray(skins, dtype=np.float64)
     reach = particles.radius + skins
-    pair_list, tested, d2 = _pairs_with_stats(particles, cfg, reach)
+    pair_list, _, d2, grid, candidates = _pairs_with_stats(particles, cfg, reach, previous)
     ia, ib = pair_list.columns
     d0 = np.sqrt(d2)
     rsum = particles.radius.take(ia) + particles.radius.take(ib)
@@ -332,9 +358,11 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None) -> VerletStat
         list=pair_list,
         reference_positions=particles.position.copy(),
         frozen_skins=skins,
-        pairs_tested=tested,
         wall_rows=wall_candidates(particles, cfg.walls, reach),
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
+        grid_shape=grid.shape,
+        cell_of=grid.cell_of,
+        candidates=candidates,
     )
 
 

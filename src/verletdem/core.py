@@ -168,13 +168,6 @@ class Particles:
             if len(getattr(self, name)) != n:
                 raise ConfigError(f"{name} has {len(getattr(self, name))} rows, expected {n}")
 
-    @classmethod
-    def empty(cls) -> "Particles":
-        return cls(
-            np.empty((0, 3)), np.empty((0, 3)),
-            np.empty(0), np.empty(0), np.empty(0, dtype=bool),
-        )
-
     def __len__(self) -> int:
         return len(self.position)
 

@@ -267,10 +267,11 @@ class _Driver:
         A rebuild happens when no list exists yet, when the buffer is
         disabled (every evaluation rebuilds, with zero skins), or when some
         particle's displacement since the last build exceeds its frozen
-        skin.  Returns the candidate pairs tested (0 on reuse) and the rows
-        of the list the narrow phase must test: on reuse the ones the gate
-        keeps, from the displacements the rebuild test computed; None, every
-        row, on a fresh list.
+        skin.  A rebuild tests the last build's candidates again while no
+        particle has changed cell.  Returns the candidate pairs tested (0 on
+        reuse) and the rows of the list the narrow phase must test: on reuse
+        the ones the gate keeps, from the displacements the rebuild test
+        computed; None, every row, on a fresh list.
         """
         state, cfg = self.state, self.cfg
         needed = False
@@ -280,7 +281,7 @@ class _Driver:
             if not needed:
                 return 0, verlet_gate(state.verlet, np.sqrt(disp2))
         skins = _skins(state.particles, cfg, self.skin_mode)
-        state.verlet = verlet_build(state.particles, cfg, skins=skins)
+        state.verlet = verlet_build(state.particles, cfg, skins=skins, previous=state.verlet)
         self.metrics.broad_executions += 1
         self.result.rebuild_events.append((self.metrics.force_evaluations - 1, needed))
         return state.verlet.pairs_tested, None

@@ -13,6 +13,7 @@ import inspect
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import verletdem.bench
 import verletdem.broadphase
@@ -73,3 +74,24 @@ def test_run_record_keeps_the_counts_the_workloads_read():
     assert m.pair_list_length_sum >= m.force_evaluations
     assert isinstance(result.tunneling, list)
     assert result.contact_digest is None and result.shadow_misses == 0
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_every_rebuild_calls_build_grid(monkeypatch, buffered):
+    # the benchmark files an evaluation's time under the pair search only
+    # if it called build_grid, so a rebuild must call it even when it
+    # reuses the previous build's candidates
+    calls = Counter()
+    build_grid = verletdem.broadphase.build_grid
+
+    def counted(*args, **kwargs):
+        calls["build_grid"] += 1
+        return build_grid(*args, **kwargs)
+
+    monkeypatch.setattr(verletdem.broadphase, "build_grid", counted)
+    scenario = make_scenario("settling-box", 40, 3)
+    cfg = scenario.sim_config(200, verlet_enabled=buffered, steps=300)
+    m = verletdem.engine.run(cfg, scenario.build_particles()).metrics
+    assert calls["build_grid"] == m.broad_executions
+    assert m.broad_executions < m.force_evaluations if buffered else (
+        m.broad_executions == m.force_evaluations)

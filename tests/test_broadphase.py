@@ -11,7 +11,7 @@ from verletdem.broadphase import (
     SKIN_UNIFORM_RADIUS, _pairs_with_stats, _skins, brute_force_pairs, build_grid,
     linked_cell_pairs, verlet_build, verlet_needs_rebuild,
 )
-from verletdem.core import ContactParams, Particles, SimConfig, vec3
+from verletdem.core import ContactParams, Particles, SimConfig, WallPlane, vec3
 
 
 IDS = st.integers(0, 12) | st.integers(0, 2**31 - 1)
@@ -272,7 +272,7 @@ class TestLinkedCellPairs:
     def test_tested_equals_searchsorted_count(self, seed, n, thin_axis):
         # pairs_tested is a contract number (the opcount "broad" column)
         pset, cfg, sr = clamped_cloud(seed, n, thin_axis)
-        _, tested, _ = _pairs_with_stats(pset, cfg, sr)
+        _, tested, *_ = _pairs_with_stats(pset, cfg, sr)
         assert tested == searchsorted_tested(pset.position, cfg)
 
     @pytest.mark.parametrize("radius", [0.5, [0.5], [0.5] * 3, [[0.5, 0.5]]])
@@ -294,7 +294,7 @@ class TestLinkedCellPairs:
 
 class TestBruteForce:
     def test_empty(self):
-        assert len(brute_force_pairs(Particles.empty(), np.empty(0))) == 0
+        assert len(brute_force_pairs(spheres([]), np.empty(0))) == 0
 
     def test_three_collinear(self):
         pset = spheres([(float(i), 0, 0) for i in range(3)], radius=0.6)
@@ -423,6 +423,72 @@ class TestVerletBuild:
 
         assert not verlet_needs_rebuild(state, moved)
         assert all_in(brute_force_pairs(moved, moved.radius), state.list)
+
+
+def moved_cloud(pset, cfg, rng, crossing):
+    """``pset`` with every particle moved part of the way to its cell's centre.
+
+    Such a move keeps each particle in its (clamped) cell: the cell index is
+    monotone along the way.  With ``crossing``, about a third of the
+    particles then jump up to 1.5 cells along each axis, so most of them
+    cross a face.
+    """
+    centre = cfg.domain_min + (domain_cells(build_grid(pset, cfg)) + 0.5) * cfg.cell_size
+    moved = pset.copy()
+    moved.position += rng.uniform(0.0, 1.0, (len(pset), 1)) * (centre - pset.position)
+    if crossing:
+        jump = rng.uniform(size=len(pset)) < 1 / 3
+        moved.position[jump] += rng.uniform(-1.5, 1.5, (int(jump.sum()), 3)) * cfg.cell_size
+    return moved
+
+
+def assert_same_build(state, fresh):
+    assert state.list.keys.tobytes() == fresh.list.keys.tobytes()
+    assert state.pairs_tested == fresh.pairs_tested
+    assert state.pair_slack.tobytes() == fresh.pair_slack.tobytes()
+    assert [rows.tobytes() for rows in state.wall_rows] == [
+        rows.tobytes() for rows in fresh.wall_rows]
+    assert [ids.tobytes() for ids in state.candidates] == [
+        ids.tobytes() for ids in fresh.candidates]
+
+
+class TestStencilReuse:
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 120),
+           st.sampled_from([None, 0, 1, 2]), st.booleans())
+    @example(seed=0, n=0, thin_axis=None, crossing=False)
+    @example(seed=4, n=2, thin_axis=1, crossing=True)
+    @settings(max_examples=60, deadline=None)
+    def test_reused_stencil_equals_a_fresh_build(self, seed, n, thin_axis, crossing):
+        # the candidates of the previous build are a function of the grid's
+        # shape and cell_of: a build that reuses them must equal one that
+        # does not, byte for byte, whether or not a particle changed cell
+        pset, cfg, _ = clamped_cloud(seed, n, thin_axis)
+        hi = cfg.domain_max
+        cfg = dataclasses.replace(cfg, walls=(
+            WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)), WallPlane(hi, vec3(-1, 0, 0))))
+        rng = np.random.default_rng(seed + 1)
+        skins = rng.uniform(0.0, 1.0, n) * (0.5 * cfg.cell_size - pset.radius)
+        first = verlet_build(pset, cfg, skins)
+        moved = moved_cloud(pset, cfg, rng, crossing)
+        state = verlet_build(moved, cfg, skins, previous=first)
+        assert_same_build(state, verlet_build(moved, cfg, skins))
+        if not crossing:
+            assert state.candidates is first.candidates
+
+    def test_a_face_crossing_into_touching_range_is_found(self):
+        # particle 1 moves from cell 2 into cell 1, overlapping particle 0 in
+        # cell 0; particle 2 keeps the particle count and the grid's shape,
+        # so only cell_of tells that the old candidates are stale
+        cfg = config(cell_size=1.0, hi=(5, 5, 5))
+        pset = spheres([(0.5, 0.5, 0.5), (2.5, 0.5, 0.5), (3.5, 0.5, 0.5)], radius=0.3)
+        first = verlet_build(pset, cfg)
+        assert (0, 1) not in first.list
+        moved = pset.copy()
+        moved.position[1, 0] = 1.05
+        state = verlet_build(moved, cfg, previous=first)
+        assert tuple(state.grid_shape) == tuple(first.grid_shape)
+        assert (0, 1) in state.list
+        assert_same_build(state, verlet_build(moved, cfg))
 
 
 class TestNeedsRebuild:

@@ -95,7 +95,7 @@ class TestValidateConfig:
             validate_config(base_config(dt=0.0), spheres(**ONE))
 
     def test_empty_particle_set_passes(self):
-        validate_config(base_config(), Particles.empty())
+        validate_config(base_config(), spheres([]))
 
     # single-violation mutations: each listed invariant, violated alone,
     # must be rejected while the unmutated base passes

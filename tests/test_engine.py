@@ -295,9 +295,11 @@ class TestRunRecord:
 
 def audit(pset, live_keys):
     """Run one shadow scan of ``pset`` against the list ``live_keys`` (None: no list)."""
+    none = np.empty(0, dtype=np.int64)
     verlet = None if live_keys is None else VerletState(
-        PairList(live_keys), pset.position.copy(), np.zeros(len(pset)),
-        pairs_tested=0, wall_rows=(), pair_slack=np.zeros(len(live_keys)))
+        PairList(live_keys), pset.position.copy(), np.zeros(len(pset)), wall_rows=(),
+        pair_slack=np.zeros(len(live_keys)), grid_shape=None, cell_of=None,
+        candidates=(none, none))
     driver = driver_for(SimState(particles=pset, verlet=verlet), open_config(1),
                         validation=True)
     driver._shadow_scan()
@@ -485,7 +487,7 @@ class TestMirrorSymmetry:
 class TestEdgeCases:
     def test_zero_particle_run(self):
         cfg = open_config(steps=50)
-        result = run(cfg, Particles.empty())
+        result = run(cfg, spheres([]))
         m = result.metrics
         assert m.total_steps == 50
         assert m.broad_executions == 0

@@ -12,6 +12,7 @@ from verletdem.core import ContactParams, Particles, SimConfig, WallPlane, row_n
 from verletdem.narrowphase import CoincidentCenters, Contacts, resolve_contacts, wall_sentinel
 
 FLOOR = WallPlane(vec3(0, 0, 0), vec3(0, 0, 1))
+NO_PAIRS = PairList(np.empty(0, np.int64))
 
 
 def pair_contact(pset):
@@ -118,7 +119,7 @@ class TestSpherePlane:
         pos = wall.point + level[:, None] * normal + tangent
         pset = Particles(pos, np.zeros((n, 3)), radius, np.ones(n), np.zeros(n, bool))
         reports = []
-        batch = resolve_contacts(PairList.empty(), pset, [wall], tunneling=reports)
+        batch = resolve_contacts(NO_PAIRS, pset, [wall], tunneling=reports)
         d = wall.signed_distance(pos)
         behind = {i for i, _ in reports}
         assert behind == set(np.flatnonzero(d < 0.0).tolist())
@@ -156,7 +157,7 @@ class TestResolveContacts:
 
     def test_single_particle_resting_on_floor(self):
         pset = spheres([(0.3, 0.3, 0.4)])
-        contacts = resolve_contacts(PairList.empty(), pset, walls=(FLOOR,))
+        contacts = resolve_contacts(NO_PAIRS, pset, walls=(FLOOR,))
         assert len(contacts) == 1
         assert (contacts.id_a[0], contacts.id_b[0]) == (0, -1)
         assert contacts.overlap[0] == pytest.approx(0.1, abs=1e-12)
@@ -193,7 +194,7 @@ class TestResolveContacts:
     def test_behind_wall_reported_not_fatal(self):
         pset = spheres([(0.3, 0.3, -0.2)])
         reports = []
-        contacts = resolve_contacts(PairList.empty(), pset, walls=(FLOOR,),
+        contacts = resolve_contacts(NO_PAIRS, pset, walls=(FLOOR,),
                                     tunneling=reports)
         assert len(contacts) == 0
         assert reports == [(0, 0)]
@@ -293,9 +294,9 @@ class TestWallCache:
         pos = near_walls(rng, normals, points, along, 1.0)
         pset = Particles(pos, np.zeros((n, 3)), radius, np.ones(n), np.zeros(n, bool))
         state = VerletState(
-            list=PairList.empty(), reference_positions=pos.copy(), frozen_skins=skins,
-            pairs_tested=0, wall_rows=wall_candidates(pset, walls, radius + skins),
-            pair_slack=np.empty(0),
+            list=NO_PAIRS, reference_positions=pos.copy(), frozen_skins=skins,
+            wall_rows=wall_candidates(pset, walls, radius + skins), pair_slack=np.empty(0),
+            grid_shape=None, cell_of=None, candidates=NO_PAIRS.columns,
         )
 
         direction = rng.normal(size=(n, 3))

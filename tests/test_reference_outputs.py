@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from verletdem import make_scenario, run
 from verletdem.cli import EXIT_OK, main
 
 RUN_DOC = {
@@ -26,6 +27,11 @@ SWEEP_SHA256 = {
     "mini-hopper": "80a46b9b727819c472529bdc119806b0248cec7031f4b6c2b868654ece8f08ac",
     "inclined-flow": "c7fc1f218452a636bfc4fc05c24778b395aab6fbf7145533284e8fe01cd34e9f",
 }
+
+# an unbuffered settling box past its free fall: the bed has formed and
+# its particles touch each other and the floor
+UNBUFFERED_CONTACTS_SHA256 = "2f3094af23d6236b4c16855003f4b4e557439a8e16e0bf99712cb766a3c93fc1"
+UNBUFFERED_STATE_SHA256 = "421e986811bdec0e05446d282e3eacb5d5bdbe78324fef06d71650793cb22719"
 
 
 def sha256(path) -> str:
@@ -50,3 +56,16 @@ def test_sweep_csv_bytes(tmp_path, scenario):
                  "--k", "0,50,200,1000", "--uniform-skin-radius",
                  "--out", str(out)]) == EXIT_OK
     assert sha256(out) == SWEEP_SHA256[scenario]
+
+
+def test_unbuffered_run_contacts_and_state_bytes():
+    scenario = make_scenario("settling-box", 150, 7)
+    cfg = scenario.sim_config(0, verlet_enabled=False, steps=3500)
+    result = run(cfg, scenario.build_particles(), record_contact_digest=True)
+    m = result.metrics
+    assert (m.broad_executions, m.broad_time, m.model_time) == (3501, 6432753, 8239)
+    assert m.pair_list_length_sum == 2335          # every listed pair touches
+    assert result.contact_digest == UNBUFFERED_CONTACTS_SHA256
+    final = result.state.particles
+    state = hashlib.sha256(final.position.tobytes() + final.velocity.tobytes()).hexdigest()
+    assert state == UNBUFFERED_STATE_SHA256
