@@ -115,23 +115,22 @@ def _sphere_mass(radius: float) -> float:
     return _DENSITY * 4.0 / 3.0 * math.pi * radius ** 3
 
 
-def _stack(free_pos: list, free_r: float, static_pos: list, static_r: float) -> Particles:
+def _lattice(n: int, *axes) -> tuple[np.ndarray, ...]:
+    """The first ``n`` points of the C-order product of ``axes``, one column per axis."""
+    index = np.unravel_index(np.arange(n), [len(a) for a in axes])
+    return tuple(np.asarray(a)[i] for a, i in zip(axes, index))
+
+
+def _stack(free: np.ndarray, free_r: float, static: np.ndarray, static_r: float) -> Particles:
     """Assemble free particles (ids first) and static ones into one set."""
-    n_free = len(free_pos)
-    n_static = len(static_pos)
-    pos = np.array(free_pos + static_pos, dtype=np.float64).reshape(-1, 3)
-    radius = np.concatenate([
-        np.full(n_free, free_r), np.full(n_static, static_r),
-    ])
+    pos = np.concatenate([free, static])
+    is_static = np.arange(len(pos)) >= len(free)
     return Particles(
         position=pos,
         velocity=np.zeros_like(pos),
-        radius=radius,
-        mass=np.where(
-            np.arange(n_free + n_static) < n_free,
-            _sphere_mass(free_r), _sphere_mass(static_r),
-        ),
-        is_static=np.arange(n_free + n_static) >= n_free,
+        radius=np.where(is_static, static_r, free_r),
+        mass=np.where(is_static, _sphere_mass(static_r), _sphere_mass(free_r)),
+        is_static=is_static,
     )
 
 
@@ -144,7 +143,7 @@ _SB_JITTER = 0.001
 _SB_BASE = 10            # lattice columns per horizontal axis
 _SB_MARGIN = 0.01
 _SB_DROP = 0.05
-_SB_MAX_LAYERS = 1000    # 100,000 particles; the builder places one per iteration
+_SB_MAX_LAYERS = 1000    # 100,000 particles: bounds what an outside n allocates
 
 
 def _settling_box_config(n: int) -> SimConfig:
@@ -162,21 +161,11 @@ def _settling_box_config(n: int) -> SimConfig:
 
 def _build_settling_box(sc: Scenario) -> Particles:
     rng = np.random.default_rng(sc.seed)
-    pos = []
-    layer = 0
-    while len(pos) < sc.n:
-        for iy in range(_SB_BASE):
-            for ix in range(_SB_BASE):
-                if len(pos) >= sc.n:
-                    break
-                base = np.array([
-                    _SB_MARGIN + (ix + 0.5) * _SB_SPACING,
-                    _SB_MARGIN + (iy + 0.5) * _SB_SPACING,
-                    _SB_DROP + (layer + 0.5) * _SB_SPACING,
-                ])
-                pos.append(base + rng.uniform(-_SB_JITTER, _SB_JITTER, 3))
-        layer += 1
-    return _stack(pos, _SB_R, [], _SB_R)
+    layers = np.arange(math.ceil(sc.n / (_SB_BASE * _SB_BASE)))
+    cols = _SB_MARGIN + (np.arange(_SB_BASE) + 0.5) * _SB_SPACING
+    z, y, x = _lattice(sc.n, _SB_DROP + (layers + 0.5) * _SB_SPACING, cols, cols)
+    pos = np.column_stack([x, y, z]) + rng.uniform(-_SB_JITTER, _SB_JITTER, (sc.n, 3))
+    return _stack(pos, _SB_R, np.empty((0, 3)), _SB_R)
 
 
 # --- mini hopper ----------------------------------------------------------
@@ -203,21 +192,14 @@ def _mini_hopper_config(n: int) -> SimConfig:
                    ContactParams(k_n=4000.0, gamma_n=0.8, mu_s=0.3, k_t=800.0))
 
 
-def _hopper_static() -> list:
+def _hopper_static() -> np.ndarray:
     xc = _HP_LX / 2.0
     cos_a, sin_a = math.cos(_HP_ANGLE), math.sin(_HP_ANGLE)
     t_max = (_HP_WEDGE_TOP - _HP_SLOT_Z) / sin_a
-    steps_t = int(t_max / _HP_SPACING) + 1
+    ts = np.arange(int(t_max / _HP_SPACING) + 1) * _HP_SPACING
     ys = np.arange(0.0075, _HP_LY - 0.0074, _HP_SPACING)
-    pos = []
-    for i in range(steps_t):
-        t = i * _HP_SPACING
-        z = _HP_SLOT_Z + t * sin_a
-        for sign in (-1.0, 1.0):
-            x = xc + sign * (_HP_SLOT_HALF + t * cos_a)
-            for y in ys:
-                pos.append([x, float(y), z])
-    return pos
+    t, sign, y = _lattice(len(ts) * 2 * len(ys), ts, (-1.0, 1.0), ys)
+    return np.column_stack([xc + sign * (_HP_SLOT_HALF + t * cos_a), y, _HP_SLOT_Z + t * sin_a])
 
 
 def _build_mini_hopper(sc: Scenario) -> Particles:
@@ -225,20 +207,13 @@ def _build_mini_hopper(sc: Scenario) -> Particles:
     xs = np.arange(_HP_BLOCK_X[0], _HP_BLOCK_X[1] + 1e-9, _HP_SPACING)
     ys = np.arange(0.01, _HP_LY - 0.0099, _HP_SPACING)
     per_layer = len(xs) * len(ys)
-    layers = math.ceil(sc.n / per_layer) if sc.n else 0
+    layers = math.ceil(sc.n / per_layer)
     if _HP_BLOCK_Z + layers * _HP_SPACING > _HP_LZ - 0.02:
         raise PlacementError(
             f"{sc.n} free particles do not fit above the hopper wedge"
         )
-    free = []
-    for layer in range(layers):
-        z = _HP_BLOCK_Z + (layer + 0.5) * _HP_SPACING
-        for y in ys:
-            for x in xs:
-                if len(free) >= sc.n:
-                    break
-                base = np.array([float(x), float(y), z])
-                free.append(base + rng.uniform(-_HP_JITTER, _HP_JITTER, 3))
+    z, y, x = _lattice(sc.n, _HP_BLOCK_Z + (np.arange(layers) + 0.5) * _HP_SPACING, ys, xs)
+    free = np.column_stack([x, y, z]) + rng.uniform(-_HP_JITTER, _HP_JITTER, (sc.n, 3))
     return _stack(free, _HP_RF, _hopper_static(), _HP_RW)
 
 
@@ -282,38 +257,33 @@ def _inclined_flow_config(n: int) -> SimConfig:
                    ContactParams(k_n=4000.0, gamma_n=0.8, mu_s=0.3, k_t=800.0))
 
 
+def _on_incline(u: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Points ``p0 + u·t̂ + (0, v, 0) + h·n̂``, one row per entry of the columns."""
+    p0, t_hat, n_hat = _incline_axes()
+    zero = np.zeros_like(v)
+    return p0 + u[:, None] * t_hat + np.column_stack([zero, v, zero]) + h[:, None] * n_hat
+
+
 def _build_inclined_flow(sc: Scenario) -> Particles:
     rng = np.random.default_rng(sc.seed)
-    p0, t_hat, n_hat = _incline_axes()
-
-    static = []
     us = np.arange(_IF_STATIC_U[0], _IF_STATIC_U[1] + 1e-9, _IF_STATIC_SPACING)
     vs = np.arange(0.012, _IF_LY - 0.0119, _IF_STATIC_SPACING)
     # tiny standoff keeps rounding from turning exact plane contact into
     # phantom zero-force contacts
     lift = _IF_RS + 1e-9
-    for u in us:
-        for v in vs:
-            static.append(p0 + u * t_hat + np.array([0.0, v, 0.0]) + lift * n_hat)
+    static = _on_incline(*_lattice(len(us) * len(vs), us, vs, (lift,)))
 
-    free = []
     us_f = np.arange(_IF_FREE_U[0], _IF_FREE_U[1] + 1e-9, _IF_FREE_SPACING)
     vs_f = np.arange(0.015, _IF_LY - 0.0149, _IF_FREE_SPACING)
     per_layer = len(us_f) * len(vs_f)
-    layers = math.ceil(sc.n / per_layer) if sc.n else 0
+    layers = math.ceil(sc.n / per_layer)
     if _IF_FREE_H0 + layers * _IF_FREE_SPACING > 0.13:
         raise PlacementError(
             f"{sc.n} free particles do not fit above the inclined plane"
         )
-    for layer in range(layers):
-        h = _IF_FREE_H0 + (layer + 0.5) * _IF_FREE_SPACING
-        for u in us_f:
-            for v in vs_f:
-                if len(free) >= sc.n:
-                    break
-                jitter = rng.uniform(-_IF_JITTER, _IF_JITTER, 3)
-                base = p0 + u * t_hat + np.array([0.0, v, 0.0]) + h * n_hat
-                free.append(base + jitter)
+    h, u, v = _lattice(sc.n, _IF_FREE_H0 + (np.arange(layers) + 0.5) * _IF_FREE_SPACING,
+                       us_f, vs_f)
+    free = _on_incline(u, v, h) + rng.uniform(-_IF_JITTER, _IF_JITTER, (sc.n, 3))
     return _stack(free, _IF_RF, static, _IF_RS)
 
 

@@ -219,7 +219,7 @@ def _search_radii(pset: Particles, search_radius) -> np.ndarray:
 
 
 def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
-    """(pair list, candidates tested, squared distance of every listed pair, grid, candidates).
+    """(pair list, squared distance of every listed pair, grid, candidates).
 
     The candidates of a ``previous`` build are reused when the new grid has
     the same ``shape`` and ``cell_of``, of which the candidate set is a
@@ -260,7 +260,7 @@ def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
     keys = _oriented_keys(np.take(ia, hit), np.take(ib, hit))
     # the grid emits every unordered pair once, so a sort canonicalizes
     by_key = np.argsort(keys)
-    return PairList(keys[by_key]), len(candidates[0]), np.take(d2, hit[by_key]), grid, candidates
+    return PairList(keys[by_key]), np.take(d2, hit[by_key]), grid, candidates
 
 
 def linked_cell_pairs(particles: Particles, cfg: SimConfig, search_radius) -> PairList:
@@ -350,7 +350,7 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
     """
     skins = _skins(particles, cfg) if skins is None else np.asarray(skins, dtype=np.float64)
     reach = particles.radius + skins
-    pair_list, _, d2, grid, candidates = _pairs_with_stats(particles, cfg, reach, previous)
+    pair_list, d2, grid, candidates = _pairs_with_stats(particles, cfg, reach, previous)
     ia, ib = pair_list.columns
     d0 = np.sqrt(d2)
     rsum = particles.radius.take(ia) + particles.radius.take(ib)

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .bench import (
-    DEFAULT_K_VALUES, SCENARIO_NAMES, emit_report, make_scenario, run_sweep,
-    validate_equivalence,
+    BASELINE_K, DEFAULT_K_VALUES, SCENARIO_NAMES, UNIFORM_SKIN_K, emit_report,
+    make_scenario, run_sweep, validate_equivalence,
 )
 from .core import ConfigError, SimulationError, _strict_int, _strict_keys, config_overrides
 from .engine import OPCOUNT, WALLTIME, PhaseMetrics, SimulationUnstable, run
@@ -132,7 +132,7 @@ def _cmd_sweep(args) -> int:
         emit_report(report, args.out)
     print(f"sweep complete: {len(report.rows)} rows -> {args.out}")
     for row in report.rows:
-        label = {-1: "baseline", -2: "uniform-skin"}.get(row.k, f"K={row.k}")
+        label = {BASELINE_K: "baseline", UNIFORM_SKIN_K: "uniform-skin"}.get(row.k, f"K={row.k}")
         print(f"  {label:>12}: total={row.total:.6g} "
               f"broad_pct={row.broad_executed_pct:.2f} "
               f"mean_pairs={row.mean_pairs:.1f} "

@@ -79,6 +79,12 @@ class TestMakeScenario:
             assert len(resolve_contacts(candidates, pset, sc.config.walls)) == 0, name
 
     def test_placement_failure_for_absurd_count(self):
+        # the limits README states: the largest count that fits, then one more
+        for name, fits in (("mini-hopper", 1000), ("inclined-flow", 630)):
+            pset = make_scenario(name, fits, 0).build_particles()
+            assert int((~pset.is_static).sum()) == fits, name
+            with pytest.raises(PlacementError):
+                make_scenario(name, fits + 1, 0).build_particles()
         with pytest.raises(PlacementError):
             make_scenario("mini-hopper", 100_000, 0).build_particles()
 

@@ -272,7 +272,8 @@ class TestLinkedCellPairs:
     def test_tested_equals_searchsorted_count(self, seed, n, thin_axis):
         # pairs_tested is a contract number (the opcount "broad" column)
         pset, cfg, sr = clamped_cloud(seed, n, thin_axis)
-        _, tested, *_ = _pairs_with_stats(pset, cfg, sr)
+        *_, candidates = _pairs_with_stats(pset, cfg, sr)
+        tested = len(candidates[0])
         assert tested == searchsorted_tested(pset.position, cfg)
 
     @pytest.mark.parametrize("radius", [0.5, [0.5], [0.5] * 3, [[0.5, 0.5]]])

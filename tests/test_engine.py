@@ -11,7 +11,7 @@ import verletdem.engine
 from builders import spheres
 from verletdem.bench import make_scenario, run_sweep, validate_equivalence
 from verletdem.broadphase import (
-    SKIN_UNIFORM_RADIUS, PairList, VerletState, _skins, brute_force_pairs,
+    SKIN_LOCAL, SKIN_UNIFORM_RADIUS, PairList, VerletState, _skins, brute_force_pairs,
 )
 from verletdem.cli import EXIT_CONFIG, main
 from verletdem.core import ConfigError, ContactParams, Particles, SimConfig, WallPlane, vec3
@@ -216,6 +216,24 @@ class TestEquivalence:
         assert sum(rows is None for _, rows in buffered_calls) == buffered.metrics.broad_executions
         gated = [(length, rows) for length, rows in buffered_calls if rows is not None]
         assert sum(rows for _, rows in gated) < 0.5 * sum(length for length, _ in gated)
+
+    def test_baseline_twin_ignores_k_and_skin_mode(self):
+        # an unbuffered run never reads K or the skin mode, so one baseline
+        # could serve every buffered twin of a scenario
+        pset = jostling_cluster()
+        cfg = cluster_config(300, verlet_enabled=False)
+        results = [
+            run(dataclasses.replace(cfg, k_factor=k), pset, skin_mode=mode,
+                record_contact_digest=True)
+            for k in (0, 50, 1000) for mode in (SKIN_LOCAL, SKIN_UNIFORM_RADIUS)
+        ]
+        first = results[0]
+        assert first.metrics.model_time > 10 * first.metrics.force_evaluations
+        for other in results[1:]:
+            assert other.contact_digest == first.contact_digest
+            for field in ("position", "velocity"):
+                assert (getattr(other.state.particles, field).tobytes()
+                        == getattr(first.state.particles, field).tobytes())
 
 
 def jostling_cluster():

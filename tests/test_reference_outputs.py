@@ -33,6 +33,29 @@ SWEEP_SHA256 = {
 UNBUFFERED_CONTACTS_SHA256 = "2f3094af23d6236b4c16855003f4b4e557439a8e16e0bf99712cb766a3c93fc1"
 UNBUFFERED_STATE_SHA256 = "421e986811bdec0e05446d282e3eacb5d5bdbe78324fef06d71650793cb22719"
 
+# the five Particles columns of each bundled scene at seed 42: a partial
+# row, a full 100-particle layer and the first point of the next one
+SCENE_SHA256 = {
+    ("settling-box", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("settling-box", 1): "652bc1136e871c0891d5f34a4cf7ebc0bc9cf41242f5b74a1ae9bceca5e4c11c",
+    ("settling-box", 99): "32a85765a22af4eb495e472a25109b3dc523d809f195880e40ce7dc602473ee1",
+    ("settling-box", 100): "483110302be2a5ede97a773935188f36d7d1f76ecb4a2528475668b236103521",
+    ("settling-box", 101): "0f928b137846c1352c87abd170180fac5576b2a59b3ac289dc72da98ebc3ff39",
+    ("settling-box", 500): "962714956c0d356c3f66c83e1c3c245744ecfe07a11b11859403c76beadd8958",
+    ("mini-hopper", 0): "1bfa575e86f6f78a1f60f3e05dd3b8616ad8aab9f20ecff210b9562ddb38b1df",
+    ("mini-hopper", 1): "80210581f3d0ce7d436ea75477ead1eba29ef7009966acf47709d68fe833df36",
+    ("mini-hopper", 99): "14b07647496f11dcbb58263777c77358255ed9adff1bc74ed0f3a5c41ad81426",
+    ("mini-hopper", 100): "1bfaeb13272fa9bd19d8f6db26ed63b4d56cebcc3bf3ade135fd42ba47ad230b",
+    ("mini-hopper", 101): "ae171ce14e8bec99f8db42a68ac74a889275ddcfd35fada2215ed0b92f2fb2a0",
+    ("mini-hopper", 500): "6f7ea498ad72b08f63c4d46e02594c0c04563a02e484e7cca10d0a7df341ba7b",
+    ("inclined-flow", 0): "8257d58d452643146c47c7ceb6d595d1ebf367b649c5fb79e91a0cac1f894e6b",
+    ("inclined-flow", 1): "0bc943a86d7613d289aab76c123bbdb8cdb2a7a00282733384424bf189bb9d3d",
+    ("inclined-flow", 99): "b772a00092ff940ce2c07fd53ced53ef5e3917aa174487d0b3fc6ea133d184dc",
+    ("inclined-flow", 100): "2d0ce12dd904396e942f3873e979baf37e95bbb1bfd1906c7c8de3d1d2b07ac5",
+    ("inclined-flow", 101): "5bcc5bfc796f802e9e5fc6ff241507170af61240cd514ee509b84e8511defdad",
+    ("inclined-flow", 500): "8d4ced68218c8eadb4c30530626b0d9d7790870b32cebf3809a2c128a17c5a83",
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -69,3 +92,12 @@ def test_unbuffered_run_contacts_and_state_bytes():
     final = result.state.particles
     state = hashlib.sha256(final.position.tobytes() + final.velocity.tobytes()).hexdigest()
     assert state == UNBUFFERED_STATE_SHA256
+
+
+@pytest.mark.parametrize("name,n", sorted(SCENE_SHA256))
+def test_scene_particle_bytes(name, n):
+    p = make_scenario(name, n, 42).build_particles()
+    digest = hashlib.sha256()
+    for column in (p.position, p.velocity, p.radius, p.mass, p.is_static):
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == SCENE_SHA256[name, n]
