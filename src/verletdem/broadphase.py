@@ -2,9 +2,9 @@
 and the per-particle Verlet-buffer layer.
 
 A pair list is a sorted array of int64 keys ``id_a << 32 | id_b`` with
-id_a < id_b.  The grid is only the cell layout the search reads, and each
-search builds its own.  A search given the previous build tests that
-build's candidate pairs again while no particle has changed cell.
+id_a < id_b.  The grid is the cell each particle sits in, and each search
+builds its own.  A search given the previous build tests that build's
+candidate pairs again, with no sort, while no particle has changed cell.
 
 The buffer inflates each particle's search radius by a skin proportional to
 its own speed (``k_factor * |v| * dt``), capped by the cell geometry, and
@@ -48,6 +48,7 @@ class SizeMismatch(SimulationError):
 
 SKIN_LOCAL = "local"                    # per-particle k * |v| * dt, capped
 SKIN_UNIFORM_RADIUS = "uniform-radius"  # skin = particle radius, capped
+_SKIN_MODES = (SKIN_LOCAL, SKIN_UNIFORM_RADIUS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +90,7 @@ def _oriented_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CellGrid:
-    """The pair search's cell layout, in counting-sort form.
+    """The pair search's cell layout: the cell each particle sits in.
 
     Each particle is binned into the domain cell that holds it; particles
     outside the domain are clamped into boundary cells rather than
@@ -100,18 +101,12 @@ class CellGrid:
     an empty ghost layer per face, ``shape`` cells per axis with domain cell
     ``ijk`` at ``ijk - corner``, so every neighbour of an occupied cell is a
     fixed offset of its padded id.  ``cell_of`` is each particle's padded
-    cell id, ``order`` lists the ids by padded cell, ascending within a
-    cell, and the CSR cell ``starts`` put the residents of padded cell ``c``
-    at ``order[starts[c]:starts[c + 1]]`` (Green's 2010 CUDA particles
-    whitepaper).
+    cell id.
     """
 
-    cell_size: float
     corner: np.ndarray = field(repr=False)    # domain cell coordinates of padded cell 0
     shape: np.ndarray = field(repr=False)     # padded cells per axis
     cell_of: np.ndarray = field(repr=False)   # (n,) padded cell id per particle
-    order: np.ndarray = field(repr=False)     # particle ids sorted by padded cell id
-    starts: np.ndarray = field(repr=False)    # (padded cells + 1,) CSR cell starts
 
 
 def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarray:
@@ -119,8 +114,9 @@ def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarra
 
     ``raw`` is ``k_factor * |v| * dt`` in the local mode (``k_factor`` steps
     of travel at the build-time speed) and the radius in the uniform-radius
-    mode.  The cap keeps every inflated search radius within half a cell,
-    so that searching the immediate neighbour cells is provably sufficient.
+    mode; ``run`` rejects any other mode before its first evaluation.  The
+    cap keeps every inflated search radius within half a cell, so that
+    searching the immediate neighbour cells is provably sufficient.
     A cap whose sum ``radius + cap`` rounds above half a cell is stepped
     down by ulps until the sum, as the pair search computes it, fits.
     With the buffer disabled every skin is zero: the list is rebuilt at
@@ -141,17 +137,15 @@ def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarra
         high = high[pset.radius.take(high) + caps.take(high) > half]
     if mode == SKIN_LOCAL:
         raw = cfg.k_factor * np.sqrt(row_norm_sq(pset.velocity)) * cfg.dt
-    elif mode == SKIN_UNIFORM_RADIUS:
-        raw = pset.radius
     else:
-        raise SimulationError(f"unknown skin mode {mode!r}")
+        raw = pset.radius
     skins = np.minimum(raw, caps)
     skins[pset.is_static] = 0.0
     return skins
 
 
 def build_grid(particles: Particles, cfg: SimConfig) -> CellGrid:
-    """Bin every particle by a counting sort: ``starts[1:] = cumsum(bincount)``."""
+    """Bin every particle into its clamped domain cell of a padded layout."""
     cell = np.floor((particles.position - cfg.domain_min) / cfg.cell_size)
     # clamp before the int64 cast, so no coordinate overflows it; a NaN lands in cell 0
     ijk = np.fmin(np.fmax(cell, 0.0), grid_dims(cfg) - 1.0).astype(np.int64)
@@ -160,16 +154,7 @@ def build_grid(particles: Particles, cfg: SimConfig) -> CellGrid:
     corner = box.min(axis=1) - 1
     shape = box.max(axis=1) - corner + 2
     cell_of = np.ravel_multi_index(tuple(axes - corner[:, None]), tuple(shape))
-    starts = np.zeros(int(shape.prod()) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cell_of, minlength=len(starts) - 1), out=starts[1:])
-    return CellGrid(
-        cell_size=float(cfg.cell_size),
-        corner=corner,
-        shape=shape,
-        cell_of=cell_of,
-        order=np.argsort(cell_of, kind="stable"),
-        starts=starts,
-    )
+    return CellGrid(corner=corner, shape=shape, cell_of=cell_of)
 
 
 # The 13 neighbour offsets whose linearized index is strictly below the home
@@ -187,27 +172,33 @@ _HALF_STENCIL = np.array([
 def _candidate_pairs(grid: CellGrid):
     """All pairs of particles sharing a cell or sitting in adjacent cells.
 
-    Slot s of the sorted layout holds particle ``grid.order[s]``.  It pairs
-    with the later slots of its own cell and with every slot of the 13
-    lower-index neighbour cells, whose ranges are read straight off
-    ``grid.starts``: ghost cells are empty, so no neighbour needs a validity
-    test.  Returns (id_a, id_b), the particle ids of each candidate pair
-    exactly once, in slot order.
+    A counting sort lays the particles out by padded cell (Green's 2010
+    CUDA particles whitepaper): slot s holds particle ``order[s]``, ids
+    ascending within a cell, and the CSR cell ``starts[1:] =
+    cumsum(bincount)`` put the residents of cell ``c`` in slots
+    ``starts[c]:starts[c + 1]``.  A slot pairs with the later slots of its
+    own cell and with every slot of the 13 lower-index neighbour cells:
+    ghost cells are empty, so no neighbour needs a validity test.  Returns
+    (id_a, id_b), the particle ids of each candidate pair exactly once, in
+    slot order.
     """
-    slots = np.arange(len(grid.order), dtype=np.int64)
-    home = grid.cell_of[grid.order]
+    order = np.argsort(grid.cell_of, kind="stable")
+    starts = np.zeros(int(grid.shape.prod()) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(grid.cell_of, minlength=len(starts) - 1), out=starts[1:])
+    slots = np.arange(len(order), dtype=np.int64)
+    home = grid.cell_of[order]
     offsets = _HALF_STENCIL @ np.array([grid.shape[1] * grid.shape[2], grid.shape[2], 1])
     nbr = home + offsets[:, None]                 # (13, n) neighbour cell ids
-    lo = np.concatenate([slots + 1, grid.starts[nbr].ravel()])
-    hi = np.concatenate([grid.starts[home + 1], grid.starts[nbr + 1].ravel()])
+    lo = np.concatenate([slots + 1, starts[nbr].ravel()])
+    hi = np.concatenate([starts[home + 1], starts[nbr + 1].ravel()])
     counts = hi - lo
-    id_a = np.repeat(np.tile(grid.order, len(_HALF_STENCIL) + 1), counts)
+    id_a = np.repeat(np.tile(order, len(_HALF_STENCIL) + 1), counts)
     # slot_b runs through [lo[i], hi[i]) for every range i in turn
     id_b = np.repeat(lo - (np.cumsum(counts) - counts), counts)
     id_b += np.arange(len(id_b), dtype=np.int64)
     # slots to ids in place: every slot is in range, and "clip" skips the
     # copy of ``out`` that the default mode makes
-    np.take(grid.order, id_b, out=id_b, mode="clip")
+    np.take(order, id_b, out=id_b, mode="clip")
     return id_a, id_b
 
 
@@ -227,14 +218,14 @@ def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
     """
     sr = _search_radii(pset, radii)
     grid = build_grid(pset, cfg)
-    if len(pset) and sr.max() > 0.5 * grid.cell_size:
+    if len(pset) and sr.max() > 0.5 * cfg.cell_size:
         bad = int(np.argmax(sr))
         raise SearchRadiusExceedsCell(
             f"search radius {sr[bad]} of particle {bad} exceeds cell_size/2 = "
-            f"{0.5 * grid.cell_size}"
+            f"{0.5 * cfg.cell_size}"
         )
-    if (previous is not None and np.array_equal(grid.shape, previous.grid_shape)
-            and np.array_equal(grid.cell_of, previous.cell_of)):
+    if (previous is not None and np.array_equal(grid.shape, previous.grid.shape)
+            and np.array_equal(grid.cell_of, previous.grid.cell_of)):
         candidates = previous.candidates
     else:
         candidates = _candidate_pairs(grid)
@@ -311,12 +302,10 @@ class VerletState:
     configuration, the particles within radius + frozen skin of it at the
     build (see :func:`wall_candidates`).  ``pair_slack`` holds, per row of
     ``list``, the build distance minus the radii sum, less a relative pad
-    (see :func:`verlet_gate`).  ``candidates`` holds the (id_a, id_b)
-    columns of every candidate pair the build's search tested, a function
-    of its grid's ``shape`` and ``cell_of``, kept as ``grid_shape`` and
-    ``cell_of``: the stencil a later build reuses while no particle has
-    changed cell.  The grid's cell starts, sized by the occupied box, are
-    not kept.
+    (see :func:`verlet_gate`).  ``grid`` is the build's cell layout and
+    ``candidates`` the (id_a, id_b) columns of every candidate pair its
+    search tested, a function of the grid's ``shape`` and ``cell_of``: the
+    stencil a later build reuses while no particle has changed cell.
     """
 
     list: PairList
@@ -324,8 +313,7 @@ class VerletState:
     frozen_skins: np.ndarray
     wall_rows: tuple
     pair_slack: np.ndarray
-    grid_shape: np.ndarray
-    cell_of: np.ndarray
+    grid: CellGrid
     candidates: tuple
 
     def __len__(self) -> int:
@@ -360,8 +348,7 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
         frozen_skins=skins,
         wall_rows=wall_candidates(particles, cfg.walls, reach),
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
-        grid_shape=grid.shape,
-        cell_of=grid.cell_of,
+        grid=grid,
         candidates=candidates,
     )
 

@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .broadphase import (
-    SKIN_LOCAL, VerletState, _skins, verlet_build, verlet_displacement_sq,
-    verlet_gate, verlet_needs_rebuild,
+    SKIN_LOCAL, VerletState, _SKIN_MODES, _skins, verlet_build,
+    verlet_displacement_sq, verlet_gate, verlet_needs_rebuild,
 )
 from .core import (
     ConfigError, Particles, SimConfig, SimulationError, row_norm_sq,
@@ -352,9 +352,12 @@ def run(cfg: SimConfig, particles: Particles, *, validation: bool = False,
     never mutated.  Aborts with :class:`SimulationUnstable` if any particle
     state goes non-finite.  With ``validation=True`` the shadow scan
     (:meth:`_Driver._shadow_scan`) audits the live pair list at every force
-    evaluation; its misses are counted in the result, not raised.
+    evaluation; its misses are counted in the result, not raised.  An
+    unknown ``skin_mode`` raises :class:`SimulationError` before any step.
     """
     validate_config(cfg, particles)
+    if skin_mode not in _SKIN_MODES:
+        raise SimulationError(f"unknown skin mode {skin_mode!r}")
     result = RunResult(SimState(particles=particles.copy()), PhaseMetrics(),
                        contact_hash=hashlib.sha256() if record_contact_digest else None)
     driver = _Driver(result, cfg, validation=validation, skin_mode=skin_mode)

@@ -51,13 +51,43 @@ def clamped_cloud(seed, n, thin_axis):
     return pset, config(cell_size=cell, hi=tuple(hi)), rng.uniform(0.01, 0.45, n)
 
 
+def far_outlier(seed):
+    """499 particles in a 0.2 m corner of a 2 m domain of 1 cm cells, one in the far corner.
+
+    The occupied box, and with it the candidate enumeration's cell table,
+    spans the whole domain: 200**3 cells for 500 particles.
+    """
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 0.2, (500, 3))
+    pos[-1] = 1.995
+    r = rng.uniform(0.001, 0.004, 500)
+    pset = Particles(pos, np.zeros((500, 3)), r, np.ones(500), np.zeros(500, bool))
+    return pset, config(cell_size=0.01, hi=(2, 2, 2)), rng.uniform(0.0, 0.005, 500)
+
+
+def all_outside(seed):
+    """A cloud with every particle outside the domain, clamped into its boundary cells.
+
+    60 particles sit below the domain's lower corner on every axis, so all
+    of them share one clamped cell; the other 90 sit beyond its upper x
+    face, spread over that face's cells.
+    """
+    rng = np.random.default_rng(seed)
+    hi = np.array([5.0, 4.0, 6.0])
+    pos = np.concatenate([rng.uniform(-1.5, 0.0, (60, 3)),
+                          rng.uniform([5.01, 0.0, 0.0], [6.5, 4.0, 6.0], (90, 3))])
+    r = rng.uniform(0.05, 0.35, 150)
+    pset = Particles(pos, np.zeros((150, 3)), r, np.ones(150), np.zeros(150, bool))
+    return pset, config(cell_size=0.9, hi=tuple(hi)), rng.uniform(0.01, 0.45, 150)
+
+
 def domain_cells(grid):
     """Each particle's domain cell (i, j, k), read off the padded layout."""
     return grid.corner + np.stack(np.unravel_index(grid.cell_of, tuple(grid.shape)), axis=1)
 
 
 def cell_residents(grid, padded_cell):
-    return grid.order[grid.starts[padded_cell]:grid.starts[padded_cell + 1]].tolist()
+    return np.flatnonzero(grid.cell_of == padded_cell).tolist()
 
 
 def searchsorted_tested(positions, cfg):
@@ -163,13 +193,11 @@ class TestBuildGrid:
         grid = build_grid(spheres([(5, 5, 5)]), cfg)
         assert domain_cells(grid).tolist() == [[2, 2, 2]]
         assert tuple(grid.shape) == (3, 3, 3)          # one cell and its ghost layer
-        assert np.count_nonzero(np.diff(grid.starts)) == 1
 
     def test_coincident_particles_share_cell(self):
         cfg = config(cell_size=2.5)
         grid = build_grid(spheres([(3, 3, 3), (3, 3, 3)]), cfg)
         assert grid.cell_of[0] == grid.cell_of[1]
-        assert np.count_nonzero(np.diff(grid.starts)) == 1
         assert cell_residents(grid, grid.cell_of[0]) == [0, 1]
 
     def test_outside_positions_clamp_to_boundary_cells(self):
@@ -198,17 +226,17 @@ class TestBuildGrid:
         # every particle, outside the domain too, lands inside the ghost layer
         pset, cfg, _ = clamped_cloud(5, 200, thin_axis=1)
         grid = build_grid(pset, cfg)
-        counts = np.diff(grid.starts).reshape(tuple(grid.shape))
+        counts = np.bincount(grid.cell_of, minlength=int(np.prod(grid.shape)))
+        counts = counts.reshape(tuple(grid.shape))
         assert counts[1:-1, 1:-1, 1:-1].sum() == len(pset) == counts.sum()
 
-    def test_starts_span_the_occupied_box_not_the_domain(self):
+    def test_layout_spans_the_occupied_box_not_the_domain(self):
         # a million domain cells, three particles in two adjacent cells
         cfg = config(cell_size=0.1, hi=(100, 100, 100))
         pset = spheres([(50.02, 50.05, 50.05), (50.09, 50.05, 50.05), (50.15, 50.05, 50.05)],
                        radius=0.04)
         grid = build_grid(pset, cfg)
         assert tuple(grid.shape) == (4, 3, 3)
-        assert len(grid.starts) == 4 * 3 * 3 + 1
         assert linked_cell_pairs(pset, cfg, [0.04] * 3) == pair_list((0, 1), (1, 2))
 
 
@@ -245,6 +273,13 @@ class TestLinkedCellPairs:
     def test_oracle_equivalence_property(self, seed, n, thin_axis):
         pset, cfg, sr = clamped_cloud(seed, n, thin_axis)
         assert linked_cell_pairs(pset, cfg, sr) == brute_force_pairs(pset, sr)
+
+    @pytest.mark.parametrize("layout", [far_outlier, all_outside])
+    def test_oracle_equivalence_on_outlying_layouts(self, layout):
+        pset, cfg, sr = layout(0)
+        found = linked_cell_pairs(pset, cfg, sr)
+        assert len(found) > 10
+        assert found == brute_force_pairs(pset, sr)
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
     @settings(max_examples=60, deadline=None)
@@ -476,6 +511,17 @@ class TestStencilReuse:
         if not crossing:
             assert state.candidates is first.candidates
 
+    def test_far_outlier_build_reuses_its_stencil(self):
+        pset, cfg, _ = far_outlier(1)
+        rng = np.random.default_rng(2)
+        skins = rng.uniform(0.0, 1.0, len(pset)) * (0.5 * cfg.cell_size - pset.radius)
+        first = verlet_build(pset, cfg, skins)
+        moved = moved_cloud(pset, cfg, rng, crossing=False)
+        state = verlet_build(moved, cfg, skins, previous=first)
+        assert state.candidates is first.candidates
+        assert len(state.list) > 10
+        assert_same_build(state, verlet_build(moved, cfg, skins))
+
     def test_a_face_crossing_into_touching_range_is_found(self):
         # particle 1 moves from cell 2 into cell 1, overlapping particle 0 in
         # cell 0; particle 2 keeps the particle count and the grid's shape,
@@ -487,7 +533,7 @@ class TestStencilReuse:
         moved = pset.copy()
         moved.position[1, 0] = 1.05
         state = verlet_build(moved, cfg, previous=first)
-        assert tuple(state.grid_shape) == tuple(first.grid_shape)
+        assert tuple(state.grid.shape) == tuple(first.grid.shape)
         assert (0, 1) in state.list
         assert_same_build(state, verlet_build(moved, cfg))
 

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verletdem.broadphase
 import verletdem.engine
 from builders import spheres
 from verletdem.bench import make_scenario, run_sweep, validate_equivalence
@@ -14,7 +16,9 @@ from verletdem.broadphase import (
     SKIN_LOCAL, SKIN_UNIFORM_RADIUS, PairList, VerletState, _skins, brute_force_pairs,
 )
 from verletdem.cli import EXIT_CONFIG, main
-from verletdem.core import ConfigError, ContactParams, Particles, SimConfig, WallPlane, vec3
+from verletdem.core import (
+    ConfigError, ContactParams, Particles, SimConfig, SimulationError, WallPlane, vec3,
+)
 from verletdem.engine import (
     OPCOUNT, WALLTIME, PhaseMetrics, RunResult, SimState, SimulationUnstable, _Driver, run,
 )
@@ -80,6 +84,28 @@ class TestStaticOnly:
         assert result.metrics.broad_executions == 1
         assert result.metrics.force_evaluations == 1001
         np.testing.assert_array_equal(result.state.particles.position, pset.position)
+
+    def test_unbuffered_static_scene_enumerates_candidates_once(self, monkeypatch):
+        # every evaluation rebuilds and nothing moves: each build bins the
+        # particles, and only the first enumerates candidate pairs
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(verletdem.broadphase, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("build_grid", "_candidate_pairs"):
+            monkeypatch.setattr(verletdem.broadphase, name, counting(name))
+        pset = spheres([(float(i), 0, 0) for i in range(5)], is_static=True)
+        cfg = dataclasses.replace(open_config(steps=50), verlet_enabled=False)
+        m = run(cfg, pset).metrics
+        assert m.broad_executions == m.force_evaluations == 51
+        assert calls == {"build_grid": 51, "_candidate_pairs": 1}
+        assert m.broad_time == 51 * 10       # each build tests the same 10 candidates
 
 
 class TestApproachingPair:
@@ -316,7 +342,7 @@ def audit(pset, live_keys):
     none = np.empty(0, dtype=np.int64)
     verlet = None if live_keys is None else VerletState(
         PairList(live_keys), pset.position.copy(), np.zeros(len(pset)), wall_rows=(),
-        pair_slack=np.zeros(len(live_keys)), grid_shape=None, cell_of=None,
+        pair_slack=np.zeros(len(live_keys)), grid=None,
         candidates=(none, none))
     driver = driver_for(SimState(particles=pset, verlet=verlet), open_config(1),
                         validation=True)
@@ -511,6 +537,19 @@ class TestEdgeCases:
         assert m.broad_executions == 0
         assert m.broad_time == m.narrow_time == m.model_time == m.integrate_time == 0
         assert m.pair_list_length_sum == 0
+
+    @pytest.mark.parametrize("n, buffered", [(50, False), (0, True), (50, True)])
+    def test_unknown_skin_mode_raises_before_any_evaluation(self, monkeypatch, n, buffered):
+        # with the buffer off, or no particles, no skin is ever computed, so
+        # the mode must be checked before the first evaluation
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("a force evaluation ran")
+
+        monkeypatch.setattr(verletdem.engine._Driver, "evaluate", no_evaluation)
+        sc = make_scenario("settling-box", n, 1)
+        cfg = sc.sim_config(50, verlet_enabled=buffered, steps=3)
+        with pytest.raises(SimulationError, match="^unknown skin mode 'bogus'$"):
+            run(cfg, sc.build_particles(), skin_mode="bogus")
 
     def test_nonfinite_state_aborts_with_step_and_id(self):
         # absurdly stiff contact: the acceleration of the overlapping pair

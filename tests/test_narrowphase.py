@@ -296,7 +296,7 @@ class TestWallCache:
         state = VerletState(
             list=NO_PAIRS, reference_positions=pos.copy(), frozen_skins=skins,
             wall_rows=wall_candidates(pset, walls, radius + skins), pair_slack=np.empty(0),
-            grid_shape=None, cell_of=None, candidates=NO_PAIRS.columns,
+            grid=None, candidates=NO_PAIRS.columns,
         )
 
         direction = rng.normal(size=(n, 3))
