@@ -10,6 +10,7 @@ interior optimum.
 """
 
 from verletdem import emit_report, make_scenario, run_sweep
+from verletdem.bench import BASELINE_K, UNIFORM_SKIN_K
 
 scenario = make_scenario("settling-box", 300, seed=42)
 k_values = [0, 10, 20, 50, 100, 200, 500, 1000]
@@ -24,7 +25,7 @@ header = f"{'K':>12} {'total ops':>12} {'broad':>12} {'narrow':>10} " \
 print("\n" + header)
 print("-" * len(header))
 for row in report.rows:
-    label = {-1: "baseline", -2: "uniform-skin"}.get(row.k, str(row.k))
+    label = {BASELINE_K: "baseline", UNIFORM_SKIN_K: "uniform-skin"}.get(row.k, str(row.k))
     print(f"{label:>12} {row.total:>12.0f} {row.broad:>12.0f} {row.narrow:>10.0f} "
           f"{row.broad_executed_pct:>8.2f} {row.mean_pairs:>8.1f} "
           f"{row.improvement_pct:>7.2f}")

@@ -439,8 +439,8 @@ def validate_equivalence(scenario: Scenario, k_factor: int,
                          steps: Optional[int] = None) -> EquivalenceReport:
     """Run buffered and baseline twins, audit the buffer, compare bitwise.
 
-    The buffered run carries the shadow scan at every force evaluation;
-    both runs record a digest over their full contact history.
+    The buffered twin is shadow-scanned at each evaluation and both digest their
+    contact history.  The baseline runs at K = 0: unbuffered, it never reads K.
     """
     particles = scenario.build_particles()
     nsteps = int(steps if steps is not None else scenario.config.steps)
@@ -448,7 +448,7 @@ def validate_equivalence(scenario: Scenario, k_factor: int,
     cfg_on = scenario.sim_config(k_factor, verlet_enabled=True, steps=nsteps)
     buffered = run(cfg_on, particles, validation=True, record_contact_digest=True)
 
-    cfg_off = scenario.sim_config(k_factor, verlet_enabled=False, steps=nsteps)
+    cfg_off = scenario.sim_config(0, verlet_enabled=False, steps=nsteps)
     baseline = run(cfg_off, particles, record_contact_digest=True)
 
     state_match = (

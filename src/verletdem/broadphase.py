@@ -88,7 +88,7 @@ def _oriented_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.minimum(a, b) << np.int64(32)) | np.maximum(a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellGrid:
     """The pair search's cell layout: the cell each particle sits in.
 
@@ -290,7 +290,7 @@ def wall_candidates(particles: Particles, walls, reach) -> tuple[np.ndarray, ...
     return tuple((w.signed_distance(particles.position) <= bound).nonzero()[0] for w in walls)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerletState:
     """Snapshot of one broad-phase build.
 

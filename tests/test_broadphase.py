@@ -406,6 +406,14 @@ class TestVerletBuild:
         state = verlet_build(pset, cfg)
         assert not verlet_needs_rebuild(state, pset)
 
+    def test_grid_and_build_compare_by_identity(self):
+        # their array fields have no truth value, so == must not compare them
+        pset, cfg, _ = clamped_cloud(5, 20, thin_axis=1)
+        for make in (build_grid, verlet_build):
+            first, second = make(pset, cfg), make(pset, cfg)
+            assert first == first
+            assert first != second
+
     def test_canonical_ordering_contract(self):
         rng = np.random.default_rng(8)
         pset = random_set(rng, 120, hi=(5, 5, 5))

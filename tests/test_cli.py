@@ -103,6 +103,12 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "config error: scenario seed must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_cell_smaller_than_a_particle_exits_2(self, tmp_path, capsys):
+        cfg = write_run_config(tmp_path / "cfg.json", overrides={"cell_size": 0.009})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert ("config error: cell_size 0.009 < 2 x max radius 0.005"
+                in capsys.readouterr().err)
+
     def test_bad_json_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{broken")

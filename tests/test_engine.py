@@ -184,6 +184,21 @@ class TestEquivalence:
         assert report.final_state_match
         assert report.broad_executions_buffered < report.broad_executions_baseline
 
+    @pytest.mark.parametrize("name, n, steps, scan_sees_it", [
+        ("inclined-flow", 30, 2600, True),    # particles outrun their skins
+        ("settling-box", 10, 3000, False),    # only the wall cache goes stale
+    ])
+    def test_a_buffer_that_never_rebuilds_fails_the_audit(self, monkeypatch, name, n,
+                                                           steps, scan_sees_it):
+        # the shadow scan audits the pair list only: a stale wall cache is
+        # caught by the bitwise twin comparison alone
+        monkeypatch.setattr(verletdem.engine, "verlet_needs_rebuild", lambda *a: False)
+        report = validate_equivalence(make_scenario(name, n, 3), 200, steps=steps)
+        assert not report.ok
+        assert (report.shadow_misses > 0) == scan_sees_it
+        assert not report.contact_history_match
+        assert not report.final_state_match
+
     def test_wall_contacts_equal_baseline(self):
         # spheres thrown at a floor and a tilted wall: the buffered run tests
         # only the wall rows cached at its builds, the baseline rebuilds (and
