@@ -3,8 +3,9 @@ and the per-particle Verlet-buffer layer.
 
 A pair list is a sorted array of int64 keys ``id_a << 32 | id_b`` with
 id_a < id_b.  The grid is the cell each particle sits in, and each search
-builds its own.  A search given the previous build tests that build's
-candidate pairs again, with no sort, while no particle has changed cell.
+builds its own and indexes it by the sorted cell ids.  A search given the
+previous build tests that build's candidate pairs again, with no sort,
+while no particle has changed cell.
 
 The buffer inflates each particle's search radius by a skin proportional to
 its own speed (``k_factor * |v| * dt``), capped by the cell geometry, and
@@ -17,6 +18,7 @@ of it, so the narrow phase tests only those against that wall.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -98,13 +100,12 @@ class CellGrid:
     keep working on whatever is left.
 
     The layout is a padded box: the bounding box of the occupied cells plus
-    an empty ghost layer per face, ``shape`` cells per axis with domain cell
-    ``ijk`` at ``ijk - corner``, so every neighbour of an occupied cell is a
-    fixed offset of its padded id.  ``cell_of`` is each particle's padded
-    cell id.
+    an empty ghost layer per face, ``shape`` cells per axis, numbered in C
+    order.  ``cell_of`` is each particle's padded cell id, so every
+    neighbour of an occupied cell is a fixed offset of its id.  Nothing is
+    stored per cell.
     """
 
-    corner: np.ndarray = field(repr=False)    # domain cell coordinates of padded cell 0
     shape: np.ndarray = field(repr=False)     # padded cells per axis
     cell_of: np.ndarray = field(repr=False)   # (n,) padded cell id per particle
 
@@ -145,7 +146,10 @@ def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarra
 
 
 def build_grid(particles: Particles, cfg: SimConfig) -> CellGrid:
-    """Bin every particle into its clamped domain cell of a padded layout."""
+    """Bin every particle into its clamped domain cell of a padded layout.
+
+    A layout of more cells than int64 ids can number raises SimulationError.
+    """
     cell = np.floor((particles.position - cfg.domain_min) / cfg.cell_size)
     # clamp before the int64 cast, so no coordinate overflows it; a NaN lands in cell 0
     ijk = np.fmin(np.fmax(cell, 0.0), grid_dims(cfg) - 1.0).astype(np.int64)
@@ -153,48 +157,42 @@ def build_grid(particles: Particles, cfg: SimConfig) -> CellGrid:
     box = axes if len(particles) else np.zeros((3, 1), dtype=np.int64)
     corner = box.min(axis=1) - 1
     shape = box.max(axis=1) - corner + 2
+    if math.prod(shape.tolist()) >= 2**63:
+        raise SimulationError(f"a padded box of {shape.tolist()} cells exceeds int64 cell ids")
     cell_of = np.ravel_multi_index(tuple(axes - corner[:, None]), tuple(shape))
-    return CellGrid(corner=corner, shape=shape, cell_of=cell_of)
-
-
-# The 13 neighbour offsets whose linearized index is strictly below the home
-# cell; with the home cell handled separately, every unordered cell pair is
-# visited exactly once.
-_HALF_STENCIL = np.array([
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) < (0, 0, 0)
-], dtype=np.int64)
+    return CellGrid(shape=shape, cell_of=cell_of)
 
 
 def _candidate_pairs(grid: CellGrid):
     """All pairs of particles sharing a cell or sitting in adjacent cells.
 
-    A counting sort lays the particles out by padded cell (Green's 2010
-    CUDA particles whitepaper): slot s holds particle ``order[s]``, ids
-    ascending within a cell, and the CSR cell ``starts[1:] =
-    cumsum(bincount)`` put the residents of cell ``c`` in slots
-    ``starts[c]:starts[c + 1]``.  A slot pairs with the later slots of its
-    own cell and with every slot of the 13 lower-index neighbour cells:
-    ghost cells are empty, so no neighbour needs a validity test.  Returns
-    (id_a, id_b), the particle ids of each candidate pair exactly once, in
-    slot order.
+    A stable sort lays the particles out by cell: slot s holds particle
+    ``order[s]``, ids ascending within a cell, and the sorted cell ids
+    ``home`` are the index, the slots of cell ``c`` running from
+    ``searchsorted(home, c, "left")`` to ``searchsorted(home, c, "right")``.
+    A slot pairs with the later slots of its own cell and with every slot of
+    the 13 neighbour cells of lower id.  The ghost layer keeps ``c ± 1`` in
+    the z-column of ``c``, so these are 5 runs of consecutive ids: ``c - 1``,
+    and in each of the columns (dx, dy) = (-1, -1), (-1, 0), (-1, 1), (0, -1)
+    the cells from one below the height of ``c`` to one above.  Ghost cells
+    are empty, so no run needs a validity test.  No array is sized by the
+    box, only by n and the candidate count.  Returns (id_a, id_b), the
+    particle ids of each candidate pair exactly once, in slot order.
     """
     order = np.argsort(grid.cell_of, kind="stable")
-    starts = np.zeros(int(grid.shape.prod()) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(grid.cell_of, minlength=len(starts) - 1), out=starts[1:])
-    slots = np.arange(len(order), dtype=np.int64)
-    home = grid.cell_of[order]
-    offsets = _HALF_STENCIL @ np.array([grid.shape[1] * grid.shape[2], grid.shape[2], 1])
-    nbr = home + offsets[:, None]                 # (13, n) neighbour cell ids
-    lo = np.concatenate([slots + 1, starts[nbr].ravel()])
-    hi = np.concatenate([starts[home + 1], starts[nbr + 1].ravel()])
-    counts = hi - lo
-    id_a = np.repeat(np.tile(order, len(_HALF_STENCIL) + 1), counts)
-    # slot_b runs through [lo[i], hi[i]) for every range i in turn
-    id_b = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    home = grid.cell_of.take(order)
+    plane, row = grid.shape[1] * grid.shape[2], grid.shape[2]
+    # per run: the centre's id offset below home and the run's half-width
+    below = np.array([0, 1, plane + row, plane, plane - row, row])[:, None]
+    width = np.array([0, 0, 1, 1, 1, 1])[:, None]
+    centre = home - below                         # (6, n); run 0 is the own cell
+    lo = np.concatenate([np.arange(1, len(home) + 1)[None],
+                         np.searchsorted(home, centre[1:] - width[1:], "left")])
+    hi = np.searchsorted(home, centre + width, "right")
+    counts = (hi - lo).ravel()
+    id_a = np.repeat(np.tile(order, len(below)), counts)
+    # slot_b runs through [lo[i], hi[i]) for every run i in turn
+    id_b = np.repeat(lo.ravel() - (np.cumsum(counts) - counts), counts)
     id_b += np.arange(len(id_b), dtype=np.int64)
     # slots to ids in place: every slot is in range, and "clip" skips the
     # copy of ``out`` that the default mode makes

@@ -303,9 +303,9 @@ class _Driver:
         reports: list[tuple[int, int]] = []
         contacts = resolve_contacts(verlet.list, pset, self.cfg.walls, tunneling=reports,
                                     wall_rows=verlet.wall_rows, pair_rows=pair_rows)
-        for pid, widx in reports:
-            self.result.tunneling.append((self.state.step, pid, widx))
-            log.warning("step %d: particle %d behind wall %d", self.state.step, pid, widx)
+        if reports:
+            self.result.tunneling += [(self.state.step, *report) for report in reports]
+            log.warning("step %d: behind a wall, as (particle, wall): %s", self.state.step, reports)
         t0 = self._charge("narrow_time", len(verlet.list), t0)
         if self.result.contact_hash is not None:
             self.result.contact_hash.update(len(contacts).to_bytes(8, "little"))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from builders import pair_list, spheres
 from verletdem.broadphase import (
     CapNegative, SearchRadiusExceedsCell, SizeMismatch,
-    SKIN_UNIFORM_RADIUS, _pairs_with_stats, _skins, brute_force_pairs, build_grid,
+    SKIN_UNIFORM_RADIUS, _candidate_pairs, _oriented_keys, _pairs_with_stats, _skins,
+    brute_force_pairs, build_grid,
     linked_cell_pairs, verlet_build, verlet_needs_rebuild,
 )
 from verletdem.core import ContactParams, Particles, SimConfig, WallPlane, vec3
+from verletdem.engine import run
 
 
 IDS = st.integers(0, 12) | st.integers(0, 2**31 - 1)
@@ -54,8 +57,8 @@ def clamped_cloud(seed, n, thin_axis):
 def far_outlier(seed):
     """499 particles in a 0.2 m corner of a 2 m domain of 1 cm cells, one in the far corner.
 
-    The occupied box, and with it the candidate enumeration's cell table,
-    spans the whole domain: 200**3 cells for 500 particles.
+    The occupied box spans the whole domain: 200**3 cells for 500
+    particles, which the candidate enumeration must not allocate.
     """
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, 0.2, (500, 3))
@@ -81,45 +84,65 @@ def all_outside(seed):
     return pset, config(cell_size=0.9, hi=tuple(hi)), rng.uniform(0.01, 0.45, 150)
 
 
-def domain_cells(grid):
-    """Each particle's domain cell (i, j, k), read off the padded layout."""
-    return grid.corner + np.stack(np.unravel_index(grid.cell_of, tuple(grid.shape)), axis=1)
+def clamped_cells(positions, cfg):
+    """Each position's clamped domain cell (i, j, k), computed from ``cfg`` alone."""
+    dims = np.maximum(np.ceil((cfg.domain_max - cfg.domain_min) / cfg.cell_size), 1)
+    coords = np.floor((positions - cfg.domain_min) / cfg.cell_size).astype(np.int64)
+    return np.clip(coords, 0, dims.astype(np.int64) - 1)
+
+
+def assert_layout(grid, cells):
+    """``grid`` lays out domain ``cells``: their occupied box and one ghost layer per face.
+
+    ``cell_of`` and ``shape`` hold no absolute origin, so the padded cell of
+    each particle is its domain cell less the lowest occupied one, plus one.
+    """
+    cells = np.asarray(cells)
+    low = cells.min(axis=0)
+    padded = np.stack(np.unravel_index(grid.cell_of, tuple(grid.shape)), axis=1)
+    assert padded.tolist() == (cells - low + 1).tolist()
+    assert grid.shape.tolist() == (cells.max(axis=0) - low + 3).tolist()
 
 
 def cell_residents(grid, padded_cell):
     return np.flatnonzero(grid.cell_of == padded_cell).tolist()
 
 
-def searchsorted_tested(positions, cfg):
-    """Candidate count of the searchsorted search the CSR cell starts replaced.
+def searchsorted_candidates(positions, cfg):
+    """Sorted candidate keys of a search over domain cell ids: the oracle of the grid's.
 
     Each particle is binned into its clamped domain cell, computed here from
-    ``cfg``.  It is counted against the other residents of its own cell (each
-    pair once) and against every resident of the 13 lower-index neighbour
-    cells that lie inside the domain.
+    ``cfg``, and numbered over the whole domain.  It is paired with the
+    residents of its own cell of higher id and with every resident of the 13
+    lower-index neighbour cells that lie inside the domain, found by
+    ``searchsorted`` over the sorted cell ids.  A key repeats if the search
+    would test its pair twice.
     """
     dims = np.maximum(np.ceil((cfg.domain_max - cfg.domain_min) / cfg.cell_size), 1)
     dims = dims.astype(np.int64)
-    coords = np.floor((positions - cfg.domain_min) / cfg.cell_size).astype(np.int64)
-    coords = np.clip(coords, 0, dims - 1)
+    coords = clamped_cells(positions, cfg)
 
     def linearize(ijk):
         return (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
 
     home = linearize(coords)
-    sorted_cells = np.sort(home)
-
-    def residents(cells):
-        return (np.searchsorted(sorted_cells, cells, side="right")
-                - np.searchsorted(sorted_cells, cells, side="left"))
-
-    tested = int((residents(home) - 1).sum()) // 2
+    order = np.argsort(home, kind="stable")
+    sorted_cells = home[order]
+    keys = []
     for off in [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                for dz in (-1, 0, 1) if (dx, dy, dz) < (0, 0, 0)]:
+                for dz in (-1, 0, 1) if (dx, dy, dz) <= (0, 0, 0)]:
         nbr = coords + np.array(off)
         valid = np.all((nbr >= 0) & (nbr < dims), axis=1)
-        tested += int(residents(linearize(nbr[valid])).sum())
-    return tested
+        cells = linearize(nbr[valid])
+        first = np.searchsorted(sorted_cells, cells, side="left")
+        last = np.searchsorted(sorted_cells, cells, side="right")
+        a = np.repeat(np.flatnonzero(valid), last - first)
+        slots = [np.arange(f, e) for f, e in zip(first, last)]
+        b = order[np.concatenate(slots + [np.zeros(0, np.int64)])]
+        if off == (0, 0, 0):
+            a, b = a[a < b], b[a < b]
+        keys.append((np.minimum(a, b) << 32) | np.maximum(a, b))
+    return np.sort(np.concatenate(keys))
 
 
 def skin_of(p, k_factor, dt, cell_size, **kwargs):
@@ -191,7 +214,7 @@ class TestBuildGrid:
     def test_single_particle_center(self):
         cfg = config(cell_size=2.5, hi=(10, 10, 10))   # 4 x 4 x 4 domain cells
         grid = build_grid(spheres([(5, 5, 5)]), cfg)
-        assert domain_cells(grid).tolist() == [[2, 2, 2]]
+        assert_layout(grid, [[2, 2, 2]])
         assert tuple(grid.shape) == (3, 3, 3)          # one cell and its ghost layer
 
     def test_coincident_particles_share_cell(self):
@@ -203,7 +226,7 @@ class TestBuildGrid:
     def test_outside_positions_clamp_to_boundary_cells(self):
         cfg = config(cell_size=2.5)
         grid = build_grid(spheres([(-4, 5, 5), (5, 5, 99)]), cfg)
-        assert domain_cells(grid).tolist() == [[0, 2, 2], [2, 2, 3]]
+        assert_layout(grid, [[0, 2, 2], [2, 2, 3]])
 
     def test_reinsertion_oracle(self):
         # independent per-particle recomputation of the cell index
@@ -211,15 +234,15 @@ class TestBuildGrid:
         pset = random_set(rng, 100)
         cfg = config(cell_size=1.5)
         grid = build_grid(pset, cfg)
-        cells = domain_cells(grid)
         dims = [7, 7, 7]
+        cells = [
+            [min(max(int(np.floor((pset.position[i, d] - cfg.domain_min[d])
+                                  / cfg.cell_size)), 0), dims[d] - 1)
+             for d in range(3)]
+            for i in range(len(pset))
+        ]
+        assert_layout(grid, cells)
         for i in range(len(pset)):
-            ijk = [
-                min(max(int(np.floor((pset.position[i, d] - cfg.domain_min[d])
-                                     / cfg.cell_size)), 0), dims[d] - 1)
-                for d in range(3)
-            ]
-            assert cells[i].tolist() == ijk
             assert i in cell_residents(grid, grid.cell_of[i])
 
     def test_ghost_layer_is_empty(self):
@@ -238,6 +261,31 @@ class TestBuildGrid:
         grid = build_grid(pset, cfg)
         assert tuple(grid.shape) == (4, 3, 3)
         assert linked_cell_pairs(pset, cfg, [0.04] * 3) == pair_list((0, 1), (1, 2))
+
+
+class TestIndexSize:
+    def test_enumeration_memory_is_bounded_by_n(self):
+        # the far outlier's padded box holds 202**3 cells; the index holds none of them
+        pset, cfg, _ = far_outlier(0)
+        grid = build_grid(pset, cfg)
+        tracemalloc.start()
+        try:
+            id_a, _ = _candidate_pairs(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * len(pset) + 64 * len(id_a)
+
+    def test_a_run_across_a_sparse_domain_finishes(self):
+        # two particles at opposite corners of 10**12 domain cells, moving
+        # across a cell face now and then so that builds enumerate afresh
+        cfg = dataclasses.replace(config(cell_size=0.01, hi=(100, 100, 100), dt=1e-3),
+                                  steps=40)
+        pset = spheres([(0.005, 0.005, 0.005), (99.995, 99.995, 99.995)],
+                       [(1, 0, 0), (0, 0, -1)], radius=0.004)
+        result = run(cfg, pset)
+        assert result.metrics.total_steps == 40
+        assert result.metrics.broad_executions == result.metrics.force_evaluations
 
 
 class TestLinkedCellPairs:
@@ -280,6 +328,9 @@ class TestLinkedCellPairs:
         found = linked_cell_pairs(pset, cfg, sr)
         assert len(found) > 10
         assert found == brute_force_pairs(pset, sr)
+        candidates = _candidate_pairs(build_grid(pset, cfg))
+        oracle = searchsorted_candidates(pset.position, cfg)
+        assert np.sort(_oriented_keys(*candidates)).tolist() == oracle.tolist()
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
     @settings(max_examples=60, deadline=None)
@@ -308,8 +359,10 @@ class TestLinkedCellPairs:
         # pairs_tested is a contract number (the opcount "broad" column)
         pset, cfg, sr = clamped_cloud(seed, n, thin_axis)
         *_, candidates = _pairs_with_stats(pset, cfg, sr)
-        tested = len(candidates[0])
-        assert tested == searchsorted_tested(pset.position, cfg)
+        oracle = searchsorted_candidates(pset.position, cfg)
+        assert len(candidates[0]) == len(oracle)
+        assert np.sort(_oriented_keys(*candidates)).tolist() == oracle.tolist()
+
 
     @pytest.mark.parametrize("radius", [0.5, [0.5], [0.5] * 3, [[0.5, 0.5]]])
     def test_both_searches_reject_a_radius_not_one_per_particle(self, radius):
@@ -376,7 +429,7 @@ class TestVerletBuild:
         state = verlet_build(pset, cfg)
         assert np.all(state.frozen_skins == 0.0)
         assert state.list == linked_cell_pairs(pset, cfg, pset.radius)
-        assert state.pairs_tested == searchsorted_tested(pset.position, cfg)
+        assert state.pairs_tested == len(searchsorted_candidates(pset.position, cfg))
 
     def test_k_zero_ignores_velocities(self):
         rng = np.random.default_rng(2)
@@ -477,7 +530,7 @@ def moved_cloud(pset, cfg, rng, crossing):
     particles then jump up to 1.5 cells along each axis, so most of them
     cross a face.
     """
-    centre = cfg.domain_min + (domain_cells(build_grid(pset, cfg)) + 0.5) * cfg.cell_size
+    centre = cfg.domain_min + (clamped_cells(pset.position, cfg) + 0.5) * cfg.cell_size
     moved = pset.copy()
     moved.position += rng.uniform(0.0, 1.0, (len(pset), 1)) * (centre - pset.position)
     if crossing:

@@ -143,6 +143,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "CoincidentCenters" in err and "particles 0 and 1" in err
 
+    def test_cells_beyond_int64_ids_exit_5(self, tmp_path, capsys):
+        # a pull of 1e18 m/s**2 flings the hopper's particles out along -x,
+        # through a domain 1e17 cells long, until the padded box of occupied
+        # cells outgrows int64 ids
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scenario": {"name": "mini-hopper", "n": 20, "seed": 1},
+            "config": {"gravity": [-1e18, 0.0, -9.81], "domain_min": [-1e15, 0.0, 0.0],
+                       "steps": 2000},
+        }))
+        assert main(["run", "--config", str(path)]) == EXIT_SIMULATION
+        err = capsys.readouterr().err
+        assert "simulation error: SimulationError: a padded box of [" in err
+        assert "cells exceeds int64 cell ids" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("error", [CapNegative, SearchRadiusExceedsCell, SizeMismatch])
     def test_other_simulation_errors_exit_5(self, tmp_path, monkeypatch, error):
         cfg = write_run_config(tmp_path / "cfg.json")

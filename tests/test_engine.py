@@ -613,6 +613,23 @@ class TestEdgeCases:
         step_no, particle, wall = result.tunneling[0]
         assert (particle, wall) == (0, 0)
 
+    def test_one_tunneling_warning_per_evaluation(self, caplog):
+        # two particles behind the floor: each evaluation logs both in one line
+        pset = spheres([(0.05, 0.1, -0.05), (0.15, 0.1, -0.05)], radius=0.02)
+        cfg = SimConfig(
+            dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=0.1,
+            domain_min=vec3(0, 0, 0), domain_max=vec3(0.2, 0.2, 0.2),
+            contact=ContactParams(k_n=100.0), steps=5,
+            walls=(WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)),),
+        )
+        with caplog.at_level("WARNING", logger="verletdem.engine"):
+            result = run(cfg, pset)
+        evaluations = result.metrics.force_evaluations
+        assert len(result.tunneling) == 2 * evaluations
+        assert [r.getMessage() for r in caplog.records] == [
+            f"step {step}: behind a wall, as (particle, wall): [(0, 0), (1, 0)]"
+            for step, _, _ in result.tunneling[::2]]
+
     def test_trajectory_sampling(self):
         sc = make_scenario("settling-box", 10, 1)
         cfg = sc.sim_config(k_factor=100, steps=40)
