@@ -8,7 +8,7 @@ factor.
 """
 
 from .bench import (
-    DEFAULT_K_VALUES, EquivalenceReport, Scenario, SweepReport, SweepRow,
+    DEFAULT_K_VALUES, EquivalenceReport, Scenario, SweepRow,
     emit_report, improvement, make_scenario, run_sweep, validate_equivalence,
 )
 from .broadphase import (
@@ -29,7 +29,7 @@ __all__ = [
     "CellGrid", "ConfigError", "ContactParams", "Contacts", "DEFAULT_K_VALUES",
     "EquivalenceReport", "PairList", "Particles", "PhaseMetrics", "RunResult",
     "Scenario", "SimConfig", "SimState", "SimulationError", "SimulationUnstable",
-    "SweepReport", "SweepRow", "Vec3", "VerletState", "WallPlane",
+    "SweepRow", "Vec3", "VerletState", "WallPlane",
     "brute_force_pairs", "build_grid", "compute_forces", "emit_report",
     "improvement", "linked_cell_pairs", "make_scenario", "norm",
     "resolve_contacts", "run", "run_sweep", "validate_config",

@@ -24,13 +24,13 @@ import numpy as np
 
 from .core import (
     ConfigError, ContactParams, Particles, SimConfig, SimulationError,
-    WallPlane, vec3,
+    WallPlane, _strict_int, vec3,
 )
 from .broadphase import SKIN_LOCAL, SKIN_UNIFORM_RADIUS
 from .engine import OPCOUNT, PhaseMetrics, RunResult, run
 
 __all__ = [
-    "Scenario", "SweepRow", "SweepReport", "EquivalenceReport",
+    "Scenario", "SweepRow", "EquivalenceReport",
     "UnknownScenario", "NonPositiveBaseline", "PlacementError",
     "DEFAULT_K_VALUES", "SCENARIO_NAMES",
     "improvement", "make_scenario", "run_sweep",
@@ -325,24 +325,6 @@ class SweepRow:
     state_digest: Optional[str] = None   # not serialized; equivalence audit
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-
-    @property
-    def baseline(self) -> SweepRow:
-        for row in self.rows:
-            if row.k == BASELINE_K:
-                return row
-        raise SimulationError("report has no baseline row")
-
-    def row_for(self, k: int) -> SweepRow:
-        for row in self.rows:
-            if row.k == k:
-                return row
-        raise KeyError(k)
-
-
 def _state_digest(result: RunResult) -> str:
     h = hashlib.sha256()
     h.update(result.state.particles.position.tobytes())
@@ -363,23 +345,29 @@ def _sweep_point(scenario: Scenario, k: int, mode: str,
 
 def run_sweep(scenario: Scenario, k_values: Sequence[int], mode: str = OPCOUNT,
               *, uniform_skin_radius: bool = False,
-              steps: Optional[int] = None) -> SweepReport:
+              steps: Optional[int] = None) -> tuple[SweepRow, ...]:
     """One baseline run plus one run per K on identical initial conditions.
 
-    The points run one at a time.  Each run records both its operation
-    counts and its seconds; ``mode`` (``opcount`` or ``walltime``, checked
-    before any run) picks which the rows show.  An opcount report is
-    bit-identical across repeated invocations.
+    The rows are the baseline (k = ``BASELINE_K``) first, then each K in the
+    given order, then the skin = radius row (k = ``UNIFORM_SKIN_K``) if
+    ``uniform_skin_radius``.  An empty K list, a K that is not an integer
+    >= 0 and an unknown ``mode`` raise :class:`ConfigError` before any run.
+    Each run records both its operation counts and its seconds; ``mode``
+    (``opcount`` or ``walltime``) picks which the rows show.  Opcount rows
+    are bit-identical across repeated invocations.
     """
-    if not len(k_values):
-        raise ConfigError("k_values must not be empty")
+    ks = [_strict_int(k, "K") for k in k_values]
+    if not ks:
+        raise ConfigError("K list is empty")
+    if min(ks) < 0:
+        raise ConfigError("K values must be >= 0")
     PhaseMetrics().as_dict(mode)    # an unknown mode raises ConfigError here
-    ks = [BASELINE_K] + [int(k) for k in k_values]
+    ks.insert(0, BASELINE_K)
     if uniform_skin_radius:
         ks.append(UNIFORM_SKIN_K)
     points = [_sweep_point(scenario, k, mode, steps) for k in ks]
     base_total = points[0][1]["total_time"]
-    return SweepReport(rows=tuple(
+    return tuple(
         SweepRow(
             k=k, total=m["total_time"], broad=m["broad_time"], narrow=m["narrow_time"],
             model=m["model_time"], broad_executed_pct=m["broad_executed_pct"],
@@ -389,25 +377,19 @@ def run_sweep(scenario: Scenario, k_values: Sequence[int], mode: str = OPCOUNT,
             state_digest=digest,
         )
         for k, m, digest in points
-    ))
+    )
 
 
 REPORT_HEADER = ("k", "total", "broad", "narrow", "model",
                  "broad_executed_pct", "mean_pairs", "improvement_pct")
 
 
-def emit_report(report: SweepReport, path: str) -> None:
-    """Write the sweep report as CSV (baseline row first, k = -1)."""
+def emit_report(rows: Sequence[SweepRow], path: str) -> None:
+    """Write sweep rows as CSV, in their order, one ``repr`` per :data:`REPORT_HEADER` field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
-        for row in report.rows:
-            writer.writerow([
-                row.k,
-                repr(row.total), repr(row.broad), repr(row.narrow), repr(row.model),
-                repr(row.broad_executed_pct), repr(row.mean_pairs),
-                repr(row.improvement_pct),
-            ])
+        writer.writerows([repr(getattr(row, name)) for name in REPORT_HEADER] for row in rows)
 
 
 # --- dual-run equivalence harness -------------------------------------------

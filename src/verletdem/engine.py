@@ -27,11 +27,11 @@ from typing import Optional
 import numpy as np
 
 from .broadphase import (
-    SKIN_LOCAL, VerletState, _SKIN_MODES, _skins, verlet_build,
-    verlet_displacement_sq, verlet_gate, verlet_needs_rebuild,
+    SKIN_LOCAL, PairList, VerletState, _SKIN_MODES, _oriented_keys, _skins,
+    verlet_build, verlet_displacement_sq, verlet_gate, verlet_needs_rebuild,
 )
 from .core import (
-    ConfigError, Particles, SimConfig, SimulationError, row_norm_sq,
+    ConfigError, Particles, SimConfig, SimulationError, _strict_int, row_norm_sq,
     validate_config,
 )
 from .narrowphase import resolve_contacts
@@ -240,7 +240,7 @@ class _Driver:
         close = d2 <= reach * reach
         if not close.any():
             return
-        keys = (ia[close].astype(np.int64) << np.int64(32)) | ib[close].astype(np.int64)
+        keys = _oriented_keys(ia[close], ib[close])
         live = None if self.state.verlet is None else self.state.verlet.list.keys
         if live is not None and len(live):
             idx = np.minimum(np.searchsorted(live, keys), len(live) - 1)
@@ -248,10 +248,9 @@ class _Driver:
         if len(keys):
             self.result.shadow_misses += len(keys)
             # only the missing keys need an order: the examples are the lowest pairs
-            for key in np.sort(keys)[:5]:
-                a = int(key >> np.int64(32))
-                b = int(key & np.int64(0xFFFFFFFF))
-                self.result.shadow_examples.append((self.state.step, a, b))
+            a, b = PairList(np.sort(keys)[:5]).columns
+            self.result.shadow_examples += [(self.state.step, *pair)
+                                            for pair in zip(a.tolist(), b.tolist())]
 
     def _charge(self, phase: str, count: int, t0: float) -> float:
         """Add one phase's count and its seconds since ``t0``; return the time now."""
@@ -353,11 +352,15 @@ def run(cfg: SimConfig, particles: Particles, *, validation: bool = False,
     state goes non-finite.  With ``validation=True`` the shadow scan
     (:meth:`_Driver._shadow_scan`) audits the live pair list at every force
     evaluation; its misses are counted in the result, not raised.  An
-    unknown ``skin_mode`` raises :class:`SimulationError` before any step.
+    unknown ``skin_mode`` raises :class:`SimulationError` before any step,
+    and a ``sample_every`` that is neither None nor an integer >= 1 raises
+    :class:`ConfigError`.
     """
     validate_config(cfg, particles)
     if skin_mode not in _SKIN_MODES:
         raise SimulationError(f"unknown skin mode {skin_mode!r}")
+    if sample_every is not None and _strict_int(sample_every, "sample_every") < 1:
+        raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
     result = RunResult(SimState(particles=particles.copy()), PhaseMetrics(),
                        contact_hash=hashlib.sha256() if record_contact_digest else None)
     driver = _Driver(result, cfg, validation=validation, skin_mode=skin_mode)

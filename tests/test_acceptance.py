@@ -144,10 +144,11 @@ def test_criterion_3_improvement_metric():
 def test_criterion_4_skip_monotonicity(settling_sweep):
     """Executed-broad-phase fraction falls monotonically with K."""
     report, elapsed = settling_sweep
-    pcts = [report.row_for(k).broad_executed_pct for k in SWEEP_KS]
+    by_k = {r.k: r for r in report}
+    pcts = [by_k[k].broad_executed_pct for k in SWEEP_KS]
     non_increasing = all(a >= b for a, b in zip(pcts, pcts[1:]))
-    at_k0 = report.row_for(0).broad_executed_pct
-    at_k1000 = report.row_for(1000).broad_executed_pct
+    at_k0 = by_k[0].broad_executed_pct
+    at_k1000 = by_k[1000].broad_executed_pct
     ok = non_increasing and at_k0 == 100.0 and at_k1000 <= 5.0
     _report("criterion-4 skip-monotonicity", ok,
             f"pct by K {[round(p, 3) for p in pcts]}, K=0 at {at_k0}%, "
@@ -161,7 +162,8 @@ def test_criterion_4_skip_monotonicity(settling_sweep):
 def test_criterion_5_tradeoff_components(settling_sweep):
     """Broad-phase work falls with K while narrow-phase work grows."""
     report, _ = settling_sweep
-    rows = [report.row_for(k) for k in SWEEP_KS]
+    by_k = {r.k: r for r in report}
+    rows = [by_k[k] for k in SWEEP_KS]
     broad = [r.broad for r in rows]
     narrow = [r.narrow for r in rows]
     pairs = [r.mean_pairs for r in rows]

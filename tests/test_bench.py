@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verletdem.engine
 from verletdem.bench import (
     BASELINE_K, UNIFORM_SKIN_K, NonPositiveBaseline, PlacementError,
-    SweepReport, SweepRow, UnknownScenario, emit_report, improvement,
-    make_scenario, run_sweep,
+    SweepRow, UnknownScenario, emit_report, improvement, make_scenario,
+    run_sweep,
 )
+from verletdem.core import ConfigError
 
 
 class TestImprovement:
@@ -89,6 +91,10 @@ class TestMakeScenario:
             make_scenario("mini-hopper", 100_000, 0).build_particles()
 
 
+def no_run(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     sc = make_scenario("settling-box", 60, 8)
@@ -97,51 +103,65 @@ def small_sweep():
 
 class TestRunSweep:
     def test_k_zero_matches_baseline_costs(self, small_sweep):
-        base = small_sweep.baseline
-        k0 = small_sweep.row_for(0)
+        by_k = {r.k: r for r in small_sweep}
+        base = by_k[BASELINE_K]
+        k0 = by_k[0]
         assert k0.broad_executed_pct == 100.0
         assert k0.total == base.total
         assert k0.broad == base.broad
 
     def test_broad_pct_non_increasing(self, small_sweep):
-        rows = [small_sweep.row_for(k) for k in (0, 50, 200)]
+        by_k = {r.k: r for r in small_sweep}
+        rows = [by_k[k] for k in (0, 50, 200)]
         pcts = [r.broad_executed_pct for r in rows]
         assert pcts == sorted(pcts, reverse=True)
 
     def test_mean_pairs_non_decreasing(self, small_sweep):
-        rows = [small_sweep.row_for(k) for k in (0, 50, 200)]
+        by_k = {r.k: r for r in small_sweep}
+        rows = [by_k[k] for k in (0, 50, 200)]
         means = [r.mean_pairs for r in rows]
         assert means == sorted(means)
 
     def test_baseline_improvement_zero(self, small_sweep):
-        assert small_sweep.baseline.improvement_pct == 0.0
+        assert small_sweep[0].k == BASELINE_K
+        assert small_sweep[0].improvement_pct == 0.0
 
     def test_final_states_identical_across_rows(self, small_sweep):
-        digests = {row.state_digest for row in small_sweep.rows}
+        digests = {row.state_digest for row in small_sweep}
         assert len(digests) == 1
 
-    def test_empty_k_values_rejected(self):
+    def test_empty_k_values_rejected(self, monkeypatch):
+        monkeypatch.setattr(verletdem.engine._Driver, "__init__", no_run)
         sc = make_scenario("settling-box", 10, 1)
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match="K list is empty"):
             run_sweep(sc, [])
+
+    @pytest.mark.parametrize("k_values, message", [
+        ([-1], ">= 0"), ([-2], ">= 0"), ([10, -5], ">= 0"),
+        ([2.5], "must be an integer"), ([True], "must be an integer"),
+    ])
+    def test_bad_k_values_rejected_before_any_run(self, monkeypatch, k_values, message):
+        # -1 and -2 are the baseline and uniform-skin sentinels: a K list
+        # must not be able to ask for those rows
+        monkeypatch.setattr(verletdem.engine._Driver, "__init__", no_run)
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(make_scenario("settling-box", 5, 1), k_values, steps=5)
 
     def test_uniform_skin_row(self):
         sc = make_scenario("settling-box", 40, 4)
-        report = run_sweep(sc, [100], steps=200, uniform_skin_radius=True)
-        ks = [row.k for row in report.rows]
-        assert ks == [BASELINE_K, 100, UNIFORM_SKIN_K]
-        uni = report.row_for(UNIFORM_SKIN_K)
-        assert uni.state_digest == report.baseline.state_digest
+        base, _, uni = rows = run_sweep(sc, [100], steps=200, uniform_skin_radius=True)
+        assert [row.k for row in rows] == [BASELINE_K, 100, UNIFORM_SKIN_K]
+        assert uni.state_digest == base.state_digest
 
     def test_uniform_skin_row_with_static_particles(self):
         # static particles get zero skin in the uniform mode too; the
         # buffered run, with contacts on the static roughness layer, must
         # still end bit-identical to the baseline
         sc = make_scenario("inclined-flow", 40, 4)
-        report = run_sweep(sc, [100], steps=3000, uniform_skin_radius=True)
-        uni = report.row_for(UNIFORM_SKIN_K)
+        base, _, uni = run_sweep(sc, [100], steps=3000, uniform_skin_radius=True)
+        assert (base.k, uni.k) == (BASELINE_K, UNIFORM_SKIN_K)
         assert uni.model > 0
-        assert uni.state_digest == report.baseline.state_digest
+        assert uni.state_digest == base.state_digest
 
     def test_opcount_sweep_is_reproducible(self):
         sc = make_scenario("settling-box", 40, 4)
@@ -155,7 +175,7 @@ class TestReportIO:
 
     def test_empty_report_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_report(SweepReport(rows=()), str(path))
+        emit_report((), str(path))
         assert path.read_text() == self.HEADER + "\n"
 
     def test_row_count(self, tmp_path, small_sweep):
@@ -175,9 +195,8 @@ class TestReportIO:
                      model=123456.789, broad_executed_pct=2.539,
                      mean_pairs=1640.3, improvement_pct=69.84),
         )
-        report = SweepReport(rows=rows)
         path = tmp_path / "rt.csv"
-        emit_report(report, str(path))
+        emit_report(rows, str(path))
         header, *records = path.read_text().splitlines()
         assert header == self.HEADER and len(records) == len(rows)
         for orig, line in zip(rows, records):

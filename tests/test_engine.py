@@ -637,3 +637,14 @@ class TestEdgeCases:
         steps_seen = sorted(set(result.trajectory[:, 0].astype(int)))
         assert steps_seen == [0, 10, 20, 30, 40]
         assert result.trajectory.shape[1] == 8
+
+    @pytest.mark.parametrize("every", [-1, 0, 2.5, True])
+    def test_bad_sample_every_raises_before_any_evaluation(self, monkeypatch, every):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        sc = make_scenario("settling-box", 5, 1)
+        cfg, pset = sc.sim_config(k_factor=100, steps=3), sc.build_particles()
+        monkeypatch.setattr(verletdem.engine._Driver, "__init__", no_run)
+        with pytest.raises(ConfigError, match="sample_every"):
+            run(cfg, pset, sample_every=every)

@@ -199,6 +199,19 @@ class TestResolveContacts:
         assert len(contacts) == 0
         assert reports == [(0, 0)]
 
+    def test_behind_wall_logged_without_a_report_list(self, caplog):
+        # particle 0 is behind wall 1 and particle 1 behind wall 0: one
+        # warning lists both, in (wall, particle) order
+        side = WallPlane(vec3(0, 0, 0), vec3(1, 0, 0))
+        pset = spheres([(-0.2, 0.3, 2.0), (2.0, 0.3, -0.2)])
+        with caplog.at_level("WARNING", logger="verletdem.narrowphase"):
+            contacts = resolve_contacts(NO_PAIRS, pset, walls=(FLOOR, side))
+        assert len(contacts) == 0
+        [record] = caplog.records
+        assert record.name == "verletdem.narrowphase"
+        assert record.getMessage() == (
+            "particle(s) behind a wall, as (particle, wall): [(1, 0), (0, 1)]")
+
     def test_coincident_centers_propagates_ids(self):
         pset = spheres([(1, 1, 1), (1, 1, 1)])
         with pytest.raises(CoincidentCenters, match="0 and 1"):

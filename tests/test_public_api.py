@@ -25,3 +25,10 @@ def test_all_equals_the_readme_list():
 def test_every_export_resolves():
     for name in verletdem.__all__:
         assert hasattr(verletdem, name), name
+
+
+def test_quick_start_imports_only_exports():
+    quick = README.read_text().split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    lines = re.findall(r"^from verletdem import (.+)$", quick, flags=re.MULTILINE)
+    names = {name.strip() for line in lines for name in line.split(",")}
+    assert names and names <= set(verletdem.__all__)
