@@ -66,7 +66,7 @@ def improvement(time_without_buffer: float, time_case: float) -> float:
     return 100.0 * (time_without_buffer - time_case) / time_without_buffer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A named, seeded initial condition plus its default run configuration.
 
@@ -86,9 +86,14 @@ class Scenario:
 
     def sim_config(self, k_factor: int, verlet_enabled: bool = True,
                    steps: Optional[int] = None) -> SimConfig:
+        """``config`` with this K, buffer switch and step count (its own if None).
+
+        ``k_factor`` and ``steps`` must be integral and not booleans, else ConfigError.
+        """
         return replace(
-            self.config, k_factor=int(k_factor), verlet_enabled=verlet_enabled,
-            steps=int(steps if steps is not None else self.config.steps),
+            self.config, k_factor=_strict_int(k_factor, "k_factor"),
+            verlet_enabled=verlet_enabled,
+            steps=self.config.steps if steps is None else _strict_int(steps, "steps"),
         )
 
 
@@ -297,17 +302,23 @@ SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def make_scenario(name: str, n: int, seed: int) -> Scenario:
-    """Bundled scenario by name: settling-box, mini-hopper or inclined-flow."""
-    if name not in _SCENARIOS:
+    """Bundled scenario by name: settling-box, mini-hopper or inclined-flow.
+
+    Another name raises :class:`UnknownScenario`; ``n`` and ``seed`` must be
+    integral, not booleans, with 0 <= n < 2**31 and seed >= 0, else ConfigError.
+    """
+    if name not in SCENARIO_NAMES:
         raise UnknownScenario(
             f"unknown scenario {name!r}, expected one of {SCENARIO_NAMES}"
         )
+    n = _strict_int(n, "scenario.n")
     if not 0 <= n < 2 ** 31:     # pair keys pack ids below 2**31
         raise ConfigError(f"particle count must be in [0, 2**31), got {n}")
+    seed = _strict_int(seed, "scenario.seed")
     if seed < 0:
         raise ConfigError(f"scenario seed must be >= 0, got {seed}")
     config, _ = _SCENARIOS[name]
-    return Scenario(name, int(n), int(seed), config(int(n)))
+    return Scenario(name, n, seed, config(n))
 
 
 # --- sweep -----------------------------------------------------------------
@@ -421,16 +432,15 @@ def validate_equivalence(scenario: Scenario, k_factor: int,
                          steps: Optional[int] = None) -> EquivalenceReport:
     """Run buffered and baseline twins, audit the buffer, compare bitwise.
 
-    The buffered twin is shadow-scanned at each evaluation and both digest their
-    contact history.  The baseline runs at K = 0: unbuffered, it never reads K.
+    ``k_factor`` and ``steps`` are read as by :meth:`Scenario.sim_config`,
+    before either run.  The buffered twin is shadow-scanned at each evaluation
+    and both digest their contact history.  The baseline runs at K = 0:
+    unbuffered, it never reads K.
     """
+    cfg_on = scenario.sim_config(k_factor, verlet_enabled=True, steps=steps)
+    cfg_off = scenario.sim_config(0, verlet_enabled=False, steps=steps)
     particles = scenario.build_particles()
-    nsteps = int(steps if steps is not None else scenario.config.steps)
-
-    cfg_on = scenario.sim_config(k_factor, verlet_enabled=True, steps=nsteps)
     buffered = run(cfg_on, particles, validation=True, record_contact_digest=True)
-
-    cfg_off = scenario.sim_config(0, verlet_enabled=False, steps=nsteps)
     baseline = run(cfg_off, particles, record_contact_digest=True)
 
     state_match = (
@@ -441,8 +451,8 @@ def validate_equivalence(scenario: Scenario, k_factor: int,
         scenario=scenario.name,
         n=scenario.n,
         seed=scenario.seed,
-        k_factor=int(k_factor),
-        steps=nsteps,
+        k_factor=cfg_on.k_factor,
+        steps=cfg_on.steps,
         shadow_misses=buffered.shadow_misses,
         shadow_examples=tuple(buffered.shadow_examples),
         contact_history_match=buffered.contact_digest == baseline.contact_digest,

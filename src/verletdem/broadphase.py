@@ -137,7 +137,8 @@ def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarra
         caps[high] = np.nextafter(caps.take(high), -np.inf)
         high = high[pset.radius.take(high) + caps.take(high) > half]
     if mode == SKIN_LOCAL:
-        raw = cfg.k_factor * np.sqrt(row_norm_sq(pset.velocity)) * cfg.dt
+        # K = 0 gives no skin even where |v|^2 overflows to inf (0 * inf is NaN)
+        raw = cfg.k_factor * np.sqrt(row_norm_sq(pset.velocity)) * cfg.dt if cfg.k_factor else 0.0
     else:
         raw = pset.radius
     skins = np.minimum(raw, caps)
@@ -200,11 +201,16 @@ def _candidate_pairs(grid: CellGrid):
     return id_a, id_b
 
 
-def _search_radii(pset: Particles, search_radius) -> np.ndarray:
-    sr = np.asarray(search_radius, dtype=np.float64)
-    if sr.shape != (len(pset),):
-        raise SizeMismatch(f"search radii of shape {sr.shape} for {len(pset)} particles")
-    return sr
+def _lengths(pset: Particles, values, what: str) -> np.ndarray:
+    """``values`` as one float64 length per particle: another shape raises
+    SizeMismatch, a negative or NaN length SimulationError."""
+    a = np.asarray(values, dtype=np.float64)
+    if a.shape != (len(pset),):
+        raise SizeMismatch(f"{what} of shape {a.shape} for {len(pset)} particles")
+    bad = np.flatnonzero(~(a >= 0))
+    if len(bad):
+        raise SimulationError(f"{what} {a[bad[0]]} of particle {bad[0]} is not >= 0")
+    return a
 
 
 def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
@@ -214,7 +220,7 @@ def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
     the same ``shape`` and ``cell_of``, of which the candidate set is a
     function; every candidate is still tested.
     """
-    sr = _search_radii(pset, radii)
+    sr = _lengths(pset, radii, "search radius")
     grid = build_grid(pset, cfg)
     if len(pset) and sr.max() > 0.5 * cfg.cell_size:
         bad = int(np.argmax(sr))
@@ -257,14 +263,16 @@ def linked_cell_pairs(particles: Particles, cfg: SimConfig, search_radius) -> Pa
 
     Candidates come from each particle's own cell of the grid the search
     builds from ``cfg`` and the immediate neighbour cells, so every radius,
-    one per particle, must be at most cell_size/2.
+    one per particle, must be at most cell_size/2.  A radius count other
+    than one per particle raises SizeMismatch, and a negative or NaN radius
+    SimulationError.
     """
     return _pairs_with_stats(particles, cfg, search_radius)[0]
 
 
 def brute_force_pairs(particles: Particles, search_radius) -> PairList:
     """Exhaustive O(n^2) pair enumeration: the oracle for the grid search."""
-    sr = _search_radii(particles, search_radius)
+    sr = _lengths(particles, search_radius, "search radius")
     ia, ib = np.triu_indices(len(particles), k=1)
     diff = particles.position[ia] - particles.position[ib]
     d2 = row_norm_sq(diff)
@@ -328,13 +336,15 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
     """Run the broad-phase with skin-inflated radii and snapshot positions.
 
     Each particle reaches radius + skin, for pairs and for walls alike.
-    ``skins`` defaults to the local-mode skins.  The per-row slack, the
-    per-wall candidates of ``cfg.walls`` and the stencil are cached with the
-    pair list.  While every particle sits in the cell of the same layout as
-    at the ``previous`` build, that build's candidates are tested again
-    instead of enumerated anew; the result is the same either way.
+    ``skins`` defaults to the local-mode skins; given skins must be one
+    length >= 0 per particle, else SizeMismatch or SimulationError, as for
+    the radii of :func:`linked_cell_pairs`.  The per-row slack, the per-wall
+    candidates of ``cfg.walls`` and the stencil are cached with the pair
+    list.  While every particle sits in the cell of the same layout as at
+    the ``previous`` build, that build's candidates are tested again instead
+    of enumerated anew; the result is the same either way.
     """
-    skins = _skins(particles, cfg) if skins is None else np.asarray(skins, dtype=np.float64)
+    skins = _skins(particles, cfg) if skins is None else _lengths(particles, skins, "skin")
     reach = particles.radius + skins
     pair_list, d2, grid, candidates = _pairs_with_stats(particles, cfg, reach, previous)
     ia, ib = pair_list.columns

@@ -18,7 +18,7 @@ from .bench import (
     BASELINE_K, DEFAULT_K_VALUES, SCENARIO_NAMES, UNIFORM_SKIN_K, emit_report,
     make_scenario, run_sweep, validate_equivalence,
 )
-from .core import ConfigError, SimulationError, _strict_int, _strict_keys, config_overrides
+from .core import ConfigError, SimulationError, _strict_int, _strict_object, config_overrides
 from .engine import OPCOUNT, WALLTIME, PhaseMetrics, SimulationUnstable, run
 
 EXIT_OK = 0
@@ -26,9 +26,6 @@ EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
 EXIT_VALIDATION = 4
 EXIT_SIMULATION = 5
-
-_RUN_DOC_KEYS = ("scenario", "config", "trajectory_every", "mode")
-_SCENARIO_DOC_KEYS = ("name", "n", "seed")
 
 
 def _load_run_doc(path: str):
@@ -39,24 +36,10 @@ def _load_run_doc(path: str):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a JSON object")
-    _strict_keys(doc, _RUN_DOC_KEYS, "run config")
-    if "scenario" not in doc:
-        raise ConfigError("run config needs a scenario block")
-    sdoc = doc["scenario"]
-    if not isinstance(sdoc, dict):
-        raise ConfigError("scenario block must be a JSON object")
-    _strict_keys(sdoc, _SCENARIO_DOC_KEYS, "scenario")
-    for key in _SCENARIO_DOC_KEYS:
-        if key not in sdoc:
-            raise ConfigError(f"scenario block needs {key}")
-    n, seed = _strict_int(sdoc["n"], "scenario.n"), _strict_int(sdoc["seed"], "scenario.seed")
+    _strict_object(doc, "run config", ("scenario",), ("config", "trajectory_every", "mode"))
+    sdoc = _strict_object(doc["scenario"], "scenario", ("name", "n", "seed"))
     every = _strict_int(doc.get("trajectory_every", 100), "trajectory_every")
-    try:
-        scenario = make_scenario(sdoc["name"], n, seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad run config value: {exc}") from exc
+    scenario = make_scenario(sdoc["name"], sdoc["n"], sdoc["seed"])
     if every < 1:
         raise ConfigError(f"trajectory_every must be >= 1, got {every}")
     cfg = scenario.config

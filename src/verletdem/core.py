@@ -70,7 +70,7 @@ def row_norm_sq(diff: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WallPlane:
     """Infinite plane boundary with a unit outward normal.
 
@@ -114,7 +114,7 @@ class ContactParams:
     k_t: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """Full configuration of one simulation run.
 
@@ -252,10 +252,18 @@ _REQUIRED_KEYS = (
 _OPTIONAL_KEYS = ("walls", "verlet_enabled")
 
 
-def _strict_keys(doc: dict, allowed, what: str) -> None:
-    unknown = set(doc) - set(allowed)
+def _strict_object(value, what: str, required=(), optional=()) -> dict:
+    """``value``, a JSON object with every ``required`` key and no key outside
+    ``required`` and ``optional``, else ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"bad config value: {what} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"unknown {what} field(s): {sorted(unknown)}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ConfigError(f"missing {what} field(s): {missing}")
+    return value
 
 
 def _strict_int(value, name: str) -> int:
@@ -292,19 +300,8 @@ def simconfig_from_dict(doc: dict) -> SimConfig:
     malformed value raises :class:`ConfigError`: a float field or a vector
     component must be a JSON number, never a boolean or a numeric string.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    _strict_keys(doc, _REQUIRED_KEYS + _OPTIONAL_KEYS, "config")
-    missing = [k for k in _REQUIRED_KEYS if k not in doc]
-    if missing:
-        raise ConfigError(f"missing config field(s): {missing}")
-
-    contact_doc = doc["contact"]
-    if not isinstance(contact_doc, dict):
-        raise ConfigError("contact must be an object")
-    _strict_keys(contact_doc, ("k_n", "gamma_n", "mu_s", "k_t"), "contact")
-    if "k_n" not in contact_doc:
-        raise ConfigError("contact.k_n is required")
+    _strict_object(doc, "config", _REQUIRED_KEYS, _OPTIONAL_KEYS)
+    contact_doc = _strict_object(doc["contact"], "contact", ("k_n",), ("gamma_n", "mu_s", "k_t"))
     verlet_enabled = doc.get("verlet_enabled", True)
     if not isinstance(verlet_enabled, bool):
         raise ConfigError(
@@ -314,11 +311,7 @@ def simconfig_from_dict(doc: dict) -> SimConfig:
         raise ConfigError(f"bad config value: walls must be a list, got {walls!r}")
     planes = []
     for i, wdoc in enumerate(walls):
-        if not isinstance(wdoc, dict):
-            raise ConfigError(f"bad config value: walls[{i}] must be an object")
-        _strict_keys(wdoc, ("point", "outward_normal"), f"walls[{i}]")
-        if "point" not in wdoc or "outward_normal" not in wdoc:
-            raise ConfigError(f"walls[{i}] needs point and outward_normal")
+        _strict_object(wdoc, f"walls[{i}]", ("point", "outward_normal"))
         planes.append(WallPlane(_strict_vec3(wdoc["point"], f"walls[{i}].point"),
                                 _strict_vec3(wdoc["outward_normal"], f"walls[{i}].outward_normal")))
     return SimConfig(
@@ -343,8 +336,7 @@ def config_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
     ``contact`` block key by key, and the result is parsed by
     :func:`simconfig_from_dict`.
     """
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"bad config value: config must be a JSON object, got {overrides!r}")
+    _strict_object(overrides, "config", optional=_REQUIRED_KEYS + _OPTIONAL_KEYS)
     doc = {f.name: getattr(cfg, f.name) for f in fields(SimConfig)}
     for name in ("gravity", "domain_min", "domain_max"):
         doc[name] = doc[name].tolist()

@@ -7,7 +7,7 @@ import verletdem.engine
 from verletdem.bench import (
     BASELINE_K, UNIFORM_SKIN_K, NonPositiveBaseline, PlacementError,
     SweepRow, UnknownScenario, emit_report, improvement, make_scenario,
-    run_sweep,
+    run_sweep, validate_equivalence,
 )
 from verletdem.core import ConfigError
 
@@ -93,6 +93,59 @@ class TestMakeScenario:
 
 def no_run(*args, **kwargs):
     raise AssertionError("a run started")
+
+
+class TestScenarioCounts:
+    """The scenario API takes whole counts only, never truncating them."""
+
+    @pytest.mark.parametrize("n, seed", [(2.5, 1), (True, 1), (5, 1.5), (5, True)])
+    def test_make_scenario_rejects_a_non_integer_count(self, n, seed):
+        with pytest.raises(ConfigError, match="bad config value: scenario"):
+            make_scenario("settling-box", n, seed)
+
+    def test_integral_float_count_is_taken(self):
+        sc = make_scenario("settling-box", 5.0, 1.0)
+        assert (sc.n, sc.seed) == (5, 1) and type(sc.n) is int and type(sc.seed) is int
+
+    @pytest.mark.parametrize("name", [[1], {}, None])
+    def test_unhashable_or_non_string_name_is_unknown(self, name):
+        with pytest.raises(UnknownScenario):
+            make_scenario(name, 5, 1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"k_factor": 2.5}, {"k_factor": True}, {"k_factor": 0, "steps": 7.9},
+        {"k_factor": 0, "steps": False},
+    ])
+    def test_sim_config_rejects_a_non_integer_count(self, kwargs):
+        with pytest.raises(ConfigError, match="bad config value"):
+            make_scenario("settling-box", 5, 1).sim_config(**kwargs)
+
+    def test_sim_config_keeps_the_scenario_steps_by_default(self):
+        sc = make_scenario("settling-box", 5, 1)
+        cfg = sc.sim_config(3.0)
+        assert (cfg.k_factor, cfg.steps) == (3, sc.config.steps)
+        assert type(cfg.k_factor) is int
+
+    @pytest.mark.parametrize("k, steps", [(2.5, None), (10, 3.7), (True, 3)])
+    def test_validate_equivalence_rejects_before_any_run(self, monkeypatch, k, steps):
+        monkeypatch.setattr(verletdem.engine._Driver, "__init__", no_run)
+        with pytest.raises(ConfigError, match="bad config value"):
+            validate_equivalence(make_scenario("settling-box", 5, 1), k, steps=steps)
+
+    def test_validate_equivalence_reports_the_counts_it_ran(self):
+        report = validate_equivalence(make_scenario("settling-box", 5, 1), 10.0, steps=3.0)
+        assert (report.k_factor, report.steps) == (10, 3)
+        assert report.ok
+
+
+class TestValueTypesCompare:
+    """Equal-built configuration values compare by identity, without raising."""
+
+    def test_scenario_config_and_wall_compare_and_hash(self):
+        a, b = make_scenario("settling-box", 5, 1), make_scenario("settling-box", 5, 1)
+        for x, y in ((a, b), (a.config, b.config), (a.config.walls[0], b.config.walls[0])):
+            assert x == x and x != y
+            assert len({x, y, x}) == 2
 
 
 @pytest.fixture(scope="module")

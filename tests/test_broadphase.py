@@ -13,7 +13,9 @@ from verletdem.broadphase import (
     brute_force_pairs, build_grid,
     linked_cell_pairs, verlet_build, verlet_needs_rebuild,
 )
-from verletdem.core import ContactParams, Particles, SimConfig, WallPlane, vec3
+from verletdem.core import (
+    ContactParams, Particles, SimConfig, SimulationError, WallPlane, vec3,
+)
 from verletdem.engine import run
 
 
@@ -168,6 +170,12 @@ class TestComputeSkin:
     def test_k_zero(self):
         p = spheres([(1, 1, 1)], [(3, -2, 9)], radius=0.005)
         assert skin_of(p, 0, 1e-5, 0.05) == 0.0
+
+    @pytest.mark.parametrize("k, expected", [(0, 0.0), (200, 0.02)])
+    def test_overflowing_speed_gives_a_valid_skin(self, k, expected):
+        # |v|^2 overflows to inf: K = 0 must give no skin, not 0 * inf = NaN
+        p = spheres([(1, 1, 1)], [(1e200, 0, 0)], radius=0.005)
+        assert skin_of(p, k, 1e-5, 0.05) == expected
 
     def test_static_gets_zero(self):
         p = spheres([(1, 1, 1)], radius=0.005, is_static=True)
@@ -379,6 +387,44 @@ class TestLinkedCellPairs:
         a = linked_cell_pairs(pset, cfg, pset.radius)
         b = linked_cell_pairs(pset, cfg, pset.radius)
         assert a.keys.tobytes() == b.keys.tobytes()
+
+
+class TestLengthChecks:
+    """Radii and skins are one length >= 0 per particle, or the search refuses them."""
+
+    @staticmethod
+    def overlapping_pair():
+        # radius 4 mm, centres 5 mm apart: the spheres overlap
+        return spheres([(0.1, 0.1, 0.1), (0.105, 0.1, 0.1)], radius=0.004), \
+            config(cell_size=0.02, hi=(1, 1, 1))
+
+    @pytest.mark.parametrize("skin", [-0.003, np.nan])
+    def test_verlet_build_rejects_a_negative_or_nan_skin(self, skin):
+        pset, cfg = self.overlapping_pair()
+        with pytest.raises(SimulationError, match=f"skin {skin} of particle 0 is not >= 0"):
+            verlet_build(pset, cfg, skins=[skin, skin])
+
+    @pytest.mark.parametrize("skins", [[0.001], [0.001] * 3, 0.001])
+    def test_verlet_build_rejects_skins_not_one_per_particle(self, skins):
+        pset, cfg = self.overlapping_pair()
+        with pytest.raises(SizeMismatch):
+            verlet_build(pset, cfg, skins=skins)
+
+    @pytest.mark.parametrize("radius", [[0.004, -0.004], [0.004, np.nan]])
+    def test_both_searches_reject_a_negative_or_nan_radius(self, radius):
+        pset, cfg = self.overlapping_pair()
+        message = f"search radius {radius[1]} of particle 1 is not >= 0"
+        with pytest.raises(SimulationError, match=message):
+            linked_cell_pairs(pset, cfg, radius)
+        with pytest.raises(SimulationError, match=message):
+            brute_force_pairs(pset, radius)
+
+    def test_zero_skins_keep_the_overlapping_pair(self):
+        pset, cfg = self.overlapping_pair()
+        state = verlet_build(pset, cfg, skins=[0.0, 0.0])
+        assert state.list == pair_list((0, 1))
+        pset.position[1, 0] -= 0.0005
+        assert verlet_needs_rebuild(state, pset)
 
 
 class TestBruteForce:

@@ -11,6 +11,9 @@ from verletdem.engine import SimulationUnstable
 from verletdem.narrowphase import CoincidentCenters
 
 
+FIVE = {"scenario": {"name": "settling-box", "n": 5, "seed": 1}}
+
+
 def write_run_config(path, n=20, steps=150, k_factor=100, extra=None,
                      overrides=None):
     doc = {
@@ -102,6 +105,32 @@ class TestRunCommand:
                                extra={"scenario": {"name": "settling-box", "n": 5, "seed": -1}})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "config error: scenario seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1], "bad config value: run config must be a JSON object, got [1]"),
+        ({"config": {"steps": 5}}, "missing run config field(s): ['scenario']"),
+        ({"scenario": 5}, "bad config value: scenario must be a JSON object, got 5"),
+        ({"scenario": {"name": "settling-box", "n": 5}}, "missing scenario field(s): ['seed']"),
+        ({"scenario": {"n": 5, "seed": 1}}, "missing scenario field(s): ['name']"),
+        ({**FIVE, "config": "x"}, "bad config value: config must be a JSON object, got 'x'"),
+        ({**FIVE, "config": {"contact": 5}},
+         "bad config value: contact must be a JSON object, got 5"),
+        ({**FIVE, "config": {"walls": [None]}},
+         "bad config value: walls[0] must be a JSON object, got None"),
+        ({**FIVE, "config": {"walls": [{"point": [0, 0, 0]}]}},
+         "missing walls[0] field(s): ['outward_normal']"),
+    ], ids=["doc-non-object", "doc-missing", "scenario-non-object", "scenario-missing-seed",
+            "scenario-missing-name", "config-non-object", "contact-non-object",
+            "wall-non-object", "wall-missing"])
+    def test_malformed_object_exits_2(self, tmp_path, capsys, doc, message):
+        # the run config, its scenario and config blocks, the contact block
+        # and each wall: one reader and one wording for all of them (the
+        # config block is merged into a whole configuration, so no config
+        # or contact key can be missing here)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_cell_smaller_than_a_particle_exits_2(self, tmp_path, capsys):
         cfg = write_run_config(tmp_path / "cfg.json", overrides={"cell_size": 0.009})

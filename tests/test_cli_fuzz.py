@@ -3,7 +3,8 @@
 ``cli.main`` is driven with generated run documents, their ``config``
 overrides included, and with generated ``sweep`` and ``validate``
 arguments: wrong types, booleans, numeric strings, negatives, NaN and
-infinities, empty or degenerate walls, unknown keys, zero and tiny steps.
+infinities, empty or degenerate walls, unknown and missing keys, zero and
+tiny steps.
 Whatever the input, ``main`` must return 0, 2, 3, 4 or 5 (argparse's own
 usage error exits 2 as well), and no other exception may escape.
 
@@ -88,6 +89,12 @@ def unknown_key(doc, key):
         lambda t: {**t[0], key: 1} if t[1] else t[0])
 
 
+def missing_key(doc, keys):
+    """``doc``, sometimes without one of its required fields ``keys``."""
+    return st.tuples(doc, field(st.none(), st.sampled_from(keys), st.nothing())).map(
+        lambda t: {k: v for k, v in t[0].items() if k != t[1]})
+
+
 EXTREMES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300])
 
 
@@ -100,11 +107,11 @@ def vector(valid, edge=EXTREMES):
 # domain components within a metre of the scenes, or so far out that no
 # cell size drawn below keeps the per-axis cell count in int64
 FAR = st.sampled_from([1e300, -1e300, math.inf])
-WALL = st.fixed_dictionaries(
+WALL = field(missing_key(st.fixed_dictionaries(
     {"point": vector(st.floats(-0.1, 0.5)),
      "outward_normal": field(st.sampled_from([[0, 0, 1], [1, 0, 0], [0, -1, 0]]),
                              st.sampled_from([[0, 0, 0], [0, 0, 2], [0.6, 0.8, 1e-9]]))},
-    optional={"normal": st.just([0, 0, 1])})
+    optional={"normal": st.just([0, 0, 1])}), ("point", "outward_normal")))
 CONTACT = st.dictionaries(
     st.sampled_from(["k_n", "gamma_n", "mu_s", "k_t", "k_n", "gamma_n", "kn"]),
     field(st.floats(0.0, 5000.0), st.sampled_from([-1.0, 1e308, 10 ** 400])),
@@ -125,10 +132,11 @@ CONFIG = st.fixed_dictionaries(
         "verlet_enabled": field(st.booleans()),
     })
 
-SCENARIO = st.fixed_dictionaries(
+SCENARIO = missing_key(st.fixed_dictionaries(
     {"name": field(st.sampled_from(SCENARIO_NAMES), st.just("fluidized-bed")),
      "n": field(st.integers(0, MAX_N), st.sampled_from([-1, 2.5, 2 ** 31, 10 ** 400])),
-     "seed": field(st.integers(0, 2 ** 64), st.sampled_from([-1, 2.5]))})
+     "seed": field(st.integers(0, 2 ** 64), st.sampled_from([-1, 2.5]))}),
+    ("name", "n", "seed"))
 
 RUN_DOC = unknown_key(st.fixed_dictionaries(
     {"scenario": field(unknown_key(SCENARIO, "steps"))},

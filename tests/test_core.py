@@ -193,6 +193,23 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match="missing"):
             simconfig_from_dict(json.loads(json.dumps(doc)))
 
+    @pytest.mark.parametrize("change, message", [
+        # a run config's config block is merged into a whole configuration,
+        # so only a document built by hand can miss a config or contact key
+        ({"dt": None}, r"missing config field\(s\): \['dt'\]"),
+        ({"contact": {"gamma_n": 1.0}}, r"missing contact field\(s\): \['k_n'\]"),
+        ({"contact": [1.0]}, r"bad config value: contact must be a JSON object, got \[1.0\]"),
+        ({"walls": [{"outward_normal": [0, 0, 1]}]}, r"missing walls\[0\] field\(s\): \['point'\]"),
+    ])
+    def test_malformed_object_is_config_error(self, change, message):
+        doc = {k: v for k, v in dict(VALID_DOC, **change).items() if v is not None}
+        with pytest.raises(ConfigError, match=message):
+            simconfig_from_dict(doc)
+
+    def test_non_object_document_is_config_error(self):
+        with pytest.raises(ConfigError, match="bad config value: config must be a JSON object"):
+            simconfig_from_dict([VALID_DOC])
+
     def test_walls_and_verlet_enabled_default(self):
         doc = {k: v for k, v in VALID_DOC.items() if k not in ("walls", "verlet_enabled")}
         cfg = simconfig_from_dict(json.loads(json.dumps(doc)))

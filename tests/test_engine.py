@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -166,6 +167,17 @@ class TestDeterminismAndAccounting:
         result = run(cfg, sc.build_particles())
         m = result.metrics
         assert m.broad_executions == m.force_evaluations
+
+    def test_k_zero_rebuilds_every_evaluation_when_speeds_overflow(self):
+        # under this gravity |v|^2 overflows to inf from the second step on;
+        # K = 0 must still give zero skins, where 0 * inf would give NaN
+        # skins that never trigger a rebuild
+        sc = make_scenario("settling-box", 5, 1)
+        cfg = dataclasses.replace(sc.sim_config(0, steps=20), gravity=vec3(0, 0, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = run(cfg, sc.build_particles()).metrics
+        assert m.broad_executions == m.force_evaluations == 21
 
     def test_higher_k_executes_fewer_broadphases(self):
         sc = make_scenario("settling-box", 120, 5)
