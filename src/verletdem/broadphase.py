@@ -5,7 +5,8 @@ A pair list is a sorted array of int64 keys ``id_a << 32 | id_b`` with
 id_a < id_b.  The grid is the cell each particle sits in, and each search
 builds its own and indexes it by the sorted cell ids.  A search given the
 previous build tests that build's candidate pairs again, with no sort,
-while no particle has changed cell.
+while no particle has changed cell, against that build's squared reaches
+while the search radii are equal too.
 
 The buffer inflates each particle's search radius by a skin proportional to
 its own speed (``k_factor * |v| * dt``), capped by the cell geometry, and
@@ -176,22 +177,30 @@ def _candidate_pairs(grid: CellGrid):
     the z-column of ``c``, so these are 5 runs of consecutive ids: ``c - 1``,
     and in each of the columns (dx, dy) = (-1, -1), (-1, 0), (-1, 1), (0, -1)
     the cells from one below the height of ``c`` to one above.  Ghost cells
-    are empty, so no run needs a validity test.  No array is sized by the
-    box, only by n and the candidate count.  Returns (id_a, id_b), the
-    particle ids of each candidate pair exactly once, in slot order.
+    are empty, so no run needs a validity test.  The runs are looked up once
+    per occupied cell and their bounds repeated over its residents.  No
+    array is sized by the box, only by n and the candidate count.  Returns
+    (id_a, id_b), the particle ids of each candidate pair exactly once, in
+    slot order.
     """
     order = np.argsort(grid.cell_of, kind="stable")
     home = grid.cell_of.take(order)
+    # the first slot of each occupied cell (every padded id is > 0) and its residents
+    start = np.flatnonzero(np.diff(home, prepend=-1))
+    size = np.diff(start, append=len(home))
     plane, row = grid.shape[1] * grid.shape[2], grid.shape[2]
-    # per run: the centre's id offset below home and the run's half-width
-    below = np.array([0, 1, plane + row, plane, plane - row, row])[:, None]
-    width = np.array([0, 0, 1, 1, 1, 1])[:, None]
-    centre = home - below                         # (6, n); run 0 is the own cell
-    lo = np.concatenate([np.arange(1, len(home) + 1)[None],
-                         np.searchsorted(home, centre[1:] - width[1:], "left")])
-    hi = np.searchsorted(home, centre + width, "right")
+    # per neighbour run: the centre's id offset below the cell and the run's half-width
+    below = np.array([1, plane + row, plane, plane - row, row])[:, None]
+    width = np.array([0, 1, 1, 1, 1])[:, None]
+    centre = home.take(start) - below             # (5, occupied cells)
+    # run 0 is the own cell: a slot pairs with the later slots up to its cell's end
+    lo = np.concatenate([np.arange(1, len(home) + 1)[None], np.repeat(
+        np.searchsorted(home, centre - width, "left"), size, axis=1)])
+    hi = np.repeat(np.concatenate([(start + size)[None],
+                                   np.searchsorted(home, centre + width, "right")]),
+                   size, axis=1)
     counts = (hi - lo).ravel()
-    id_a = np.repeat(np.tile(order, len(below)), counts)
+    id_a = np.repeat(np.tile(order, len(lo)), counts)
     # slot_b runs through [lo[i], hi[i]) for every run i in turn
     id_b = np.repeat(lo.ravel() - (np.cumsum(counts) - counts), counts)
     id_b += np.arange(len(id_b), dtype=np.int64)
@@ -202,9 +211,10 @@ def _candidate_pairs(grid: CellGrid):
 
 
 def _lengths(pset: Particles, values, what: str) -> np.ndarray:
-    """``values`` as one float64 length per particle: another shape raises
-    SizeMismatch, a negative or NaN length SimulationError."""
-    a = np.asarray(values, dtype=np.float64)
+    """``values`` copied as one float64 length per particle: another shape
+    raises SizeMismatch, a negative or NaN length SimulationError.  The copy
+    keeps what a build caches by value from changing with the caller's array."""
+    a = np.array(values, dtype=np.float64)
     if a.shape != (len(pset),):
         raise SizeMismatch(f"{what} of shape {a.shape} for {len(pset)} particles")
     bad = np.flatnonzero(~(a >= 0))
@@ -214,11 +224,16 @@ def _lengths(pset: Particles, values, what: str) -> np.ndarray:
 
 
 def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
-    """(pair list, squared distance of every listed pair, grid, candidates).
+    """(pair list, squared distance of every listed pair, grid, reach cache, candidates).
 
     The candidates of a ``previous`` build are reused when the new grid has
     the same ``shape`` and ``cell_of``, of which the candidate set is a
-    function; every candidate is still tested.
+    function; every candidate is still tested.  The reach cache is the
+    pair (search radii, ``reach2``), ``reach2`` each candidate's
+    ``(sr_a + sr_b)**2``: a build that reuses the candidates with radii
+    equal in value to the cached ones reuses ``reach2`` too.  Each candidate
+    then passes an exact x-gap filter, its survivors an exact y-gap filter,
+    and theirs the full squared-distance test.
     """
     sr = _lengths(pset, radii, "search radius")
     grid = build_grid(pset, cfg)
@@ -228,26 +243,33 @@ def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
             f"search radius {sr[bad]} of particle {bad} exceeds cell_size/2 = "
             f"{0.5 * cfg.cell_size}"
         )
+    reach2 = None
     if (previous is not None and np.array_equal(grid.shape, previous.grid.shape)
             and np.array_equal(grid.cell_of, previous.grid.cell_of)):
         candidates = previous.candidates
+        if np.array_equal(sr, previous.reach_cache[0]):
+            reach2 = previous.reach_cache[1]
     else:
         candidates = _candidate_pairs(grid)
-    # the candidate-long columns are computed in place: the build's peak
-    # memory holds the previous build's candidates too
     ia, ib = candidates
-    reach2 = np.take(sr, ia)
-    reach2 += np.take(sr, ib)
-    reach2 *= reach2
-    # exact x-gap prefilter: a rounded sum of non-negative squares is never
-    # below one of its rounded terms, so every pair the full test accepts passes
-    x = np.ascontiguousarray(pset.position[:, 0])
-    dx2 = np.take(x, ia)
-    dx2 -= np.take(x, ib)
-    dx2 *= dx2
-    keep = (dx2 <= reach2).nonzero()[0]
-    del dx2
-    ia, ib, reach2 = np.take(ia, keep), np.take(ib, keep), np.take(reach2, keep)
+    if reach2 is None:
+        # computed in place: the build's peak memory holds the previous
+        # build's candidates too
+        reach2 = np.take(sr, ia)
+        reach2 += np.take(sr, ib)
+        reach2 *= reach2
+    reach_cache = (sr, reach2)
+    # exact x- and y-gap filters: a rounded sum of non-negative squares is
+    # never below one of its rounded terms, so every pair the full test
+    # accepts passes both
+    for axis in (0, 1):
+        coord = np.ascontiguousarray(pset.position[:, axis])
+        gap2 = np.take(coord, ia)
+        gap2 -= np.take(coord, ib)
+        gap2 *= gap2
+        keep = (gap2 <= reach2).nonzero()[0]
+        del gap2
+        ia, ib, reach2 = np.take(ia, keep), np.take(ib, keep), np.take(reach2, keep)
     # np.take copies whole rows, several times faster than indexing with [idx]
     diff = np.take(pset.position, ia, axis=0) - np.take(pset.position, ib, axis=0)
     d2 = row_norm_sq(diff)
@@ -255,7 +277,7 @@ def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
     keys = _oriented_keys(np.take(ia, hit), np.take(ib, hit))
     # the grid emits every unordered pair once, so a sort canonicalizes
     by_key = np.argsort(keys)
-    return PairList(keys[by_key]), np.take(d2, hit[by_key]), grid, candidates
+    return PairList(keys[by_key]), np.take(d2, hit[by_key]), grid, reach_cache, candidates
 
 
 def linked_cell_pairs(particles: Particles, cfg: SimConfig, search_radius) -> PairList:
@@ -312,6 +334,9 @@ class VerletState:
     ``candidates`` the (id_a, id_b) columns of every candidate pair its
     search tested, a function of the grid's ``shape`` and ``cell_of``: the
     stencil a later build reuses while no particle has changed cell.
+    ``reach_cache`` is the pair (search radii, ``reach2``) of that build,
+    ``reach2`` each candidate's squared reach ``(sr_a + sr_b)**2``, which a
+    build reusing the stencil with radii of equal value reuses as well.
     """
 
     list: PairList
@@ -321,6 +346,7 @@ class VerletState:
     pair_slack: np.ndarray
     grid: CellGrid
     candidates: tuple
+    reach_cache: tuple = (np.empty(0), np.empty(0))
 
     def __len__(self) -> int:
         return len(self.reference_positions)
@@ -342,11 +368,13 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
     candidates of ``cfg.walls`` and the stencil are cached with the pair
     list.  While every particle sits in the cell of the same layout as at
     the ``previous`` build, that build's candidates are tested again instead
-    of enumerated anew; the result is the same either way.
+    of enumerated anew, and with the same search radii their squared
+    reaches are reused too; the result is the same either way.
     """
     skins = _skins(particles, cfg) if skins is None else _lengths(particles, skins, "skin")
     reach = particles.radius + skins
-    pair_list, d2, grid, candidates = _pairs_with_stats(particles, cfg, reach, previous)
+    pair_list, d2, grid, reach_cache, candidates = _pairs_with_stats(
+        particles, cfg, reach, previous)
     ia, ib = pair_list.columns
     d0 = np.sqrt(d2)
     rsum = particles.radius.take(ia) + particles.radius.take(ib)
@@ -358,6 +386,7 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
         grid=grid,
         candidates=candidates,
+        reach_cache=reach_cache,
     )
 
 

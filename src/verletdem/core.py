@@ -194,10 +194,16 @@ def validate_config(cfg: SimConfig, particles: Particles) -> None:
         raise NonPositiveDt(f"dt must be > 0, got {cfg.dt}")
     if not math.isfinite(cfg.dt):
         raise ConfigError(f"dt must be finite, got {cfg.dt}")
+    for name in ("steps", "k_factor"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if cfg.steps <= 0:
         raise ConfigError(f"steps must be > 0, got {cfg.steps}")
     if not 0 <= cfg.k_factor < 2 ** 63:
         raise ConfigError(f"k_factor must be in [0, 2**63), got {cfg.k_factor}")
+    if not isinstance(cfg.verlet_enabled, bool):
+        raise ConfigError(f"verlet_enabled must be True or False, got {cfg.verlet_enabled!r}")
     if not np.all(np.isfinite(cfg.gravity)):
         raise ConfigError("gravity components must be finite")
     if not (np.all(np.isfinite(cfg.domain_min)) and np.all(np.isfinite(cfg.domain_max))):

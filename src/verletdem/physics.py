@@ -98,7 +98,8 @@ def velocity_verlet_step(particles: Particles, forces_t: np.ndarray,
     Returns the same Particles object and the new forces.
     """
     forces_t = np.asarray(forces_t, dtype=np.float64)
-    free = ~particles.is_static[:, None]
+    # one full-shape mask: masked adds run faster on it than on a broadcast one
+    free = np.repeat(~particles.is_static[:, None], 3, axis=1)
     inv_m = 1.0 / particles.mass[:, None]
     accel_t = forces_t * inv_m
     np.add(particles.position, particles.velocity * dt + accel_t * (0.5 * dt * dt),

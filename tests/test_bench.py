@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,25 @@ class TestScenarioCounts:
     def test_sim_config_rejects_a_non_integer_count(self, kwargs):
         with pytest.raises(ConfigError, match="bad config value"):
             make_scenario("settling-box", 5, 1).sim_config(**kwargs)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(k_factor=2.5), "k_factor must be an integer"),
+        (dict(steps=2.5), "steps must be an integer"),
+    ])
+    def test_run_rejects_a_replaced_non_integer_count(self, monkeypatch, change, message):
+        # a count replaced past sim_config's check is refused before any step
+        sc = make_scenario("settling-box", 5, 1)
+        cfg = dataclasses.replace(sc.sim_config(5, steps=3), **change)
+        monkeypatch.setattr(verletdem.engine._Driver, "__init__", no_run)
+        with pytest.raises(ConfigError, match=message):
+            verletdem.engine.run(cfg, sc.build_particles())
+
+    def test_run_rejects_a_buffer_switch_that_is_not_a_bool(self, monkeypatch):
+        sc = make_scenario("settling-box", 5, 1)
+        cfg = sc.sim_config(5, verlet_enabled="false", steps=3)
+        monkeypatch.setattr(verletdem.engine._Driver, "__init__", no_run)
+        with pytest.raises(ConfigError, match="verlet_enabled must be True or False"):
+            verletdem.engine.run(cfg, sc.build_particles())
 
     def test_sim_config_keeps_the_scenario_steps_by_default(self):
         sc = make_scenario("settling-box", 5, 1)

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -340,16 +341,22 @@ class TestLinkedCellPairs:
         oracle = searchsorted_candidates(pset.position, cfg)
         assert np.sort(_oriented_keys(*candidates)).tolist() == oracle.tolist()
 
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+           st.sampled_from([0, 1, 2]))
+    @example(seed=0, tilt=0.0, axis=0)
+    @example(seed=0, tilt=0.0, axis=1)
+    @example(seed=0, tilt=0.0, axis=2)
     @settings(max_examples=60, deadline=None)
-    def test_oracle_equivalence_at_touching_distance(self, seed, tilt):
-        # pairs within a few ulps of their reach, tilted off the x axis by
-        # `tilt`: where the grid's x-gap prefilter and the full distance
-        # test differ by a rounding, the prefilter must not drop the pair
+    def test_oracle_equivalence_at_touching_distance(self, seed, tilt, axis):
+        # pairs within a few ulps of their reach, along `axis` and tilted off
+        # it by `tilt`: along x or y (tilt 0) the x- or y-gap filter is the
+        # binding test, along z the full one; where a filter and the full
+        # test differ by a rounding, the filter must not drop the pair
         rng = np.random.default_rng(seed)
         m = 40
         sr = rng.uniform(0.05, 0.45, 2 * m)
-        direction = np.column_stack([np.ones(m), tilt * rng.normal(size=(m, 2))])
+        direction = tilt * rng.normal(size=(m, 3))
+        direction[:, axis] = 1.0
         direction *= np.sign(rng.normal(size=(m, 1)))
         direction /= np.linalg.norm(direction, axis=1)[:, None]
         reach = sr[:m] + sr[m:]
@@ -593,30 +600,60 @@ def assert_same_build(state, fresh):
         rows.tobytes() for rows in fresh.wall_rows]
     assert [ids.tobytes() for ids in state.candidates] == [
         ids.tobytes() for ids in fresh.candidates]
+    assert [a.tobytes() for a in state.reach_cache] == [
+        a.tobytes() for a in fresh.reach_cache]
 
 
 class TestStencilReuse:
     @given(st.integers(0, 2**31 - 1), st.integers(0, 120),
-           st.sampled_from([None, 0, 1, 2]), st.booleans())
-    @example(seed=0, n=0, thin_axis=None, crossing=False)
-    @example(seed=4, n=2, thin_axis=1, crossing=True)
+           st.sampled_from([None, 0, 1, 2]), st.booleans(), st.booleans())
+    @example(seed=0, n=0, thin_axis=None, crossing=False, reskin=False)
+    @example(seed=4, n=2, thin_axis=1, crossing=True, reskin=False)
+    @example(seed=5, n=60, thin_axis=None, crossing=False, reskin=False)
+    @example(seed=5, n=60, thin_axis=None, crossing=False, reskin=True)
     @settings(max_examples=60, deadline=None)
-    def test_reused_stencil_equals_a_fresh_build(self, seed, n, thin_axis, crossing):
+    def test_reused_stencil_equals_a_fresh_build(self, seed, n, thin_axis, crossing, reskin):
         # the candidates of the previous build are a function of the grid's
-        # shape and cell_of: a build that reuses them must equal one that
-        # does not, byte for byte, whether or not a particle changed cell
+        # shape and cell_of, their squared reaches of the search radii too: a
+        # build that reuses them must equal one that does not, byte for byte,
+        # whether or not a particle changed cell or a skin changed
         pset, cfg, _ = clamped_cloud(seed, n, thin_axis)
         hi = cfg.domain_max
         cfg = dataclasses.replace(cfg, walls=(
             WallPlane(vec3(0, 0, 0), vec3(0, 0, 1)), WallPlane(hi, vec3(-1, 0, 0))))
         rng = np.random.default_rng(seed + 1)
-        skins = rng.uniform(0.0, 1.0, n) * (0.5 * cfg.cell_size - pset.radius)
+        cap = 0.5 * cfg.cell_size - pset.radius
+        skins = rng.uniform(0.0, 1.0, n) * cap
         first = verlet_build(pset, cfg, skins)
         moved = moved_cloud(pset, cfg, rng, crossing)
+        if reskin:
+            skins = rng.uniform(0.0, 1.0, n) * cap
         state = verlet_build(moved, cfg, skins, previous=first)
         assert_same_build(state, verlet_build(moved, cfg, skins))
         if not crossing:
             assert state.candidates is first.candidates
+        # equal radii in a new array reuse the squared reaches, changed ones never
+        reused = state.reach_cache[1] is first.reach_cache[1]
+        if reskin and n:
+            assert not reused
+        elif not crossing:
+            assert reused
+
+    def test_reach_cache_is_keyed_on_radius_values(self):
+        # radii changed in place after a build must not pass for the cached
+        # ones, and an equal copy must
+        pset, cfg, radii = clamped_cloud(3, 80, thin_axis=None)
+        pairs, _, grid, reach_cache, candidates = _pairs_with_stats(pset, cfg, radii)
+        previous = SimpleNamespace(grid=grid, reach_cache=reach_cache, candidates=candidates)
+        again = _pairs_with_stats(pset, cfg, radii.copy(), previous)
+        assert again[0] == pairs and again[3][1] is reach_cache[1]
+        radii *= 0.5
+        again = _pairs_with_stats(pset, cfg, radii, previous)
+        fresh = _pairs_with_stats(pset, cfg, radii)
+        assert again[4] is candidates and again[3][1] is not reach_cache[1]
+        assert again[0].keys.tobytes() == fresh[0].keys.tobytes()
+        assert again[3][1].tobytes() == fresh[3][1].tobytes()
+        assert len(again[0]) < len(pairs)
 
     def test_far_outlier_build_reuses_its_stencil(self):
         pset, cfg, _ = far_outlier(1)

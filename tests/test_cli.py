@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+import verletdem.cli
 from verletdem.bench import Scenario, make_scenario
 from verletdem.broadphase import CapNegative, SearchRadiusExceedsCell, SizeMismatch
 from verletdem.cli import (
@@ -89,6 +91,28 @@ class TestRunCommand:
             cfg = write_run_config(tmp_path / "cfg.json", extra={"config": overrides})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "config error: bad config value" in capsys.readouterr().err
+
+    def test_integral_float_counts_run(self, tmp_path):
+        cfg = write_run_config(tmp_path / "cfg.json", steps=5.0, k_factor=100.0)
+        metrics = tmp_path / "metrics.json"
+        assert main(["run", "--config", cfg, "--metrics", str(metrics)]) == EXIT_OK
+        doc = json.loads(metrics.read_text())
+        assert (doc["total_steps"], doc["k_factor"]) == (5, 100)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(k_factor=2.5), "k_factor must be an integer, got 2.5"),
+        (dict(steps=2.5), "steps must be an integer, got 2.5"),
+        (dict(verlet_enabled="false"), "verlet_enabled must be True or False, got 'false'"),
+    ])
+    def test_config_refused_by_the_run_exits_2(self, tmp_path, capsys, monkeypatch,
+                                               change, message):
+        # a configuration the JSON reader did not check still exits 2
+        overrides = verletdem.cli.config_overrides
+        monkeypatch.setattr(verletdem.cli, "config_overrides",
+                            lambda *a: dataclasses.replace(overrides(*a), **change))
+        cfg = write_run_config(tmp_path / "cfg.json", steps=5)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("change", [
         {"scenario": {"name": "settling-box", "n": 20.9, "seed": 3}},

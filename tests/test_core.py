@@ -120,11 +120,25 @@ class TestValidateConfig:
         (dict(contact=ContactParams(k_n=np.inf)), ConfigError),
         (dict(contact=ContactParams(k_n=1.0, gamma_n=np.nan)), ConfigError),
         (dict(contact=ContactParams(k_n=1.0, k_t=np.inf)), ConfigError),
+        (dict(k_factor=2.5), ConfigError),
+        (dict(k_factor=3.0), ConfigError),
+        (dict(k_factor=True), ConfigError),
+        (dict(k_factor="200"), ConfigError),
+        (dict(steps=2.5), ConfigError),
+        (dict(steps=True), ConfigError),
+        (dict(steps=np.float64(100.0)), ConfigError),
+        (dict(verlet_enabled="false"), ConfigError),
+        (dict(verlet_enabled=1), ConfigError),
+        (dict(verlet_enabled=None), ConfigError),
     ])
     def test_config_mutation_rejected(self, mutation, error):
         validate_config(base_config(), spheres(**ONE))
         with pytest.raises(error):
             validate_config(base_config(**mutation), spheres(**ONE))
+
+    def test_numpy_integer_counts_pass(self):
+        validate_config(base_config(k_factor=np.int64(200), steps=np.int32(100),
+                                    verlet_enabled=False), spheres(**ONE))
 
     @pytest.mark.parametrize("particle", [    # changed columns of the one particle
         dict(radius=-0.001),
