@@ -4,9 +4,9 @@ and the per-particle Verlet-buffer layer.
 A pair list is a sorted array of int64 keys ``id_a << 32 | id_b`` with
 id_a < id_b.  The grid is the cell each particle sits in, and each search
 builds its own and indexes it by the sorted cell ids.  A search given the
-previous build tests that build's candidate pairs again, with no sort,
-while no particle has changed cell, against that build's squared reaches
-while the search radii are equal too.
+previous build reuses that build's stencil, its candidate pairs and their
+squared reaches, whole while no particle has changed cell and no search
+radius has changed; otherwise it enumerates afresh.
 
 The buffer inflates each particle's search radius by a skin proportional to
 its own speed (``k_factor * |v| * dt``), capped by the cell geometry, and
@@ -109,6 +109,19 @@ class CellGrid:
 
     shape: np.ndarray = field(repr=False)     # padded cells per axis
     cell_of: np.ndarray = field(repr=False)   # (n,) padded cell id per particle
+
+
+@dataclass(frozen=True, eq=False)
+class _Stencil:
+    """A build's grid and search radii, the (id_a, id_b) columns of every
+    candidate pair the grid yields and each candidate's squared reach
+    ``(sr_a + sr_b)**2``: the candidates are a function of the grid's
+    ``shape`` and ``cell_of``, the squared reaches of the radii too."""
+
+    grid: CellGrid
+    radii: np.ndarray
+    candidates: tuple
+    reach2: np.ndarray
 
 
 def _skins(pset: Particles, cfg: SimConfig, mode: str = SKIN_LOCAL) -> np.ndarray:
@@ -224,16 +237,14 @@ def _lengths(pset: Particles, values, what: str) -> np.ndarray:
 
 
 def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
-    """(pair list, squared distance of every listed pair, grid, reach cache, candidates).
+    """(pair list, squared distance of every listed pair, stencil).
 
-    The candidates of a ``previous`` build are reused when the new grid has
-    the same ``shape`` and ``cell_of``, of which the candidate set is a
-    function; every candidate is still tested.  The reach cache is the
-    pair (search radii, ``reach2``), ``reach2`` each candidate's
-    ``(sr_a + sr_b)**2``: a build that reuses the candidates with radii
-    equal in value to the cached ones reuses ``reach2`` too.  Each candidate
-    then passes an exact x-gap filter, its survivors an exact y-gap filter,
-    and theirs the full squared-distance test.
+    The stencil of a ``previous`` build is reused whole when the new grid
+    has the same ``shape`` and ``cell_of`` and the search radii are equal in
+    value; otherwise the candidates are enumerated and their squared reaches
+    computed afresh.  Every candidate is tested either way: an exact x-gap
+    filter, an exact y-gap filter on its survivors, and the full
+    squared-distance test on theirs.
     """
     sr = _lengths(pset, radii, "search radius")
     grid = build_grid(pset, cfg)
@@ -243,22 +254,18 @@ def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
             f"search radius {sr[bad]} of particle {bad} exceeds cell_size/2 = "
             f"{0.5 * cfg.cell_size}"
         )
-    reach2 = None
-    if (previous is not None and np.array_equal(grid.shape, previous.grid.shape)
-            and np.array_equal(grid.cell_of, previous.grid.cell_of)):
-        candidates = previous.candidates
-        if np.array_equal(sr, previous.reach_cache[0]):
-            reach2 = previous.reach_cache[1]
-    else:
-        candidates = _candidate_pairs(grid)
-    ia, ib = candidates
-    if reach2 is None:
+    stencil = None if previous is None else previous.stencil
+    if stencil is None or not (np.array_equal(grid.shape, stencil.grid.shape)
+                               and np.array_equal(grid.cell_of, stencil.grid.cell_of)
+                               and np.array_equal(sr, stencil.radii)):
+        ia, ib = _candidate_pairs(grid)
         # computed in place: the build's peak memory holds the previous
         # build's candidates too
         reach2 = np.take(sr, ia)
         reach2 += np.take(sr, ib)
         reach2 *= reach2
-    reach_cache = (sr, reach2)
+        stencil = _Stencil(grid, sr, (ia, ib), reach2)
+    (ia, ib), reach2 = stencil.candidates, stencil.reach2
     # exact x- and y-gap filters: a rounded sum of non-negative squares is
     # never below one of its rounded terms, so every pair the full test
     # accepts passes both
@@ -277,7 +284,7 @@ def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
     keys = _oriented_keys(np.take(ia, hit), np.take(ib, hit))
     # the grid emits every unordered pair once, so a sort canonicalizes
     by_key = np.argsort(keys)
-    return PairList(keys[by_key]), np.take(d2, hit[by_key]), grid, reach_cache, candidates
+    return PairList(keys[by_key]), np.take(d2, hit[by_key]), stencil
 
 
 def linked_cell_pairs(particles: Particles, cfg: SimConfig, search_radius) -> PairList:
@@ -330,13 +337,10 @@ class VerletState:
     configuration, the particles within radius + frozen skin of it at the
     build (see :func:`wall_candidates`).  ``pair_slack`` holds, per row of
     ``list``, the build distance minus the radii sum, less a relative pad
-    (see :func:`verlet_gate`).  ``grid`` is the build's cell layout and
-    ``candidates`` the (id_a, id_b) columns of every candidate pair its
-    search tested, a function of the grid's ``shape`` and ``cell_of``: the
-    stencil a later build reuses while no particle has changed cell.
-    ``reach_cache`` is the pair (search radii, ``reach2``) of that build,
-    ``reach2`` each candidate's squared reach ``(sr_a + sr_b)**2``, which a
-    build reusing the stencil with radii of equal value reuses as well.
+    (see :func:`verlet_gate`).  ``stencil`` is the build's grid, search radii,
+    candidate pairs and their squared reaches, which a later build reuses
+    whole while no particle has changed cell and no search radius has
+    changed.
     """
 
     list: PairList
@@ -344,9 +348,7 @@ class VerletState:
     frozen_skins: np.ndarray
     wall_rows: tuple
     pair_slack: np.ndarray
-    grid: CellGrid
-    candidates: tuple
-    reach_cache: tuple = (np.empty(0), np.empty(0))
+    stencil: _Stencil
 
     def __len__(self) -> int:
         return len(self.reference_positions)
@@ -354,7 +356,7 @@ class VerletState:
     @property
     def pairs_tested(self) -> int:
         """The number of candidate pairs the build's search tested."""
-        return len(self.candidates[0])
+        return len(self.stencil.reach2)
 
 
 def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
@@ -367,14 +369,13 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
     the radii of :func:`linked_cell_pairs`.  The per-row slack, the per-wall
     candidates of ``cfg.walls`` and the stencil are cached with the pair
     list.  While every particle sits in the cell of the same layout as at
-    the ``previous`` build, that build's candidates are tested again instead
-    of enumerated anew, and with the same search radii their squared
-    reaches are reused too; the result is the same either way.
+    the ``previous`` build and the search radii are equal, that build's
+    stencil is tested again instead of enumerated anew; the result is the
+    same either way.
     """
     skins = _skins(particles, cfg) if skins is None else _lengths(particles, skins, "skin")
     reach = particles.radius + skins
-    pair_list, d2, grid, reach_cache, candidates = _pairs_with_stats(
-        particles, cfg, reach, previous)
+    pair_list, d2, stencil = _pairs_with_stats(particles, cfg, reach, previous)
     ia, ib = pair_list.columns
     d0 = np.sqrt(d2)
     rsum = particles.radius.take(ia) + particles.radius.take(ib)
@@ -384,9 +385,7 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
         frozen_skins=skins,
         wall_rows=wall_candidates(particles, cfg.walls, reach),
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
-        grid=grid,
-        candidates=candidates,
-        reach_cache=reach_cache,
+        stencil=stencil,
     )
 
 

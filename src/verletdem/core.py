@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -251,11 +251,8 @@ def validate_config(cfg: SimConfig, particles: Particles) -> None:
 
 # --- strict JSON loading -------------------------------------------------
 
-_REQUIRED_KEYS = (
-    "dt", "k_factor", "gravity", "cell_size", "domain_min", "domain_max",
-    "contact", "steps",
-)
-_OPTIONAL_KEYS = ("walls", "verlet_enabled")
+_REQUIRED_KEYS = tuple(f.name for f in fields(SimConfig) if f.default is MISSING)
+_OPTIONAL_KEYS = tuple(f.name for f in fields(SimConfig) if f.default is not MISSING)
 
 
 def _strict_object(value, what: str, required=(), optional=()) -> dict:

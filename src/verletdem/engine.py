@@ -266,11 +266,12 @@ class _Driver:
         A rebuild happens when no list exists yet, when the buffer is
         disabled (every evaluation rebuilds, with zero skins), or when some
         particle's displacement since the last build exceeds its frozen
-        skin.  A rebuild tests the last build's candidates again while no
-        particle has changed cell.  Returns the candidate pairs tested (0 on
-        reuse) and the rows of the list the narrow phase must test: on reuse
-        the ones the gate keeps, from the displacements the rebuild test
-        computed; None, every row, on a fresh list.
+        skin.  A rebuild reuses the last build's stencil while no particle
+        has changed cell and no search radius has changed.  Returns the
+        candidate pairs tested (0 on reuse) and the rows of the list the
+        narrow phase must test: on reuse the ones the gate keeps, from the
+        displacements the rebuild test computed; None, every row, on a fresh
+        list.
         """
         state, cfg = self.state, self.cfg
         needed = False

@@ -89,13 +89,7 @@ class Contacts:
 
 
 def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
-    """Ids, overlap and normal of the candidate rows with overlap > 0.
-
-    Only rows with ``d^2 <= (r_a + r_b)^2 (1 + 1e-9)`` go on to the square
-    root.  Every row with overlap > 0 passes: a correctly rounded
-    ``sqrt(d^2)`` below ``r_a + r_b`` needs ``d^2`` within a few ulps of
-    ``(r_a + r_b)^2``.
-    """
+    """Ids, overlap and normal of the candidate rows with overlap > 0."""
     # .take copies whole rows; indexing with [ib] is several times slower
     diff = pset.position.take(ib, axis=0) - pset.position.take(ia, axis=0)
     d2 = row_norm_sq(diff)
@@ -105,14 +99,11 @@ def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
         raise CoincidentCenters(
             f"particles {int(ia[k])} and {int(ib[k])} have coincident centers"
         )
-    rsum = pset.radius.take(ia) + pset.radius.take(ib)
-    near = (d2 <= rsum * rsum * (1.0 + 1e-9)).nonzero()[0]
-    d = np.sqrt(d2.take(near))
-    overlap = rsum.take(near) - d
-    hit = overlap > 0.0
-    rows = near[hit]
-    normal = diff.take(rows, axis=0) / d[hit][:, None]
-    return ia.take(rows), ib.take(rows), overlap[hit], normal
+    d = np.sqrt(d2)
+    overlap = pset.radius.take(ia) + pset.radius.take(ib) - d
+    rows = (overlap > 0.0).nonzero()[0]
+    normal = diff.take(rows, axis=0) / d.take(rows)[:, None]
+    return ia.take(rows), ib.take(rows), overlap.take(rows), normal
 
 
 def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],

@@ -373,7 +373,7 @@ class TestLinkedCellPairs:
     def test_tested_equals_searchsorted_count(self, seed, n, thin_axis):
         # pairs_tested is a contract number (the opcount "broad" column)
         pset, cfg, sr = clamped_cloud(seed, n, thin_axis)
-        *_, candidates = _pairs_with_stats(pset, cfg, sr)
+        candidates = _pairs_with_stats(pset, cfg, sr)[2].candidates
         oracle = searchsorted_candidates(pset.position, cfg)
         assert len(candidates[0]) == len(oracle)
         assert np.sort(_oriented_keys(*candidates)).tolist() == oracle.tolist()
@@ -598,10 +598,11 @@ def assert_same_build(state, fresh):
     assert state.pair_slack.tobytes() == fresh.pair_slack.tobytes()
     assert [rows.tobytes() for rows in state.wall_rows] == [
         rows.tobytes() for rows in fresh.wall_rows]
-    assert [ids.tobytes() for ids in state.candidates] == [
-        ids.tobytes() for ids in fresh.candidates]
-    assert [a.tobytes() for a in state.reach_cache] == [
-        a.tobytes() for a in fresh.reach_cache]
+    ours, theirs = state.stencil, fresh.stencil
+    assert [a.tobytes() for a in (ours.grid.shape, ours.grid.cell_of, ours.radii,
+                                  *ours.candidates, ours.reach2)] == [
+        a.tobytes() for a in (theirs.grid.shape, theirs.grid.cell_of, theirs.radii,
+                              *theirs.candidates, theirs.reach2)]
 
 
 class TestStencilReuse:
@@ -613,10 +614,10 @@ class TestStencilReuse:
     @example(seed=5, n=60, thin_axis=None, crossing=False, reskin=True)
     @settings(max_examples=60, deadline=None)
     def test_reused_stencil_equals_a_fresh_build(self, seed, n, thin_axis, crossing, reskin):
-        # the candidates of the previous build are a function of the grid's
-        # shape and cell_of, their squared reaches of the search radii too: a
-        # build that reuses them must equal one that does not, byte for byte,
-        # whether or not a particle changed cell or a skin changed
+        # the previous build's stencil is a function of the grid's shape and
+        # cell_of and of the search radii: a build that reuses it must equal
+        # one that does not, byte for byte, and it is reused whole or not at
+        # all, so a changed skin on the same cells enumerates afresh
         pset, cfg, _ = clamped_cloud(seed, n, thin_axis)
         hi = cfg.domain_max
         cfg = dataclasses.replace(cfg, walls=(
@@ -630,30 +631,42 @@ class TestStencilReuse:
             skins = rng.uniform(0.0, 1.0, n) * cap
         state = verlet_build(moved, cfg, skins, previous=first)
         assert_same_build(state, verlet_build(moved, cfg, skins))
-        if not crossing:
-            assert state.candidates is first.candidates
-        # equal radii in a new array reuse the squared reaches, changed ones never
-        reused = state.reach_cache[1] is first.reach_cache[1]
+        reused = state.stencil is first.stencil
         if reskin and n:
             assert not reused
         elif not crossing:
             assert reused
 
-    def test_reach_cache_is_keyed_on_radius_values(self):
-        # radii changed in place after a build must not pass for the cached
+    def test_stencil_is_keyed_on_radius_values(self):
+        # radii changed in place after a build must not pass for the stored
         # ones, and an equal copy must
         pset, cfg, radii = clamped_cloud(3, 80, thin_axis=None)
-        pairs, _, grid, reach_cache, candidates = _pairs_with_stats(pset, cfg, radii)
-        previous = SimpleNamespace(grid=grid, reach_cache=reach_cache, candidates=candidates)
+        pairs, _, stencil = _pairs_with_stats(pset, cfg, radii)
+        previous = SimpleNamespace(stencil=stencil)
         again = _pairs_with_stats(pset, cfg, radii.copy(), previous)
-        assert again[0] == pairs and again[3][1] is reach_cache[1]
+        assert again[0] == pairs and again[2] is stencil
         radii *= 0.5
         again = _pairs_with_stats(pset, cfg, radii, previous)
         fresh = _pairs_with_stats(pset, cfg, radii)
-        assert again[4] is candidates and again[3][1] is not reach_cache[1]
+        assert again[2] is not stencil
         assert again[0].keys.tobytes() == fresh[0].keys.tobytes()
-        assert again[3][1].tobytes() == fresh[3][1].tobytes()
+        assert again[2].reach2.tobytes() == fresh[2].reach2.tobytes()
         assert len(again[0]) < len(pairs)
+
+    @pytest.mark.parametrize("other", ["one particle fewer", "other radii"])
+    def test_a_build_of_another_particle_set_is_not_reused(self, other):
+        # a previous build of another particle set, on the same positions
+        # less the last one or with the radii halved, must give the build
+        # made without it
+        pset, cfg, _ = clamped_cloud(6, 60, thin_axis=None)
+        keep = slice(0, 59) if other == "one particle fewer" else slice(None)
+        scale = 0.5 if other == "other radii" else 1.0
+        before = Particles(pset.position[keep], pset.velocity[keep],
+                           pset.radius[keep] * scale, pset.mass[keep], pset.is_static[keep])
+        first = verlet_build(before, cfg, np.zeros(len(before)))
+        state = verlet_build(pset, cfg, np.zeros(60), previous=first)
+        assert state.stencil is not first.stencil
+        assert_same_build(state, verlet_build(pset, cfg, np.zeros(60)))
 
     def test_far_outlier_build_reuses_its_stencil(self):
         pset, cfg, _ = far_outlier(1)
@@ -662,7 +675,7 @@ class TestStencilReuse:
         first = verlet_build(pset, cfg, skins)
         moved = moved_cloud(pset, cfg, rng, crossing=False)
         state = verlet_build(moved, cfg, skins, previous=first)
-        assert state.candidates is first.candidates
+        assert state.stencil is first.stencil
         assert len(state.list) > 10
         assert_same_build(state, verlet_build(moved, cfg, skins))
 
@@ -677,7 +690,7 @@ class TestStencilReuse:
         moved = pset.copy()
         moved.position[1, 0] = 1.05
         state = verlet_build(moved, cfg, previous=first)
-        assert tuple(state.grid.shape) == tuple(first.grid.shape)
+        assert tuple(state.stencil.grid.shape) == tuple(first.stencil.grid.shape)
         assert (0, 1) in state.list
         assert_same_build(state, verlet_build(moved, cfg))
 

@@ -72,6 +72,37 @@ class TestMaybeBroadphase:
         assert driver.metrics.broad_executions == 2
         assert np.all(driver.state.verlet.frozen_skins == 0.0)
 
+    def test_unbuffered_bed_enumerates_where_a_particle_changed_cell(self, monkeypatch):
+        # a settling bed past its free fall, still moving, with the buffer
+        # off: every evaluation builds, and a build enumerates candidate
+        # pairs exactly when its grid differs from the one before; every
+        # other build reuses the previous stencil whole
+        scenario = make_scenario("settling-box", 200, 3)
+        warm = run(scenario.sim_config(200, steps=2600), scenario.build_particles())
+        grids, fresh = [], []
+        build_grid = verletdem.broadphase.build_grid
+        candidate_pairs = verletdem.broadphase._candidate_pairs
+
+        def binning(*args):
+            grids.append(build_grid(*args))
+            return grids[-1]
+
+        def enumerating(grid):
+            fresh.append(len(grids) - 1)
+            return candidate_pairs(grid)
+
+        monkeypatch.setattr(verletdem.broadphase, "build_grid", binning)
+        monkeypatch.setattr(verletdem.broadphase, "_candidate_pairs", enumerating)
+        cfg = scenario.sim_config(200, verlet_enabled=False, steps=200)
+        m = run(cfg, warm.state.particles).metrics
+        changed = [i for i, grid in enumerate(grids) if i == 0 or not (
+            np.array_equal(grid.shape, grids[i - 1].shape)
+            and np.array_equal(grid.cell_of, grids[i - 1].cell_of))]
+        assert m.broad_executions == len(grids) == 201
+        assert m.model_time > 0                 # contacts: the bed has landed
+        assert fresh == changed
+        assert 1 < len(fresh) < len(grids)
+
 
 class TestStaticOnly:
     def test_single_broadphase_for_static_scene(self):
@@ -366,11 +397,9 @@ class TestRunRecord:
 
 def audit(pset, live_keys):
     """Run one shadow scan of ``pset`` against the list ``live_keys`` (None: no list)."""
-    none = np.empty(0, dtype=np.int64)
     verlet = None if live_keys is None else VerletState(
         PairList(live_keys), pset.position.copy(), np.zeros(len(pset)), wall_rows=(),
-        pair_slack=np.zeros(len(live_keys)), grid=None,
-        candidates=(none, none))
+        pair_slack=np.zeros(len(live_keys)), stencil=None)
     driver = driver_for(SimState(particles=pset, verlet=verlet), open_config(1),
                         validation=True)
     driver._shadow_scan()

@@ -223,7 +223,7 @@ class TestDistanceFirstPairs:
     @settings(max_examples=60, deadline=None)
     def test_contacts_equal_sqrt_of_every_row(self, seed, n):
         # pairs placed within a few ulps of touching, on both sides: the
-        # d^2 prefilter must keep exactly the rows with rsum - sqrt(d^2) > 0
+        # contacts are exactly the rows with rsum - sqrt(d^2) > 0
         rng = np.random.default_rng(seed)
         ra = rng.uniform(0.05, 0.2, n)
         rb = rng.uniform(0.05, 0.2, n)
@@ -309,7 +309,7 @@ class TestWallCache:
         state = VerletState(
             list=NO_PAIRS, reference_positions=pos.copy(), frozen_skins=skins,
             wall_rows=wall_candidates(pset, walls, radius + skins), pair_slack=np.empty(0),
-            grid=None, candidates=NO_PAIRS.columns,
+            stencil=None,
         )
 
         direction = rng.normal(size=(n, 3))
