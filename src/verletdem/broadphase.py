@@ -311,6 +311,20 @@ def brute_force_pairs(particles: Particles, search_radius) -> PairList:
     return PairList(_oriented_keys(ia[hit], ib[hit]))
 
 
+class _WallRows(tuple):
+    """Per wall, the sorted ids of the particles tested against it, with what
+    the narrow phase reads of them derived once: the walls with rows
+    (``live``), their rows concatenated (``ids``) and the wall of each
+    (``wall_of``)."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.live = [k for k, r in enumerate(self) if len(r)]
+        self.ids = np.concatenate([self[k] for k in self.live]) if self.live else None
+        self.wall_of = np.repeat(self.live, [len(self[k]) for k in self.live])
+        return self
+
+
 def wall_candidates(particles: Particles, walls, reach) -> tuple[np.ndarray, ...]:
     """Per wall, the sorted ids of the particles with signed distance <= reach.
 
@@ -322,7 +336,8 @@ def wall_candidates(particles: Particles, walls, reach) -> tuple[np.ndarray, ...
     """
     reach = np.asarray(reach, dtype=np.float64)
     bound = reach + 1e-9 * (1.0 + reach)
-    return tuple((w.signed_distance(particles.position) <= bound).nonzero()[0] for w in walls)
+    return _WallRows((w.signed_distance(particles.position) <= bound).nonzero()[0]
+                     for w in walls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,12 +350,13 @@ class VerletState:
     because the cached list is only guaranteed to cover motion within the
     margins it was built with.  ``wall_rows`` holds, per wall of the
     configuration, the particles within radius + frozen skin of it at the
-    build (see :func:`wall_candidates`).  ``pair_slack`` holds, per row of
-    ``list``, the build distance minus the radii sum, less a relative pad
-    (see :func:`verlet_gate`).  ``stencil`` is the build's grid, search radii,
-    candidate pairs and their squared reaches, which a later build reuses
-    whole while no particle has changed cell and no search radius has
-    changed.
+    build (see :func:`wall_candidates`), with their concatenation, which
+    every evaluation on the list reads, derived once.  ``pair_slack``
+    holds, per row of ``list``, the build distance minus the radii sum, less
+    a relative pad (see :func:`verlet_gate`).  ``stencil`` is the build's
+    grid, search radii, candidate pairs and their squared reaches, which a
+    later build reuses whole while no particle has changed cell and no
+    search radius has changed.
     """
 
     list: PairList

@@ -65,8 +65,11 @@ def row_norm_sq(diff: np.ndarray) -> np.ndarray:
 
     Every distance test in the package funnels through this one reduction so
     that boundary comparisons agree bit-for-bit across the grid search, the
-    brute-force oracle, the narrow phase and the shadow scan.
+    brute-force oracle, the narrow phase and the shadow scan.  einsum sums a
+    C-contiguous row in another order than a strided or Fortran-ordered one,
+    so every input is summed in its C-contiguous layout.
     """
+    diff = np.ascontiguousarray(diff)
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -95,7 +98,7 @@ class WallPlane:
         if rows is None:
             return (positions - self.point) @ self.outward_normal
         take = np.repeat(rows, 2) if len(rows) == 1 < len(positions) else rows
-        return ((positions[take] - self.point) @ self.outward_normal)[:len(rows)]
+        return ((positions.take(take, axis=0) - self.point) @ self.outward_normal)[:len(rows)]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ for it at the last build (every particle when no cache is given): the rows
 tested change, the arithmetic of each row does not, so the contacts and the
 tunneling reports are those of an exhaustive test.  All walls are resolved
 in one pass: one signed-distance call per wall, the rest once over the
-concatenated rows.
+concatenated rows, which a build derives once with its cache.
 
 Pairs are gated the same way.  While a cached list is reused, a pair whose
 build distance exceeds its radii sum by more than the two particles'
@@ -22,7 +22,9 @@ those of the full list.
 A contact has four columns: the two ids, the overlap and the unit normal
 (from a to b, or into the wall).  Contacts come out ordered by
 (id_a, id_b).  Pair rows already are; wall contacts are merged in by one
-stable argsort of a single int64 key.
+stable argsort of a single int64 key.  The columns are built with their
+final dtype and shape, so they are stored as they are; the public
+:class:`Contacts` constructor converts outside input.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .broadphase import PairList
+from .broadphase import PairList, _WallRows
 from .core import Particles, SimulationError, row_norm_sq
 
 log = logging.getLogger(__name__)
@@ -65,6 +67,16 @@ class Contacts:
         self.normal = np.asarray(normal, dtype=np.float64).reshape(-1, 3)
 
     @classmethod
+    def _of(cls, id_a, id_b, overlap, normal) -> "Contacts":
+        """Contacts of columns that already have their final dtype and shape:
+        int64 ids and a float64 overlap of shape (m,), and a C-contiguous
+        float64 (m, 3) normal."""
+        contacts = cls.__new__(cls)
+        contacts.id_a, contacts.id_b, contacts.overlap, contacts.normal = (
+            id_a, id_b, overlap, normal)
+        return contacts
+
+    @classmethod
     def empty(cls) -> "Contacts":
         return cls(np.empty(0), np.empty(0), np.empty(0), np.empty((0, 3)))
 
@@ -93,9 +105,8 @@ def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
     # .take copies whole rows; indexing with [ib] is several times slower
     diff = pset.position.take(ib, axis=0) - pset.position.take(ia, axis=0)
     d2 = row_norm_sq(diff)
-    bad = d2 < COINCIDENT_TOL * COINCIDENT_TOL
-    if bad.any():
-        k = int(bad.argmax())
+    if d2.min() < COINCIDENT_TOL * COINCIDENT_TOL:
+        k = int((d2 < COINCIDENT_TOL * COINCIDENT_TOL).argmax())
         raise CoincidentCenters(
             f"particles {int(ia[k])} and {int(ib[k])} have coincident centers"
         )
@@ -112,15 +123,16 @@ def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],
 
     Each non-empty wall gets its own :meth:`WallPlane.signed_distance` call,
     since a stacked product may round differently; everything after it runs
-    once over the concatenated rows.
+    once over the concatenated rows, which a build's cache
+    (:attr:`VerletState.wall_rows`) carries already concatenated.
     """
-    rows = [np.arange(len(pset))] * len(walls) if wall_rows is None else wall_rows
-    live = [k for k, r in enumerate(rows) if len(r)]
-    if not live:
+    rows = wall_rows
+    if not isinstance(rows, _WallRows):
+        rows = _WallRows([np.arange(len(pset))] * len(walls) if rows is None else rows)
+    if not rows.live:
         return None
-    ids = np.concatenate([rows[k] for k in live])
-    d = np.concatenate([walls[k].signed_distance(pset.position, rows[k]) for k in live])
-    wall_of = np.repeat(live, [len(rows[k]) for k in live])
+    ids, wall_of = rows.ids, rows.wall_of
+    d = np.concatenate([walls[k].signed_distance(pset.position, rows[k]) for k in rows.live])
     behind = d < 0.0
     if behind.any():
         found = list(zip(ids[behind].tolist(), wall_of[behind].tolist()))
@@ -159,8 +171,8 @@ def resolve_contacts(candidates: PairList, particles: Particles, walls=(),
     wall = _wall_pass(particles, walls, wall_rows, tunneling)
     if wall is None:
         # the rows of a sorted list stay in (id_a, id_b) order
-        return Contacts.empty() if pair is None else Contacts(*pair)
+        return Contacts.empty() if pair is None else Contacts._of(*pair)
     cols = [np.concatenate(c) for c in zip(*(p for p in (pair, wall) if p is not None))]
     # the key id_a * 2**32 + id_b orders (id_a, id_b) while |id_b| < 2**31
     order = np.argsort((cols[0] << np.int64(32)) + cols[1], kind="stable")
-    return Contacts(*(c.take(order, axis=0) for c in cols))
+    return Contacts._of(*(c.take(order, axis=0) for c in cols))

@@ -95,3 +95,21 @@ def test_every_rebuild_calls_build_grid(monkeypatch, buffered):
     assert calls["build_grid"] == m.broad_executions
     assert m.broad_executions < m.force_evaluations if buffered else (
         m.broad_executions == m.force_evaluations)
+
+
+def test_the_step_is_called_with_the_four_arguments_the_tracer_forwards(monkeypatch):
+    # the benchmark's traced step takes exactly (particles, forces_t,
+    # force_eval, dt); a call with any other argument would fail only
+    # under tracing
+    step = verletdem.engine.velocity_verlet_step
+    calls = Counter()
+
+    def traced_step(particles, forces_t, force_eval, dt):
+        calls["step"] += 1
+        return step(particles, forces_t, force_eval, dt)
+
+    monkeypatch.setattr(verletdem.engine, "velocity_verlet_step", traced_step)
+    scenario = make_scenario("mini-hopper", 30, 2)
+    m = verletdem.engine.run(scenario.sim_config(200, steps=40), scenario.build_particles()).metrics
+    assert calls["step"] == m.total_steps == 40
+    assert m.broad_executions < m.force_evaluations

@@ -9,7 +9,7 @@ from builders import spheres
 from verletdem.cli import EXIT_CONFIG, main
 from verletdem.core import (
     CellTooSmall, ConfigError, ContactParams, EmptyDomain, NonPositiveDt,
-    Particles, SimConfig, WallPlane, norm, simconfig_from_dict,
+    Particles, SimConfig, WallPlane, norm, row_norm_sq, simconfig_from_dict,
     validate_config, vec3,
 )
 
@@ -78,6 +78,16 @@ class TestNorm:
         lhs = norm(s * v)
         rhs = abs(s) * norm(v)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+
+def test_row_norm_sq_is_independent_of_memory_layout():
+    # einsum sums a strided or Fortran-ordered row in another order than a
+    # C-contiguous one, so without a contiguous copy the bits differ
+    rng = np.random.default_rng(11)
+    strided = rng.normal(size=(5000, 6))[:, ::2]
+    expected = row_norm_sq(np.ascontiguousarray(strided)).tobytes()
+    assert row_norm_sq(strided).tobytes() == expected
+    assert row_norm_sq(np.asfortranarray(strided)).tobytes() == expected
 
 
 class TestValidateConfig:

@@ -368,6 +368,44 @@ class TestWallCache:
         assert (0, -1) in keys and (0, 1) in keys
 
 
+SIDE = WallPlane(vec3(0, 0, 0), vec3(1, 0, 0))
+# particle 0 touches the floor, the side wall and particle 1; particle 1 the
+# floor; particle 2 nothing, and only particle 0 is within reach of the side
+TRIO = [(0.0, 0, 0.4), (0.8, 0, 0.4), (3.0, 0, 3.0)]
+
+
+class TestContactColumns:
+    @pytest.mark.parametrize("positions, pairs, walls, cached, expected", [
+        ([(0, 0, 1), (5, 5, 1)], ((0, 1),), (), False, []),
+        ([(0, 0, 1), (0.8, 0, 1)], ((0, 1),), (), False, [(0, 1)]),
+        ([(0.3, 0.3, 0.4)], (), (FLOOR,), False, [(0, -1)]),
+        ([(0.0, 0, 0.4), (0.8, 0, 0.4)], ((0, 1),), (FLOOR,), False,
+         [(0, -1), (0, 1), (1, -1)]),
+        (TRIO, ((0, 1),), (FLOOR, SIDE), True, [(0, -2), (0, -1), (0, 1), (1, -1)]),
+    ], ids=["no contacts", "pairs only", "walls only", "pairs and walls",
+            "one cached wall row"])
+    def test_columns_are_those_of_the_public_constructor(
+            self, positions, pairs, walls, cached, expected):
+        pset = spheres(positions)
+        candidates = pair_list(*pairs) if pairs else NO_PAIRS
+        wall_rows = wall_candidates(pset, walls, pset.radius) if cached else None
+        if cached:
+            assert [len(rows) for rows in wall_rows] == [2, 1]
+        got = resolve_contacts(candidates, pset, walls, wall_rows=wall_rows)
+        assert list(zip(got.id_a.tolist(), got.id_b.tolist())) == expected
+        m = len(got)
+        for column, dtype in ((got.id_a, np.int64), (got.id_b, np.int64),
+                              (got.overlap, np.float64)):
+            assert column.dtype == dtype and column.shape == (m,)
+        assert got.normal.dtype == np.float64 and got.normal.shape == (m, 3)
+        assert got.normal.flags.c_contiguous
+        public = Contacts(got.id_a.tolist(), got.id_b.tolist(), got.overlap.tolist(),
+                          got.normal.tolist())
+        assert got == public and got.tobytes() == public.tobytes()
+        assert got.tobytes() == per_wall_reference(candidates, pset, walls, [],
+                                                   wall_rows).tobytes()
+
+
 def box_config(cell, hi):
     return SimConfig(
         dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=cell,

@@ -141,6 +141,20 @@ class TestComputeForces:
         assert (compute_forces(pset, contacts, FRICTION, weight).tobytes()
                 == add_at_reference(pset, contacts, FRICTION, gravity).tobytes())
 
+    def test_contacts_on_the_first_and_last_particle_only(self):
+        # the bins of particle 0 and particle n - 1 are the ends of the range
+        n = 5
+        rng = np.random.default_rng(3)
+        pset = Particles(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)),
+                         np.full(n, 0.2), rng.uniform(0.1, 3.0, n), np.zeros(n, bool))
+        normal = rng.normal(size=(3, 3))
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        contacts = Contacts([0, 0, n - 1], [-1, n - 1, -2], [1e-3, 2e-3, 3e-3], normal)
+        gravity = vec3(0.1, -0.3, -9.81)
+        got = compute_forces(pset, contacts, FRICTION, pset.mass[:, None] * gravity)
+        assert got.tobytes() == add_at_reference(pset, contacts, FRICTION, gravity).tobytes()
+        assert np.array_equal(got[1:n - 1], pset.mass[1:n - 1, None] * gravity)
+
     def test_negative_zero_gravity_is_stored_as_positive_zero(self):
         # the bincount sums start from +0.0, so a raw -0.0 component comes out
         # +0.0 on a particle without contacts; SimConfig stores it as +0.0
