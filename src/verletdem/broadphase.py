@@ -164,6 +164,9 @@ def build_grid(particles: Particles, cfg: SimConfig) -> CellGrid:
     """Bin every particle into its clamped domain cell of a padded layout.
 
     A layout of more cells than int64 ids can number raises SimulationError.
+    Below that bound, the C-order id ``(i * shape[1] + j) * shape[2] + k``
+    and each partial sum are below the cell count, so the integer arithmetic
+    gives the ids of ``np.ravel_multi_index`` without its per-call checks.
     """
     cell = np.floor((particles.position - cfg.domain_min) / cfg.cell_size)
     # clamp before the int64 cast, so no coordinate overflows it; a NaN lands in cell 0
@@ -174,7 +177,8 @@ def build_grid(particles: Particles, cfg: SimConfig) -> CellGrid:
     shape = box.max(axis=1) - corner + 2
     if math.prod(shape.tolist()) >= 2**63:
         raise SimulationError(f"a padded box of {shape.tolist()} cells exceeds int64 cell ids")
-    cell_of = np.ravel_multi_index(tuple(axes - corner[:, None]), tuple(shape))
+    i, j, k = axes - corner[:, None]
+    cell_of = (i * shape[1] + j) * shape[2] + k
     return CellGrid(shape=shape, cell_of=cell_of)
 
 
@@ -312,16 +316,22 @@ def brute_force_pairs(particles: Particles, search_radius) -> PairList:
 
 
 class _WallRows(tuple):
-    """Per wall, the sorted ids of the particles tested against it, with what
-    the narrow phase reads of them derived once: the walls with rows
-    (``live``), their rows concatenated (``ids``) and the wall of each
-    (``wall_of``)."""
+    """Per wall of ``walls``, the sorted ids of the particles tested against
+    it, with what the narrow phase reads of them derived once: the walls
+    with rows (``live``), their rows concatenated (``ids``), the wall of
+    each (``wall_of``) and the contact normal of each, the negated outward
+    normal of its wall (``inward``, (rows, 3) and C-contiguous).  The rows
+    are those of one set of walls, so what is derived from the walls is
+    derived with them."""
 
-    def __new__(cls, rows):
+    def __new__(cls, rows, walls):
         self = super().__new__(cls, rows)
         self.live = [k for k, r in enumerate(self) if len(r)]
-        self.ids = np.concatenate([self[k] for k in self.live]) if self.live else None
         self.wall_of = np.repeat(self.live, [len(self[k]) for k in self.live])
+        self.ids = self.inward = None
+        if self.live:
+            self.ids = np.concatenate([self[k] for k in self.live])
+            self.inward = -np.array([w.outward_normal for w in walls]).take(self.wall_of, axis=0)
         return self
 
 
@@ -336,8 +346,8 @@ def wall_candidates(particles: Particles, walls, reach) -> tuple[np.ndarray, ...
     """
     reach = np.asarray(reach, dtype=np.float64)
     bound = reach + 1e-9 * (1.0 + reach)
-    return _WallRows((w.signed_distance(particles.position) <= bound).nonzero()[0]
-                     for w in walls)
+    return _WallRows([(w.signed_distance(particles.position) <= bound).nonzero()[0]
+                      for w in walls], walls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,13 +360,16 @@ class VerletState:
     because the cached list is only guaranteed to cover motion within the
     margins it was built with.  ``wall_rows`` holds, per wall of the
     configuration, the particles within radius + frozen skin of it at the
-    build (see :func:`wall_candidates`), with their concatenation, which
-    every evaluation on the list reads, derived once.  ``pair_slack``
-    holds, per row of ``list``, the build distance minus the radii sum, less
-    a relative pad (see :func:`verlet_gate`).  ``stencil`` is the build's
-    grid, search radii, candidate pairs and their squared reaches, which a
-    later build reuses whole while no particle has changed cell and no
-    search radius has changed.
+    build (see :func:`wall_candidates`), with their concatenation and the
+    contact normal of each row, which every evaluation on the list reads,
+    derived once.  ``pair_slack`` holds, per row of ``list``, the build
+    distance minus the radii sum, less a relative pad (see
+    :func:`verlet_gate`).  ``stencil`` is the build's grid, search radii,
+    candidate pairs and their squared reaches, which a later build reuses
+    whole while no particle has changed cell and no search radius has
+    changed.  ``pair_rsum`` holds, per row of ``list``, the radii sum
+    ``r_a + r_b`` the narrow phase tests the row against (the radii are
+    fixed for a particle set, :class:`~verletdem.core.Particles`).
     """
 
     list: PairList
@@ -365,6 +378,7 @@ class VerletState:
     wall_rows: tuple
     pair_slack: np.ndarray
     stencil: _Stencil
+    pair_rsum: np.ndarray
 
     def __len__(self) -> int:
         return len(self.reference_positions)
@@ -382,9 +396,9 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
     Each particle reaches radius + skin, for pairs and for walls alike.
     ``skins`` defaults to the local-mode skins; given skins must be one
     length >= 0 per particle, else SizeMismatch or SimulationError, as for
-    the radii of :func:`linked_cell_pairs`.  The per-row slack, the per-wall
-    candidates of ``cfg.walls`` and the stencil are cached with the pair
-    list.  While every particle sits in the cell of the same layout as at
+    the radii of :func:`linked_cell_pairs`.  The per-row slack and radii
+    sum, the per-wall candidates of ``cfg.walls`` and the stencil are cached
+    with the pair list.  While every particle sits in the cell of the same layout as at
     the ``previous`` build and the search radii are equal, that build's
     stencil is tested again instead of enumerated anew; the result is the
     same either way.
@@ -402,6 +416,7 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
         wall_rows=wall_candidates(particles, cfg.walls, reach),
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
         stencil=stencil,
+        pair_rsum=rsum,
     )
 
 

@@ -146,6 +146,13 @@ class SimConfig:
         object.__setattr__(self, "walls", tuple(self.walls))
 
 
+def _fixed(values, dtype) -> np.ndarray:
+    """``values`` copied into a read-only 1-D array of ``dtype``."""
+    a = np.array(values, dtype=dtype).reshape(-1)
+    a.flags.writeable = False
+    return a
+
+
 class Particles:
     """Column-oriented storage for a set of particles.
 
@@ -156,29 +163,51 @@ class Particles:
     A static particle never moves: it takes part in collision detection and
     exerts forces but is skipped by the integrator, and its velocity must
     stay zero.
+
+    ``position`` and ``velocity`` are the state a run advances in place.
+    ``radius``, ``mass`` and ``is_static`` are fixed once the set is built:
+    each is a read-only copy that the set owns, and the attributes cannot
+    be rebound, so what is derived from them once cannot go stale.  The set
+    derives the integrator's constants from them at construction, both of
+    shape (n, 3): the mask of the free rows and ``1 / mass`` on each axis
+    (:func:`~verletdem.physics.velocity_verlet_step`).  :meth:`copy` copies
+    the state and shares the fixed columns and what is derived from them.
     """
 
-    __slots__ = ("position", "velocity", "radius", "mass", "is_static")
+    __slots__ = ("position", "velocity", "_radius", "_mass", "_is_static", "_free", "_inv_m")
 
     def __init__(self, position, velocity, radius, mass, is_static):
         self.position = np.ascontiguousarray(position, dtype=np.float64).reshape(-1, 3)
         self.velocity = np.ascontiguousarray(velocity, dtype=np.float64).reshape(-1, 3)
-        self.radius = np.asarray(radius, dtype=np.float64).reshape(-1)
-        self.mass = np.asarray(mass, dtype=np.float64).reshape(-1)
-        self.is_static = np.asarray(is_static, dtype=bool).reshape(-1)
+        self._radius = _fixed(radius, np.float64)
+        self._mass = _fixed(mass, np.float64)
+        self._is_static = _fixed(is_static, bool)
         n = len(self.position)
         for name in ("velocity", "radius", "mass", "is_static"):
             if len(getattr(self, name)) != n:
                 raise ConfigError(f"{name} has {len(getattr(self, name))} rows, expected {n}")
+        # full-shape (n, 3): masked adds and products run faster on these
+        # than on a column broadcast over the axis of length 3
+        self._free = np.repeat(~self._is_static[:, None], 3, axis=1)
+        # a zero mass, which validate_config rejects before any step, gives inf
+        with np.errstate(divide="ignore"):
+            self._inv_m = np.repeat(1.0 / self._mass[:, None], 3, axis=1)
+        self._free.flags.writeable = self._inv_m.flags.writeable = False
+
+    radius = property(lambda self: self._radius, doc="Sphere radius per particle (read-only).")
+    mass = property(lambda self: self._mass, doc="Mass per particle (read-only).")
+    is_static = property(lambda self: self._is_static,
+                         doc="True for a particle that never moves (read-only).")
 
     def __len__(self) -> int:
         return len(self.position)
 
     def copy(self) -> "Particles":
-        return Particles(
-            self.position.copy(), self.velocity.copy(),
-            self.radius.copy(), self.mass.copy(), self.is_static.copy(),
-        )
+        other = Particles.__new__(Particles)
+        other.position, other.velocity = self.position.copy(), self.velocity.copy()
+        for name in Particles.__slots__[2:]:
+            setattr(other, name, getattr(self, name))
+        return other
 
 
 def grid_dims(cfg: SimConfig) -> np.ndarray:

@@ -180,12 +180,13 @@ class _Driver:
         or in two adjacent ones.  The particles are sorted by slab, then
         along the axis of widest extent (the sweep axis).  Each takes the
         window of sweep gap <= its radius + the largest radius: forward in
-        its own slab, on both sides in the next slab.  Candidates too far
-        apart on either other axis are then dropped.  Every bound carries a
-        relative 1e-9 pad so that rounding can never hide a truly close
-        pair.  The decisive test on the survivors uses the exact same
-        elementwise arithmetic as the pair search, so the audit agrees
-        bit-for-bit with the membership predicate it checks.
+        its own slab, on both sides in the next slab.  A candidate is then
+        dropped when it is farther apart on either other axis than the
+        padded window of its first particle, which bounds its radii sum.
+        Every bound carries a relative 1e-9 pad so that rounding can never
+        hide a truly close pair.  The decisive test on the survivors uses
+        the exact same elementwise arithmetic as the pair search, so the
+        audit agrees bit-for-bit with the membership predicate it checks.
         """
         n = self.n
         if n < 2:
@@ -224,13 +225,12 @@ class _Driver:
         total = int(counts.sum())
         sa = np.repeat(np.concatenate((j, j)), counts)
         sb = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(total)
-        cs = rad.take(order)
-        reach = cs.take(sa) + cs.take(sb)
-        bound = reach + 1e-9 * (1.0 + reach)
-        near = np.ones(total, dtype=bool)
-        for other in (across, 3 - sweep - across):
-            col = cols[other].take(order)
-            near &= np.abs(col.take(sa) - col.take(sb)) <= bound
+        # the padded window r_a + r_max of the first particle bounds r_a + r_b
+        bound = window.take(rank).take(sa)
+        col = cols[across].take(order)
+        near = np.abs(col.take(sa) - col.take(sb)) <= bound
+        col = cols[3 - sweep - across].take(order)
+        near &= np.abs(col.take(sa) - col.take(sb)) <= bound
         keep = np.flatnonzero(near)
         a, b = order.take(sa.take(keep)), order.take(sb.take(keep))
         ia, ib = np.minimum(a, b), np.maximum(a, b)
@@ -302,7 +302,8 @@ class _Driver:
 
         reports: list[tuple[int, int]] = []
         contacts = resolve_contacts(verlet.list, pset, self.cfg.walls, tunneling=reports,
-                                    wall_rows=verlet.wall_rows, pair_rows=pair_rows)
+                                    wall_rows=verlet.wall_rows, pair_rows=pair_rows,
+                                    pair_rsum=verlet.pair_rsum)
         if reports:
             self.result.tunneling += [(self.state.step, *report) for report in reports]
             log.warning("step %d: behind a wall, as (particle, wall): %s", self.state.step, reports)

@@ -14,8 +14,9 @@ concatenated rows, which a build derives once with its cache.
 Pairs are gated the same way.  While a cached list is reused, a pair whose
 build distance exceeds its radii sum by more than the two particles'
 displacements since the build cannot overlap (triangle inequality), so the
-engine tests only the rows :func:`~verletdem.broadphase.verlet_gate` keeps;
-a freshly built list is tested in full.  Every tested row keeps its
+engine tests only the rows :func:`~verletdem.broadphase.verlet_gate` keeps,
+with the radii sums the build keeps per row; a freshly built list is tested
+in full.  Every tested row keeps its
 arithmetic, so the contacts, and the first coincident pair reported, are
 those of the full list.
 
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .broadphase import PairList, _WallRows
+from .broadphase import PairList, SizeMismatch, _WallRows
 from .core import Particles, SimulationError, row_norm_sq
 
 log = logging.getLogger(__name__)
@@ -100,8 +101,9 @@ class Contacts:
         ))
 
 
-def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
-    """Ids, overlap and normal of the candidate rows with overlap > 0."""
+def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray, rsum: np.ndarray):
+    """Ids, overlap and normal of the candidate rows with overlap > 0;
+    ``rsum`` is the radii sum of each row."""
     # .take copies whole rows; indexing with [ib] is several times slower
     diff = pset.position.take(ib, axis=0) - pset.position.take(ia, axis=0)
     d2 = row_norm_sq(diff)
@@ -111,7 +113,7 @@ def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
             f"particles {int(ia[k])} and {int(ib[k])} have coincident centers"
         )
     d = np.sqrt(d2)
-    overlap = pset.radius.take(ia) + pset.radius.take(ib) - d
+    overlap = rsum - d
     rows = (overlap > 0.0).nonzero()[0]
     normal = diff.take(rows, axis=0) / d.take(rows)[:, None]
     return ia.take(rows), ib.take(rows), overlap.take(rows), normal
@@ -128,7 +130,7 @@ def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],
     """
     rows = wall_rows
     if not isinstance(rows, _WallRows):
-        rows = _WallRows([np.arange(len(pset))] * len(walls) if rows is None else rows)
+        rows = _WallRows([np.arange(len(pset))] * len(walls) if rows is None else rows, walls)
     if not rows.live:
         return None
     ids, wall_of = rows.ids, rows.wall_of
@@ -144,15 +146,15 @@ def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],
     hit = ((overlap > 0.0) & ~behind).nonzero()[0]
     if not len(hit):
         return None
-    ids, wall_of = ids.take(hit), wall_of.take(hit)
-    outward = np.array([w.outward_normal for w in walls]).take(wall_of, axis=0)
-    return ids, wall_sentinel(wall_of), overlap.take(hit), -outward
+    return (ids.take(hit), wall_sentinel(wall_of.take(hit)), overlap.take(hit),
+            rows.inward.take(hit, axis=0))
 
 
 def resolve_contacts(candidates: PairList, particles: Particles, walls=(),
                      tunneling: Optional[list] = None,
                      wall_rows: Optional[tuple] = None,
-                     pair_rows: Optional[np.ndarray] = None) -> Contacts:
+                     pair_rows: Optional[np.ndarray] = None,
+                     pair_rsum: Optional[np.ndarray] = None) -> Contacts:
     """Resolve every actually-overlapping candidate pair plus all wall contacts.
 
     The output is sorted by (id_a, id_b); wall sentinels are negative, so a
@@ -162,12 +164,24 @@ def resolve_contacts(candidates: PairList, particles: Particles, walls=(),
     (a :attr:`VerletState.wall_rows` cache); None tests every particle.
     ``pair_rows`` restricts the candidates to those sorted rows of the list
     (what :func:`~verletdem.broadphase.verlet_gate` keeps); None tests every
-    row.
+    row.  ``pair_rsum`` is the radii sum of every row of the list, as a
+    build keeps it (:attr:`VerletState.pair_rsum`), taken for the tested
+    rows; one of another length than the list raises SizeMismatch.  None
+    gathers the sums from ``particles.radius``.  The contacts are the same
+    either way.
     """
+    if pair_rsum is not None and len(pair_rsum) != len(candidates):
+        raise SizeMismatch(f"{len(pair_rsum)} radii sums for a list of {len(candidates)} rows")
     ia, ib = candidates.columns
     if pair_rows is not None:
         ia, ib = ia.take(pair_rows), ib.take(pair_rows)
-    pair = _pair_contact_arrays(particles, ia, ib) if len(ia) else None
+    pair = None
+    if len(ia):
+        if pair_rsum is None:
+            rsum = particles.radius.take(ia) + particles.radius.take(ib)
+        else:
+            rsum = pair_rsum if pair_rows is None else pair_rsum.take(pair_rows)
+        pair = _pair_contact_arrays(particles, ia, ib, rsum)
     wall = _wall_pass(particles, walls, wall_rows, tunneling)
     if wall is None:
         # the rows of a sorted list stay in (id_a, id_b) order

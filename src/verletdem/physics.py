@@ -95,13 +95,13 @@ def velocity_verlet_step(particles: Particles, forces_t: np.ndarray,
     """Advance one step of velocity-Verlet, mutating the particle arrays.
 
     x += v dt + (F/m) dt^2/2, then F' = force_eval(x'), then
-    v += (F + F') dt / (2 m).  Static particles are left untouched.
+    v += (F + F') dt / (2 m).  Static particles are left untouched, bit for
+    bit.  The mask of the free rows and ``1 / m`` are the ones the particle
+    set derived once from its fixed columns (:class:`Particles`).
     Returns the same Particles object and the new forces.
     """
     forces_t = np.asarray(forces_t, dtype=np.float64)
-    # one full-shape mask: masked adds run faster on it than on a broadcast one
-    free = np.repeat(~particles.is_static[:, None], 3, axis=1)
-    inv_m = 1.0 / particles.mass[:, None]
+    free, inv_m = particles._free, particles._inv_m
     accel_t = forces_t * inv_m
     np.add(particles.position, particles.velocity * dt + accel_t * (0.5 * dt * dt),
            out=particles.position, where=free)

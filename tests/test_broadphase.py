@@ -107,6 +107,16 @@ def assert_layout(grid, cells):
     assert grid.shape.tolist() == (cells.max(axis=0) - low + 3).tolist()
 
 
+def reference_cell_ids(pos, cfg, shape):
+    """The padded cell id of each position by ``np.ravel_multi_index``: its
+    clamped domain cell less the lowest occupied one, plus one, in C order
+    over ``shape``, the occupied box and its ghost layer."""
+    ijk = clamped_cells(pos, cfg)
+    low = ijk.min(axis=0)
+    assert shape.tolist() == (ijk.max(axis=0) - low + 3).tolist()
+    return np.ravel_multi_index(tuple((ijk - low + 1).T), tuple(shape))
+
+
 def cell_residents(grid, padded_cell):
     return np.flatnonzero(grid.cell_of == padded_cell).tolist()
 
@@ -206,7 +216,8 @@ class TestComputeSkin:
         # np.minimum(raw, caps), raw = k |v| dt or the radius, then static -> 0
         rng = np.random.default_rng(4)
         pset = random_set(rng, 50, r_range=(0.1, 0.45), with_velocity=True)
-        pset.is_static[::7] = True
+        pset = Particles(pset.position, pset.velocity, pset.radius, pset.mass,
+                         np.arange(50) % 7 == 0)
         pset.velocity[pset.is_static] = 0.0
         cfg = config(cell_size=1.0, k_factor=3000, dt=1e-4)
         caps = 0.5 * cfg.cell_size - pset.radius
@@ -261,6 +272,34 @@ class TestBuildGrid:
         counts = np.bincount(grid.cell_of, minlength=int(np.prod(grid.shape)))
         counts = counts.reshape(tuple(grid.shape))
         assert counts[1:-1, 1:-1, 1:-1].sum() == len(pset) == counts.sum()
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(0, 2**19))
+    @settings(max_examples=60, deadline=None)
+    def test_cell_ids_are_those_of_ravel_multi_index(self, seed, n, span):
+        # padded boxes from a few cells to ~2**57 of them, particles clamped
+        # in from outside the domain too
+        rng = np.random.default_rng(seed)
+        extent = rng.integers(1, span + 2, 3)
+        cfg = config(cell_size=1.0, hi=tuple(extent.tolist()))
+        pos = rng.uniform(-2.0, extent + 2.0, (n, 3))
+        grid = build_grid(Particles(pos, np.zeros((n, 3)), np.full(n, 0.1), np.ones(n),
+                                    np.zeros(n, bool)), cfg)
+        assert grid.cell_of.dtype == np.int64
+        assert grid.cell_of.tolist() == reference_cell_ids(pos, cfg, grid.shape).tolist()
+
+    def test_cell_ids_of_a_box_just_below_int64_ids(self):
+        # corners 2**21 - 3 cells apart on two axes and 2**21 - 4 on the
+        # third: a padded box of 2**63 - 2**42 cells
+        far = (2**21 - 3 + 0.5, 2**21 - 3 + 0.5, 2**21 - 4 + 0.5)
+        cfg = config(cell_size=1.0, hi=(2**22, 2**22, 2**22))
+        pos = np.array([(0.5, 0.5, 0.5), far, (0.5, far[1], 0.5), (far[0], 0.5, far[2])])
+        grid = build_grid(spheres(pos), cfg)
+        assert grid.shape.tolist() == [2**21, 2**21, 2**21 - 1]
+        assert grid.cell_of.max() > 2**62
+        assert grid.cell_of.tolist() == reference_cell_ids(pos, cfg, grid.shape).tolist()
+        beyond = spheres([(0.5, 0.5, 0.5), (far[0], far[1], far[2] + 1.0)])
+        with pytest.raises(SimulationError, match="exceeds int64 cell ids"):
+            build_grid(beyond, cfg)
 
     def test_layout_spans_the_occupied_box_not_the_domain(self):
         # a million domain cells, three particles in two adjacent cells

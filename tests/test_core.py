@@ -172,6 +172,31 @@ class TestParticles:
         other.position[0, 0] = 9.0
         assert pset.position[0, 0] != 9.0
 
+    @pytest.mark.parametrize("name", ["radius", "mass", "is_static"])
+    def test_fixed_columns_are_read_only_copies(self, name):
+        columns = {"radius": np.array([0.1, 0.2]), "mass": np.array([1.0, 2.0]),
+                   "is_static": np.array([False, True])}
+        pset = Particles(np.zeros((2, 3)), np.zeros((2, 3)), **columns)
+        column = getattr(pset, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+        with pytest.raises(AttributeError):
+            setattr(pset, name, column.copy())
+        columns[name][0] = columns[name][1]    # the caller's array is not the set's
+        assert column[0] != column[1]
+        assert getattr(pset.copy(), name) is column
+
+    def test_integrator_constants_are_derived_once_and_carried_by_copy(self):
+        pset = spheres([(0, 0, 0), (1, 0, 0), (2, 0, 0)], mass=[0.5, 3.0, 7.0],
+                       is_static=[False, True, False])
+        assert pset._free.tolist() == [[True] * 3, [False] * 3, [True] * 3]
+        inv_m = 1.0 / np.array([[0.5] * 3, [3.0] * 3, [7.0] * 3])
+        assert pset._inv_m.tobytes() == inv_m.tobytes()
+        for derived in (pset._free, pset._inv_m):
+            assert not derived.flags.writeable
+        other = pset.copy()
+        assert other._free is pset._free and other._inv_m is pset._inv_m
+
 
 VALID_DOC = {
     "dt": 1e-4,

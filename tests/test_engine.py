@@ -14,7 +14,8 @@ import verletdem.engine
 from builders import spheres
 from verletdem.bench import make_scenario, run_sweep, validate_equivalence
 from verletdem.broadphase import (
-    SKIN_LOCAL, SKIN_UNIFORM_RADIUS, PairList, VerletState, _skins, brute_force_pairs,
+    SKIN_LOCAL, SKIN_UNIFORM_RADIUS, PairList, SizeMismatch, VerletState, _skins,
+    brute_force_pairs,
 )
 from verletdem.cli import EXIT_CONFIG, main
 from verletdem.core import (
@@ -399,7 +400,7 @@ def audit(pset, live_keys):
     """Run one shadow scan of ``pset`` against the list ``live_keys`` (None: no list)."""
     verlet = None if live_keys is None else VerletState(
         PairList(live_keys), pset.position.copy(), np.zeros(len(pset)), wall_rows=(),
-        pair_slack=np.zeros(len(live_keys)), stencil=None)
+        pair_slack=np.zeros(len(live_keys)), stencil=None, pair_rsum=np.zeros(len(live_keys)))
     driver = driver_for(SimState(particles=pset, verlet=verlet), open_config(1),
                         validation=True)
     driver._shadow_scan()
@@ -484,6 +485,16 @@ class TestShadowScan:
         pset = Particles(pos, np.zeros((n, 3)), radius, np.ones(n), np.zeros(n, bool))
         assert_audit_equals_oracle(pset)
 
+    def test_pair_close_only_through_underflow(self):
+        # radii of 1e-170: the squared distance 9e-340 of the pair 3e-170
+        # apart on the narrowest axis and its squared reach 4e-340 both
+        # underflow to 0, so the predicate calls it close although the gap
+        # exceeds every radii sum; only the absolute part of the pad keeps it
+        # past the prefilter on that axis
+        pset = spheres([(0, 0, 0), (0, 0, 3e-170), (1.0, 1e-160, 0)], radius=1e-170)
+        assert_audit_equals_oracle(pset)
+        assert audit(pset, None).shadow_misses == 1
+
     def test_scan_shares_no_code_with_the_grid(self):
         # the audit must not call the search it audits
         names = set(_Driver._shadow_scan.__code__.co_names)
@@ -504,10 +515,27 @@ class TestShadowScan:
         drop = verlet.list.keys.tolist().index(0 << 32 | 2)     # the key of (0, 2)
         state.verlet = dataclasses.replace(
             verlet, list=PairList(np.delete(verlet.list.keys, drop)),
-            pair_slack=np.delete(verlet.pair_slack, drop))
+            pair_slack=np.delete(verlet.pair_slack, drop),
+            pair_rsum=np.delete(verlet.pair_rsum, drop))
         driver.step_once()
         assert driver.result.shadow_misses == 1
         assert driver.result.shadow_examples == [(1, 0, 2)]
+
+    def test_a_step_on_radii_sums_out_of_line_raises(self):
+        # mixed radii; the list loses the row of (0, 1) but keeps every
+        # radii sum, so the rows after it no longer line up with theirs
+        pset = spheres([(0, 0, 0), (0.9, 0, 0), (0, 0.95, 0)], [(1, 0, 0)] * 3,
+                       radius=[0.5, 0.45, 0.55])
+        driver = driver_for(SimState(particles=pset), open_config(steps=1))
+        state = driver.state
+        state.forces = driver.evaluate(pset)
+        verlet = state.verlet
+        drop = verlet.list.keys.tolist().index(0 << 32 | 1)     # the key of (0, 1)
+        state.verlet = dataclasses.replace(
+            verlet, list=PairList(np.delete(verlet.list.keys, drop)),
+            pair_slack=np.delete(verlet.pair_slack, drop))
+        with pytest.raises(SizeMismatch, match="2 radii sums for a list of 1 rows"):
+            driver.step_once()
 
 
 def straddling_pairs(rng):

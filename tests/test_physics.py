@@ -257,6 +257,33 @@ class TestVelocityVerlet:
         np.testing.assert_allclose(pset.velocity[free], (vel + accel * t)[free],
                                    rtol=1e-12, atol=1e-12)
 
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_static_rows_keep_their_bits(self, seed, n):
+        # static rows hold -0.0 coordinates and velocities, which a masked
+        # add would turn into +0.0 if it wrote them at all, and carry
+        # non-finite forces; the free rows take one velocity-Verlet step
+        rng = np.random.default_rng(seed)
+        static = rng.uniform(size=n) < 0.5
+        pos = rng.uniform(-1.0, 1.0, (n, 3))
+        vel = rng.normal(size=(n, 3))
+        pos[static], vel[static] = -0.0, -0.0
+        mass = rng.uniform(0.5, 2.0, n)
+        force = rng.normal(size=(n, 3))
+        force[static] = rng.choice([np.inf, -np.inf, np.nan], (int(static.sum()), 3))
+        pset = Particles(pos.copy(), vel.copy(), np.full(n, 0.1), mass, static)
+        dt = 0.01
+
+        _, new = velocity_verlet_step(pset, force, lambda ps: force, dt)
+        assert new is force
+        assert pset.position[static].tobytes() == pos[static].tobytes()
+        assert pset.velocity[static].tobytes() == vel[static].tobytes()
+        free = ~static
+        accel = force[free] * (1.0 / mass[free, None])
+        assert pset.position[free].tobytes() == (
+            pos[free] + (vel[free] * dt + accel * (0.5 * dt * dt))).tobytes()
+        assert pset.velocity[free].tobytes() == (vel[free] + (accel + accel) * (0.5 * dt)).tobytes()
+
     def test_harmonic_oscillator_energy_drift(self):
         # closed form: x(t) = cos(w t), E = k/2; velocity-Verlet keeps the
         # energy error bounded, so after 10^4 steps at dt = T/100 the drift
