@@ -367,9 +367,7 @@ class VerletState:
     :func:`verlet_gate`).  ``stencil`` is the build's grid, search radii,
     candidate pairs and their squared reaches, which a later build reuses
     whole while no particle has changed cell and no search radius has
-    changed.  ``pair_rsum`` holds, per row of ``list``, the radii sum
-    ``r_a + r_b`` the narrow phase tests the row against (the radii are
-    fixed for a particle set, :class:`~verletdem.core.Particles`).
+    changed.
     """
 
     list: PairList
@@ -378,7 +376,6 @@ class VerletState:
     wall_rows: tuple
     pair_slack: np.ndarray
     stencil: _Stencil
-    pair_rsum: np.ndarray
 
     def __len__(self) -> int:
         return len(self.reference_positions)
@@ -396,9 +393,9 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
     Each particle reaches radius + skin, for pairs and for walls alike.
     ``skins`` defaults to the local-mode skins; given skins must be one
     length >= 0 per particle, else SizeMismatch or SimulationError, as for
-    the radii of :func:`linked_cell_pairs`.  The per-row slack and radii
-    sum, the per-wall candidates of ``cfg.walls`` and the stencil are cached
-    with the pair list.  While every particle sits in the cell of the same layout as at
+    the radii of :func:`linked_cell_pairs`.  The per-row slack, the per-wall
+    candidates of ``cfg.walls`` and the stencil are cached with the pair
+    list.  While every particle sits in the cell of the same layout as at
     the ``previous`` build and the search radii are equal, that build's
     stencil is tested again instead of enumerated anew; the result is the
     same either way.
@@ -416,7 +413,6 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
         wall_rows=wall_candidates(particles, cfg.walls, reach),
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
         stencil=stencil,
-        pair_rsum=rsum,
     )
 
 

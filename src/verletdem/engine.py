@@ -189,8 +189,6 @@ class _Driver:
         audit agrees bit-for-bit with the membership predicate it checks.
         """
         n = self.n
-        if n < 2:
-            return
         pos = self.state.particles.position
         rad = self.state.particles.radius
         rad_max = float(rad.max())
@@ -302,8 +300,7 @@ class _Driver:
 
         reports: list[tuple[int, int]] = []
         contacts = resolve_contacts(verlet.list, pset, self.cfg.walls, tunneling=reports,
-                                    wall_rows=verlet.wall_rows, pair_rows=pair_rows,
-                                    pair_rsum=verlet.pair_rsum)
+                                    wall_rows=verlet.wall_rows, pair_rows=pair_rows)
         if reports:
             self.result.tunneling += [(self.state.step, *report) for report in reports]
             log.warning("step %d: behind a wall, as (particle, wall): %s", self.state.step, reports)

@@ -14,9 +14,8 @@ concatenated rows, which a build derives once with its cache.
 Pairs are gated the same way.  While a cached list is reused, a pair whose
 build distance exceeds its radii sum by more than the two particles'
 displacements since the build cannot overlap (triangle inequality), so the
-engine tests only the rows :func:`~verletdem.broadphase.verlet_gate` keeps,
-with the radii sums the build keeps per row; a freshly built list is tested
-in full.  Every tested row keeps its
+engine tests only the rows :func:`~verletdem.broadphase.verlet_gate` keeps;
+a freshly built list is tested in full.  Every tested row keeps its
 arithmetic, so the contacts, and the first coincident pair reported, are
 those of the full list.
 
@@ -35,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .broadphase import PairList, SizeMismatch, _WallRows
+from .broadphase import PairList, _WallRows
 from .core import Particles, SimulationError, row_norm_sq
 
 log = logging.getLogger(__name__)
@@ -101,9 +100,8 @@ class Contacts:
         ))
 
 
-def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray, rsum: np.ndarray):
-    """Ids, overlap and normal of the candidate rows with overlap > 0;
-    ``rsum`` is the radii sum of each row."""
+def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
+    """Ids, overlap and normal of the candidate rows with overlap > 0."""
     # .take copies whole rows; indexing with [ib] is several times slower
     diff = pset.position.take(ib, axis=0) - pset.position.take(ia, axis=0)
     d2 = row_norm_sq(diff)
@@ -113,24 +111,22 @@ def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray, rsum: 
             f"particles {int(ia[k])} and {int(ib[k])} have coincident centers"
         )
     d = np.sqrt(d2)
-    overlap = rsum - d
+    overlap = pset.radius.take(ia) + pset.radius.take(ib) - d
     rows = (overlap > 0.0).nonzero()[0]
     normal = diff.take(rows, axis=0) / d.take(rows)[:, None]
     return ia.take(rows), ib.take(rows), overlap.take(rows), normal
 
 
-def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],
+def _wall_pass(pset: Particles, walls, wall_rows: Optional[_WallRows],
                tunneling: Optional[list]):
     """Contacts of every wall at once, in (wall, id) order; None if there are none.
 
     Each non-empty wall gets its own :meth:`WallPlane.signed_distance` call,
     since a stacked product may round differently; everything after it runs
-    once over the concatenated rows, which a build's cache
-    (:attr:`VerletState.wall_rows`) carries already concatenated.
+    once over the concatenated rows, which the rows of
+    :func:`~verletdem.broadphase.wall_candidates` carry already concatenated.
     """
-    rows = wall_rows
-    if not isinstance(rows, _WallRows):
-        rows = _WallRows([np.arange(len(pset))] * len(walls) if rows is None else rows, walls)
+    rows = _WallRows([np.arange(len(pset))] * len(walls), walls) if wall_rows is None else wall_rows
     if not rows.live:
         return None
     ids, wall_of = rows.ids, rows.wall_of
@@ -152,36 +148,24 @@ def _wall_pass(pset: Particles, walls, wall_rows: Optional[tuple],
 
 def resolve_contacts(candidates: PairList, particles: Particles, walls=(),
                      tunneling: Optional[list] = None,
-                     wall_rows: Optional[tuple] = None,
-                     pair_rows: Optional[np.ndarray] = None,
-                     pair_rsum: Optional[np.ndarray] = None) -> Contacts:
+                     wall_rows: Optional[_WallRows] = None,
+                     pair_rows: Optional[np.ndarray] = None) -> Contacts:
     """Resolve every actually-overlapping candidate pair plus all wall contacts.
 
     The output is sorted by (id_a, id_b); wall sentinels are negative, so a
     particle's wall contacts precede its particle contacts.  Behind-wall
     particles are appended to ``tunneling`` (or logged) and produce no
-    contact.  ``wall_rows[k]`` restricts wall k to those sorted particle ids
-    (a :attr:`VerletState.wall_rows` cache); None tests every particle.
-    ``pair_rows`` restricts the candidates to those sorted rows of the list
-    (what :func:`~verletdem.broadphase.verlet_gate` keeps); None tests every
-    row.  ``pair_rsum`` is the radii sum of every row of the list, as a
-    build keeps it (:attr:`VerletState.pair_rsum`), taken for the tested
-    rows; one of another length than the list raises SizeMismatch.  None
-    gathers the sums from ``particles.radius``.  The contacts are the same
-    either way.
+    contact.  ``wall_rows`` restricts each wall k to the sorted particle ids
+    ``wall_rows[k]``, as :func:`~verletdem.broadphase.wall_candidates`
+    returns them for ``walls`` (a :attr:`VerletState.wall_rows` cache); None
+    tests every particle.  ``pair_rows`` restricts the candidates to those
+    sorted rows of the list (what :func:`~verletdem.broadphase.verlet_gate`
+    keeps); None tests every row.
     """
-    if pair_rsum is not None and len(pair_rsum) != len(candidates):
-        raise SizeMismatch(f"{len(pair_rsum)} radii sums for a list of {len(candidates)} rows")
     ia, ib = candidates.columns
     if pair_rows is not None:
         ia, ib = ia.take(pair_rows), ib.take(pair_rows)
-    pair = None
-    if len(ia):
-        if pair_rsum is None:
-            rsum = particles.radius.take(ia) + particles.radius.take(ib)
-        else:
-            rsum = pair_rsum if pair_rows is None else pair_rsum.take(pair_rows)
-        pair = _pair_contact_arrays(particles, ia, ib, rsum)
+    pair = _pair_contact_arrays(particles, ia, ib) if len(ia) else None
     wall = _wall_pass(particles, walls, wall_rows, tunneling)
     if wall is None:
         # the rows of a sorted list stay in (id_a, id_b) order

@@ -36,9 +36,6 @@ def contact_force_batch(contacts: Contacts, particles: Particles,
 
     Wall sides (negative id_b) are treated as static bodies at rest.
     """
-    m = len(contacts)
-    if m == 0:
-        return np.zeros((0, 3))
     ia = contacts.id_a
     ib = contacts.id_b
     v_a = particles.velocity.take(ia, axis=0)

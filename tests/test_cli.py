@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,7 @@ from verletdem.narrowphase import CoincidentCenters
 
 
 FIVE = {"scenario": {"name": "settling-box", "n": 5, "seed": 1}}
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_run_config(path, n=20, steps=150, k_factor=100, extra=None,
@@ -143,14 +149,20 @@ class TestRunCommand:
          "bad config value: walls[0] must be a JSON object, got None"),
         ({**FIVE, "config": {"walls": [{"point": [0, 0, 0]}]}},
          "missing walls[0] field(s): ['outward_normal']"),
+        ({**FIVE, "config": {"domain_min": [-math.inf, 0, 0]}}, "domain bounds must be finite"),
+        ({**FIVE, "config": {"walls": [{"point": [0, 0, math.nan], "outward_normal": [0, 0, 1]}]}},
+         "wall plane components must be finite"),
+        ({**FIVE, "trajectory_every": 0}, "trajectory_every must be >= 1, got 0"),
     ], ids=["doc-non-object", "doc-missing", "scenario-non-object", "scenario-missing-seed",
             "scenario-missing-name", "config-non-object", "contact-non-object",
-            "wall-non-object", "wall-missing"])
+            "wall-non-object", "wall-missing", "domain-infinite", "wall-nan",
+            "trajectory-every-zero"])
     def test_malformed_object_exits_2(self, tmp_path, capsys, doc, message):
         # the run config, its scenario and config blocks, the contact block
         # and each wall: one reader and one wording for all of them (the
         # config block is merged into a whole configuration, so no config
-        # or contact key can be missing here)
+        # or contact key can be missing here).  A well-formed value out of
+        # range exits 2 with the message of the check that refuses it
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
@@ -166,6 +178,10 @@ class TestRunCommand:
         path = tmp_path / "cfg.json"
         path.write_text("{broken")
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {tmp_path}: ")
 
     def test_unknown_scenario_exits_2(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -220,6 +236,22 @@ class TestRunCommand:
 
         monkeypatch.setattr("verletdem.cli.run", explode)
         assert main(["run", "--config", cfg]) == EXIT_SIMULATION
+
+
+class TestProcess:
+    def test_module_exits_with_the_command_code(self, tmp_path):
+        # ``python -m verletdem`` from a scratch working directory hands
+        # main's return value to the process exit status
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        ok = write_run_config(tmp_path / "ok.json", n=5, steps=5)
+        bad = write_run_config(tmp_path / "bad.json", n=5, steps=5, overrides={"kfactor": 5})
+        for cfg, code in ((ok, EXIT_OK), (bad, EXIT_CONFIG)):
+            proc = subprocess.run([sys.executable, "-m", "verletdem", "run", "--config", cfg],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == code, proc.stderr
+        assert "config error: unknown config field(s): ['kfactor']" in proc.stderr
 
 
 class TestSweepCommand:

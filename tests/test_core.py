@@ -49,6 +49,10 @@ class TestWallPlane:
         np.testing.assert_array_equal(
             wall.signed_distance(np.array([[0.0, 0.0, 3.0], [5.0, 5.0, 0.5]])), [2.0, -0.5])
 
+    def test_a_point_of_two_components_is_refused(self):
+        with pytest.raises(ConfigError, match=r"expected a 3-vector, got shape \(2,\)"):
+            WallPlane([0, 0], [0, 0, 1])
+
 
 class TestNorm:
     def test_zero_vector(self):
@@ -185,6 +189,14 @@ class TestParticles:
         columns[name][0] = columns[name][1]    # the caller's array is not the set's
         assert column[0] != column[1]
         assert getattr(pset.copy(), name) is column
+
+    @pytest.mark.parametrize("name", ["velocity", "radius", "mass", "is_static"])
+    def test_a_column_of_another_row_count_is_refused(self, name):
+        columns = {"velocity": np.zeros((3, 3)), "radius": np.ones(3), "mass": np.ones(3),
+                   "is_static": np.zeros(3, bool)}
+        columns[name] = columns[name][:2]
+        with pytest.raises(ConfigError, match=f"^{name} has 2 rows, expected 3$"):
+            Particles(np.zeros((3, 3)), **columns)
 
     def test_integrator_constants_are_derived_once_and_carried_by_copy(self):
         pset = spheres([(0, 0, 0), (1, 0, 0), (2, 0, 0)], mass=[0.5, 3.0, 7.0],

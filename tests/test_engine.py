@@ -14,8 +14,8 @@ import verletdem.engine
 from builders import spheres
 from verletdem.bench import make_scenario, run_sweep, validate_equivalence
 from verletdem.broadphase import (
-    SKIN_LOCAL, SKIN_UNIFORM_RADIUS, PairList, SizeMismatch, VerletState, _skins,
-    brute_force_pairs,
+    SKIN_LOCAL, SKIN_UNIFORM_RADIUS, PairList, VerletState, _skins, brute_force_pairs,
+    wall_candidates,
 )
 from verletdem.cli import EXIT_CONFIG, main
 from verletdem.core import (
@@ -399,8 +399,9 @@ class TestRunRecord:
 def audit(pset, live_keys):
     """Run one shadow scan of ``pset`` against the list ``live_keys`` (None: no list)."""
     verlet = None if live_keys is None else VerletState(
-        PairList(live_keys), pset.position.copy(), np.zeros(len(pset)), wall_rows=(),
-        pair_slack=np.zeros(len(live_keys)), stencil=None, pair_rsum=np.zeros(len(live_keys)))
+        PairList(live_keys), pset.position.copy(), np.zeros(len(pset)),
+        wall_rows=wall_candidates(pset, (), pset.radius),
+        pair_slack=np.zeros(len(live_keys)), stencil=None)
     driver = driver_for(SimState(particles=pset, verlet=verlet), open_config(1),
                         validation=True)
     driver._shadow_scan()
@@ -515,27 +516,15 @@ class TestShadowScan:
         drop = verlet.list.keys.tolist().index(0 << 32 | 2)     # the key of (0, 2)
         state.verlet = dataclasses.replace(
             verlet, list=PairList(np.delete(verlet.list.keys, drop)),
-            pair_slack=np.delete(verlet.pair_slack, drop),
-            pair_rsum=np.delete(verlet.pair_rsum, drop))
+            pair_slack=np.delete(verlet.pair_slack, drop))
         driver.step_once()
         assert driver.result.shadow_misses == 1
         assert driver.result.shadow_examples == [(1, 0, 2)]
 
-    def test_a_step_on_radii_sums_out_of_line_raises(self):
-        # mixed radii; the list loses the row of (0, 1) but keeps every
-        # radii sum, so the rows after it no longer line up with theirs
-        pset = spheres([(0, 0, 0), (0.9, 0, 0), (0, 0.95, 0)], [(1, 0, 0)] * 3,
-                       radius=[0.5, 0.45, 0.55])
-        driver = driver_for(SimState(particles=pset), open_config(steps=1))
-        state = driver.state
-        state.forces = driver.evaluate(pset)
-        verlet = state.verlet
-        drop = verlet.list.keys.tolist().index(0 << 32 | 1)     # the key of (0, 1)
-        state.verlet = dataclasses.replace(
-            verlet, list=PairList(np.delete(verlet.list.keys, drop)),
-            pair_slack=np.delete(verlet.pair_slack, drop))
-        with pytest.raises(SizeMismatch, match="2 radii sums for a list of 1 rows"):
-            driver.step_once()
+    def test_one_particle_run_has_no_misses(self):
+        # one particle has no pair: every array of the scan is empty
+        result = run(open_config(steps=5), spheres([(0, 0, 0)], [(1, 0, 0)]), validation=True)
+        assert result.shadow_misses == 0 and result.shadow_examples == []
 
 
 def straddling_pairs(rng):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from builders import pair_list, spheres
 from verletdem.broadphase import (
-    PairList, SizeMismatch, VerletState, brute_force_pairs, verlet_build,
+    PairList, VerletState, _WallRows, brute_force_pairs, verlet_build,
     verlet_displacement_sq, verlet_gate, verlet_needs_rebuild, wall_candidates,
 )
 from verletdem.core import ContactParams, Particles, SimConfig, WallPlane, row_norm_sq, vec3
@@ -309,7 +309,7 @@ class TestWallCache:
         state = VerletState(
             list=NO_PAIRS, reference_positions=pos.copy(), frozen_skins=skins,
             wall_rows=wall_candidates(pset, walls, radius + skins), pair_slack=np.empty(0),
-            stencil=None, pair_rsum=np.empty(0),
+            stencil=None,
         )
 
         direction = rng.normal(size=(n, 3))
@@ -360,7 +360,7 @@ class TestWallCache:
 
         fused, looped = [], []
         got = resolve_contacts(pairs, pset, walls, tunneling=fused,
-                               wall_rows=tuple(wall_rows), pair_rows=pair_rows)
+                               wall_rows=_WallRows(wall_rows, walls), pair_rows=pair_rows)
         reference = per_wall_reference(pairs, pset, walls, looped, wall_rows, pair_rows)
         assert got.tobytes() == reference.tobytes()
         assert fused == looped
@@ -467,45 +467,24 @@ class TestPairGate:
            st.sampled_from(["empty", "random", "every row", "None"]))
     @settings(max_examples=80, deadline=None)
     def test_build_radii_sums_give_the_gathered_contacts(self, seed, n, subset):
-        # crowded mixed radii: many rows overlap.  The radii sums a build
-        # keeps, taken for any sorted subset of rows, give the contacts of
-        # the sums gathered from the particles
+        # crowded mixed radii: many rows overlap.  Any sorted subset of a
+        # build's rows gives the contacts of a list of those rows alone, each
+        # tested against its radii sum r_a + r_b as the build forms it
         rng = np.random.default_rng(seed)
         radius = rng.uniform(0.05, 0.2, n)
         pset = Particles(rng.uniform(0.0, 0.6, (n, 3)), np.zeros((n, 3)), radius,
                          np.ones(n), np.zeros(n, bool))
         state = verlet_build(pset, box_config(1.0, 2.0), skins=0.5 * radius)
-        ia, ib = state.list.columns
-        assert state.pair_rsum.tobytes() == (radius[ia] + radius[ib]).tobytes()
         rows = {"empty": np.empty(0, np.int64), "every row": np.arange(len(state.list)),
                 "None": None,
                 "random": np.flatnonzero(rng.uniform(size=len(state.list)) < 0.5)}[subset]
-        kept = resolve_contacts(state.list, pset, pair_rows=rows, pair_rsum=state.pair_rsum)
-        gathered = resolve_contacts(state.list, pset, pair_rows=rows)
-        assert kept == gathered and kept.tobytes() == gathered.tobytes()
-
-    @given(st.integers(0, 2**31 - 1), st.integers(3, 60), st.floats(0.0, 1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_a_dropped_row_keeps_its_radii_sums_in_line(self, seed, n, where):
-        # mixed radii: a row dropped from the list together with its sum
-        # leaves every later row with its own sum; dropped from the list
-        # alone, the sums no longer line up with the rows, which raises
-        rng = np.random.default_rng(seed)
-        radius = rng.uniform(0.05, 0.2, n)
-        pset = Particles(rng.uniform(0.0, 0.6, (n, 3)), np.zeros((n, 3)), radius,
-                         np.ones(n), np.zeros(n, bool))
-        state = verlet_build(pset, box_config(1.0, 2.0), skins=0.5 * radius)
-        if not len(state.list):
-            return
-        drop = int(where * (len(state.list) - 1))
-        pairs = PairList(np.delete(state.list.keys, drop))
-        rsum = np.delete(state.pair_rsum, drop)
-        rows = np.flatnonzero(rng.uniform(size=len(pairs)) < 0.5)
-        for subset in (None, rows):
-            kept = resolve_contacts(pairs, pset, pair_rows=subset, pair_rsum=rsum)
-            assert kept.tobytes() == resolve_contacts(pairs, pset, pair_rows=subset).tobytes()
-            with pytest.raises(SizeMismatch, match="radii sums"):
-                resolve_contacts(pairs, pset, pair_rows=subset, pair_rsum=state.pair_rsum)
+        kept = resolve_contacts(state.list, pset, pair_rows=rows)
+        alone = state.list if rows is None else PairList(state.list.keys[rows])
+        assert kept.tobytes() == resolve_contacts(alone, pset).tobytes()
+        ia, ib = alone.columns
+        d = np.sqrt(row_norm_sq(pset.position[ib] - pset.position[ia]))
+        overlap = radius[ia] + radius[ib] - d
+        assert kept.overlap.tobytes() == overlap[overlap > 0.0].tobytes()
 
     def test_pairs_closing_by_their_full_skins_end_near_touching(self):
         # a and b move straight toward each other by exactly their skins and

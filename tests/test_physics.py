@@ -35,6 +35,10 @@ def pair_forces(pset, params):
 
 
 class TestSpringDashpotForce:
+    def test_no_contacts_give_an_empty_force_array(self):
+        forces = contact_force_batch(Contacts.empty(), spheres([(0, 0, 0)]), FRICTION)
+        assert forces.shape == (0, 3) and forces.dtype == np.float64
+
     def test_pure_spring_magnitude(self):
         pair = spheres([(0, 0, 0), (0.99, 0, 0)])
         overlap, f_a, f_b = pair_forces(pair, ContactParams(k_n=1000.0))
