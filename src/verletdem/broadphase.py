@@ -3,10 +3,11 @@ and the per-particle Verlet-buffer layer.
 
 A pair list is a sorted array of int64 keys ``id_a << 32 | id_b`` with
 id_a < id_b.  The grid is the cell each particle sits in, and each search
-builds its own and indexes it by the sorted cell ids.  A search given the
-previous build reuses that build's stencil, its candidate pairs and their
-squared reaches, whole while no particle has changed cell and no search
-radius has changed; otherwise it enumerates afresh.
+builds its own and indexes it by the sorted cell ids.  A search given a
+previous stencil, its candidate pairs and their squared reaches, reuses it
+whole while no particle has changed cell and no search radius has changed;
+otherwise it enumerates afresh.  A build keeps its stencil only when every
+skin is zero, the one case in which the next build's radii can be equal.
 
 The buffer inflates each particle's search radius by a skin proportional to
 its own speed (``k_factor * |v| * dt``), capped by the cell geometry, and
@@ -19,6 +20,7 @@ of it, so the narrow phase tests only those against that wall.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -234,18 +236,18 @@ def _lengths(pset: Particles, values, what: str) -> np.ndarray:
     a = np.array(values, dtype=np.float64)
     if a.shape != (len(pset),):
         raise SizeMismatch(f"{what} of shape {a.shape} for {len(pset)} particles")
-    bad = np.flatnonzero(~(a >= 0))
-    if len(bad):
-        raise SimulationError(f"{what} {a[bad[0]]} of particle {bad[0]} is not >= 0")
+    if len(a) and not a.min() >= 0:   # a NaN minimum fails the test too
+        bad = int(np.argmin(a >= 0))
+        raise SimulationError(f"{what} {a[bad]} of particle {bad} is not >= 0")
     return a
 
 
-def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
+def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, stencil=None):
     """(pair list, squared distance of every listed pair, stencil).
 
-    The stencil of a ``previous`` build is reused whole when the new grid
-    has the same ``shape`` and ``cell_of`` and the search radii are equal in
-    value; otherwise the candidates are enumerated and their squared reaches
+    A given ``stencil`` is reused whole when the new grid has the same
+    ``shape`` and ``cell_of`` and the search radii are equal in value;
+    otherwise the candidates are enumerated and their squared reaches
     computed afresh.  Every candidate is tested either way: an exact x-gap
     filter, an exact y-gap filter on its survivors, and the full
     squared-distance test on theirs.
@@ -258,7 +260,6 @@ def _pairs_with_stats(pset: Particles, cfg: SimConfig, radii, previous=None):
             f"search radius {sr[bad]} of particle {bad} exceeds cell_size/2 = "
             f"{0.5 * cfg.cell_size}"
         )
-    stencil = None if previous is None else previous.stencil
     if stencil is None or not (np.array_equal(grid.shape, stencil.grid.shape)
                                and np.array_equal(grid.cell_of, stencil.grid.cell_of)
                                and np.array_equal(sr, stencil.radii)):
@@ -315,39 +316,41 @@ def brute_force_pairs(particles: Particles, search_radius) -> PairList:
     return PairList(_oriented_keys(ia[hit], ib[hit]))
 
 
-class _WallRows(tuple):
-    """Per wall of ``walls``, the sorted ids of the particles tested against
-    it, with what the narrow phase reads of them derived once: the walls
-    with rows (``live``), their rows concatenated (``ids``), the wall of
-    each (``wall_of``) and the contact normal of each, the negated outward
-    normal of its wall (``inward``, (rows, 3) and C-contiguous).  The rows
-    are those of one set of walls, so what is derived from the walls is
-    derived with them."""
+@dataclass(frozen=True, eq=False)
+class _WallRows:
+    """The rows of every wall of ``walls``, wall after wall: sorted particle
+    ``ids``, the index of each row's wall (``wall_of``) and its contact
+    normal, the negated outward normal of its wall (``inward``, (rows, 3),
+    C-contiguous); ``bounds`` is ``(wall, start, stop)`` per wall with rows."""
 
-    def __new__(cls, rows, walls):
-        self = super().__new__(cls, rows)
-        self.live = [k for k, r in enumerate(self) if len(r)]
-        self.wall_of = np.repeat(self.live, [len(self[k]) for k in self.live])
-        self.ids = self.inward = None
-        if self.live:
-            self.ids = np.concatenate([self[k] for k in self.live])
-            self.inward = -np.array([w.outward_normal for w in walls]).take(self.wall_of, axis=0)
-        return self
+    walls: tuple
+    ids: np.ndarray
+    wall_of: np.ndarray
+    inward: np.ndarray
+    bounds: tuple
 
 
-def wall_candidates(particles: Particles, walls, reach) -> tuple[np.ndarray, ...]:
-    """Per wall, the sorted ids of the particles with signed distance <= reach.
+def wall_candidates(particles: Particles, walls, reach) -> _WallRows:
+    """The rows of each wall: the particles with signed distance <= reach.
 
     With ``reach = radius + skin`` this is the wall counterpart of the pair
     list.  A particle left out can reach a signed distance below its radius
     (a contact) or below zero (behind the wall) only by moving further than
     its skin, which triggers a rebuild first.  The bound carries a relative
-    1e-9 pad so that rounding can never drop such a particle.
+    1e-9 pad so that rounding can never drop such a particle.  ``reach`` is
+    one length >= 0 per particle, as for :func:`linked_cell_pairs`.
     """
-    reach = np.asarray(reach, dtype=np.float64)
+    reach = _lengths(particles, reach, "reach")
     bound = reach + 1e-9 * (1.0 + reach)
-    return _WallRows([(w.signed_distance(particles.position) <= bound).nonzero()[0]
-                      for w in walls], walls)
+    walls = tuple(walls)
+    rows = [(w.signed_distance(particles.position) <= bound).nonzero()[0] for w in walls]
+    sizes = [len(r) for r in rows]
+    stops = [0, *itertools.accumulate(sizes)]
+    wall_of = np.repeat(np.arange(len(walls)), sizes)
+    inward = -np.array([w.outward_normal for w in walls]).reshape(-1, 3)
+    return _WallRows(walls, np.concatenate(rows or [np.empty(0, np.intp)]), wall_of,
+                     inward.take(wall_of, axis=0),
+                     tuple((k, stops[k], stops[k + 1]) for k in range(len(walls)) if sizes[k]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,32 +361,26 @@ class VerletState:
     produced ``list``; the rebuild test compares displacements against these
     frozen values, never against skins recomputed from current velocities,
     because the cached list is only guaranteed to cover motion within the
-    margins it was built with.  ``wall_rows`` holds, per wall of the
-    configuration, the particles within radius + frozen skin of it at the
-    build (see :func:`wall_candidates`), with their concatenation and the
-    contact normal of each row, which every evaluation on the list reads,
-    derived once.  ``pair_slack`` holds, per row of ``list``, the build
-    distance minus the radii sum, less a relative pad (see
-    :func:`verlet_gate`).  ``stencil`` is the build's grid, search radii,
-    candidate pairs and their squared reaches, which a later build reuses
-    whole while no particle has changed cell and no search radius has
-    changed.
+    margins it was built with.  ``wall_rows`` holds the particles within
+    radius + frozen skin of each wall of the configuration at the build
+    (see :func:`wall_candidates`).  ``pair_slack`` holds, per row of
+    ``list``, the build distance minus the radii sum, less a relative pad
+    (see :func:`verlet_gate`).  ``pairs_tested`` counts the candidate pairs
+    the search tested.  ``stencil`` is the build's grid, search radii,
+    candidate pairs and their squared reaches, kept only when every skin is
+    zero (else None), for the next build to reuse (see :func:`verlet_build`).
     """
 
     list: PairList
     reference_positions: np.ndarray
     frozen_skins: np.ndarray
-    wall_rows: tuple
+    wall_rows: _WallRows
     pair_slack: np.ndarray
-    stencil: _Stencil
+    pairs_tested: int
+    stencil: _Stencil | None
 
     def __len__(self) -> int:
         return len(self.reference_positions)
-
-    @property
-    def pairs_tested(self) -> int:
-        """The number of candidate pairs the build's search tested."""
-        return len(self.stencil.reach2)
 
 
 def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
@@ -394,15 +391,17 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
     ``skins`` defaults to the local-mode skins; given skins must be one
     length >= 0 per particle, else SizeMismatch or SimulationError, as for
     the radii of :func:`linked_cell_pairs`.  The per-row slack, the per-wall
-    candidates of ``cfg.walls`` and the stencil are cached with the pair
-    list.  While every particle sits in the cell of the same layout as at
-    the ``previous`` build and the search radii are equal, that build's
-    stencil is tested again instead of enumerated anew; the result is the
-    same either way.
+    candidates of ``cfg.walls`` and, when every skin is zero, the stencil
+    are cached with the pair list: skins follow the velocities, so only zero
+    skins give the next build equal search radii.  While every particle
+    sits in the cell of the same layout as at the ``previous`` build and the
+    radii are equal, its stencil is tested again instead of enumerated anew;
+    the result is the same either way.
     """
     skins = _skins(particles, cfg) if skins is None else _lengths(particles, skins, "skin")
     reach = particles.radius + skins
-    pair_list, d2, stencil = _pairs_with_stats(particles, cfg, reach, previous)
+    pair_list, d2, stencil = _pairs_with_stats(
+        particles, cfg, reach, None if previous is None else previous.stencil)
     ia, ib = pair_list.columns
     d0 = np.sqrt(d2)
     rsum = particles.radius.take(ia) + particles.radius.take(ib)
@@ -412,7 +411,8 @@ def verlet_build(particles: Particles, cfg: SimConfig, skins=None,
         frozen_skins=skins,
         wall_rows=wall_candidates(particles, cfg.walls, reach),
         pair_slack=d0 - rsum - 1e-9 * (1.0 + d0),
-        stencil=stencil,
+        pairs_tested=len(stencil.reach2),
+        stencil=None if skins.any() else stencil,
     )
 
 

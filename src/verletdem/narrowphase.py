@@ -9,7 +9,8 @@ for it at the last build (every particle when no cache is given): the rows
 tested change, the arithmetic of each row does not, so the contacts and the
 tunneling reports are those of an exhaustive test.  All walls are resolved
 in one pass: one signed-distance call per wall, the rest once over the
-concatenated rows, which a build derives once with its cache.
+concatenated rows of the :func:`~verletdem.broadphase.wall_candidates`
+value.
 
 Pairs are gated the same way.  While a cached list is reused, a pair whose
 build distance exceeds its radii sum by more than the two particles'
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .broadphase import PairList, _WallRows
+from .broadphase import PairList, _WallRows, wall_candidates
 from .core import Particles, SimulationError, row_norm_sq
 
 log = logging.getLogger(__name__)
@@ -117,20 +118,18 @@ def _pair_contact_arrays(pset: Particles, ia: np.ndarray, ib: np.ndarray):
     return ia.take(rows), ib.take(rows), overlap.take(rows), normal
 
 
-def _wall_pass(pset: Particles, walls, wall_rows: Optional[_WallRows],
-               tunneling: Optional[list]):
+def _wall_pass(pset: Particles, rows: _WallRows, tunneling: Optional[list]):
     """Contacts of every wall at once, in (wall, id) order; None if there are none.
 
-    Each non-empty wall gets its own :meth:`WallPlane.signed_distance` call,
-    since a stacked product may round differently; everything after it runs
-    once over the concatenated rows, which the rows of
-    :func:`~verletdem.broadphase.wall_candidates` carry already concatenated.
+    Each wall with rows gets its own :meth:`WallPlane.signed_distance` call
+    on its slice of ``rows.ids``, since a stacked product may round
+    differently; everything after it runs once over the concatenated rows.
     """
-    rows = _WallRows([np.arange(len(pset))] * len(walls), walls) if wall_rows is None else wall_rows
-    if not rows.live:
+    if not rows.bounds:
         return None
     ids, wall_of = rows.ids, rows.wall_of
-    d = np.concatenate([walls[k].signed_distance(pset.position, rows[k]) for k in rows.live])
+    d = np.concatenate([rows.walls[k].signed_distance(pset.position, ids[start:stop])
+                        for k, start, stop in rows.bounds])
     behind = d < 0.0
     if behind.any():
         found = list(zip(ids[behind].tolist(), wall_of[behind].tolist()))
@@ -155,18 +154,23 @@ def resolve_contacts(candidates: PairList, particles: Particles, walls=(),
     The output is sorted by (id_a, id_b); wall sentinels are negative, so a
     particle's wall contacts precede its particle contacts.  Behind-wall
     particles are appended to ``tunneling`` (or logged) and produce no
-    contact.  ``wall_rows`` restricts each wall k to the sorted particle ids
-    ``wall_rows[k]``, as :func:`~verletdem.broadphase.wall_candidates`
-    returns them for ``walls`` (a :attr:`VerletState.wall_rows` cache); None
-    tests every particle.  ``pair_rows`` restricts the candidates to those
-    sorted rows of the list (what :func:`~verletdem.broadphase.verlet_gate`
-    keeps); None tests every row.
+    contact.  ``wall_rows`` restricts each wall to the rows that
+    :func:`~verletdem.broadphase.wall_candidates` returned for these same
+    ``walls`` (a :attr:`VerletState.wall_rows` cache); None tests every
+    particle, and any other value, or rows built for other walls, raises
+    SimulationError.  ``pair_rows`` restricts the candidates to those sorted
+    rows of the list (what :func:`~verletdem.broadphase.verlet_gate` keeps);
+    None tests every row.
     """
+    if wall_rows is None:
+        wall_rows = wall_candidates(particles, walls, np.full(len(particles), np.inf))
+    elif not isinstance(wall_rows, _WallRows) or wall_rows.walls != tuple(walls):
+        raise SimulationError("wall_rows must be what wall_candidates returned for these walls")
     ia, ib = candidates.columns
     if pair_rows is not None:
         ia, ib = ia.take(pair_rows), ib.take(pair_rows)
     pair = _pair_contact_arrays(particles, ia, ib) if len(ia) else None
-    wall = _wall_pass(particles, walls, wall_rows, tunneling)
+    wall = _wall_pass(particles, wall_rows, tunneling)
     if wall is None:
         # the rows of a sorted list stay in (id_a, id_b) order
         return Contacts.empty() if pair is None else Contacts._of(*pair)

@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from verletdem.broadphase import (
     CapNegative, SearchRadiusExceedsCell, SizeMismatch,
     SKIN_UNIFORM_RADIUS, _candidate_pairs, _oriented_keys, _pairs_with_stats, _skins,
     brute_force_pairs, build_grid,
-    linked_cell_pairs, verlet_build, verlet_needs_rebuild,
+    linked_cell_pairs, verlet_build, verlet_needs_rebuild, wall_candidates,
 )
 from verletdem.core import (
     ContactParams, Particles, SimConfig, SimulationError, WallPlane, vec3,
@@ -21,6 +20,7 @@ from verletdem.engine import run
 
 
 IDS = st.integers(0, 12) | st.integers(0, 2**31 - 1)
+FLOOR = WallPlane(vec3(0, 0, 0), vec3(0, 0, 1))
 
 
 def config(cell_size, lo=(0, 0, 0), hi=(10, 10, 10), k_factor=0, dt=1e-4):
@@ -420,11 +420,14 @@ class TestLinkedCellPairs:
 
     @pytest.mark.parametrize("radius", [0.5, [0.5], [0.5] * 3, [[0.5, 0.5]]])
     def test_both_searches_reject_a_radius_not_one_per_particle(self, radius):
+        # the wall search's reach too, which numpy would broadcast or refuse
         pset = spheres([(2, 2, 2), (3, 2, 2)])
         with pytest.raises(SizeMismatch):
             linked_cell_pairs(pset, config(cell_size=2.0), radius)
         with pytest.raises(SizeMismatch):
             brute_force_pairs(pset, radius)
+        with pytest.raises(SizeMismatch, match="reach of shape"):
+            wall_candidates(pset, (FLOOR,), radius)
 
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(11)
@@ -458,12 +461,15 @@ class TestLengthChecks:
 
     @pytest.mark.parametrize("radius", [[0.004, -0.004], [0.004, np.nan]])
     def test_both_searches_reject_a_negative_or_nan_radius(self, radius):
+        # the wall search's reach too: a NaN bound would select no rows
         pset, cfg = self.overlapping_pair()
         message = f"search radius {radius[1]} of particle 1 is not >= 0"
         with pytest.raises(SimulationError, match=message):
             linked_cell_pairs(pset, cfg, radius)
         with pytest.raises(SimulationError, match=message):
             brute_force_pairs(pset, radius)
+        with pytest.raises(SimulationError, match=f"^reach {radius[1]} of particle 1 is not"):
+            wall_candidates(pset, (FLOOR,), radius)
 
     def test_zero_skins_keep_the_overlapping_pair(self):
         pset, cfg = self.overlapping_pair()
@@ -487,6 +493,7 @@ class TestPairList:
         pl = pair_list((0, 2), (1, 3))
         assert (2, 0) in pl
         assert (0, 1) not in pl
+        assert pl != [(0, 2), (1, 3)]      # a list of pairs is not a PairList
 
     @given(st.lists(st.tuples(IDS, IDS).filter(lambda p: p[0] != p[1]), max_size=40),
            st.lists(st.tuples(IDS, IDS).filter(lambda p: p[0] != p[1]), max_size=10))
@@ -631,17 +638,29 @@ def moved_cloud(pset, cfg, rng, crossing):
     return moved
 
 
-def assert_same_build(state, fresh):
-    assert state.list.keys.tobytes() == fresh.list.keys.tobytes()
-    assert state.pairs_tested == fresh.pairs_tested
-    assert state.pair_slack.tobytes() == fresh.pair_slack.tobytes()
-    assert [rows.tobytes() for rows in state.wall_rows] == [
-        rows.tobytes() for rows in fresh.wall_rows]
-    ours, theirs = state.stencil, fresh.stencil
+def assert_same_stencil(ours, theirs):
     assert [a.tobytes() for a in (ours.grid.shape, ours.grid.cell_of, ours.radii,
                                   *ours.candidates, ours.reach2)] == [
         a.tobytes() for a in (theirs.grid.shape, theirs.grid.cell_of, theirs.radii,
                               *theirs.candidates, theirs.reach2)]
+
+
+def assert_same_search(got, fresh):
+    """Two ``_pairs_with_stats`` results are equal byte for byte."""
+    assert got[0].keys.tobytes() == fresh[0].keys.tobytes()
+    assert got[1].tobytes() == fresh[1].tobytes()
+    assert_same_stencil(got[2], fresh[2])
+
+
+def assert_same_build(state, fresh):
+    assert state.list.keys.tobytes() == fresh.list.keys.tobytes()
+    assert state.pairs_tested == fresh.pairs_tested
+    assert state.pair_slack.tobytes() == fresh.pair_slack.tobytes()
+    ours, theirs = state.wall_rows, fresh.wall_rows
+    assert ours.walls == theirs.walls and ours.bounds == theirs.bounds
+    assert [a.tobytes() for a in (ours.ids, ours.wall_of, ours.inward)] == [
+        a.tobytes() for a in (theirs.ids, theirs.wall_of, theirs.inward)]
+    assert_same_stencil(state.stencil, fresh.stencil)
 
 
 class TestStencilReuse:
@@ -653,10 +672,11 @@ class TestStencilReuse:
     @example(seed=5, n=60, thin_axis=None, crossing=False, reskin=True)
     @settings(max_examples=60, deadline=None)
     def test_reused_stencil_equals_a_fresh_build(self, seed, n, thin_axis, crossing, reskin):
-        # the previous build's stencil is a function of the grid's shape and
-        # cell_of and of the search radii: a build that reuses it must equal
-        # one that does not, byte for byte, and it is reused whole or not at
-        # all, so a changed skin on the same cells enumerates afresh
+        # a stencil is a function of the grid's shape and cell_of and of the
+        # search radii: a search that reuses it must equal one that does not,
+        # byte for byte, and it is reused whole or not at all, so a changed
+        # skin on the same cells enumerates afresh.  Only a build with zero
+        # skins keeps its stencil, and a build that reuses it equals a fresh one
         pset, cfg, _ = clamped_cloud(seed, n, thin_axis)
         hi = cfg.domain_max
         cfg = dataclasses.replace(cfg, walls=(
@@ -664,32 +684,39 @@ class TestStencilReuse:
         rng = np.random.default_rng(seed + 1)
         cap = 0.5 * cfg.cell_size - pset.radius
         skins = rng.uniform(0.0, 1.0, n) * cap
-        first = verlet_build(pset, cfg, skins)
+        first = _pairs_with_stats(pset, cfg, pset.radius + skins)[2]
         moved = moved_cloud(pset, cfg, rng, crossing)
         if reskin:
             skins = rng.uniform(0.0, 1.0, n) * cap
-        state = verlet_build(moved, cfg, skins, previous=first)
-        assert_same_build(state, verlet_build(moved, cfg, skins))
-        reused = state.stencil is first.stencil
+        got = _pairs_with_stats(moved, cfg, moved.radius + skins, first)
+        assert_same_search(got, _pairs_with_stats(moved, cfg, moved.radius + skins))
+        reused = got[2] is first
         if reskin and n:
             assert not reused
         elif not crossing:
             assert reused
+        zero = np.zeros(n)
+        built = verlet_build(pset, cfg, zero)
+        state = verlet_build(moved, cfg, zero, previous=built)
+        assert_same_build(state, verlet_build(moved, cfg, zero))
+        before, after = build_grid(pset, cfg), build_grid(moved, cfg)
+        assert (state.stencil is built.stencil) == (
+            np.array_equal(before.shape, after.shape)
+            and np.array_equal(before.cell_of, after.cell_of))
+        assert (verlet_build(moved, cfg, skins).stencil is None) == bool(skins.any())
 
     def test_stencil_is_keyed_on_radius_values(self):
         # radii changed in place after a build must not pass for the stored
         # ones, and an equal copy must
         pset, cfg, radii = clamped_cloud(3, 80, thin_axis=None)
         pairs, _, stencil = _pairs_with_stats(pset, cfg, radii)
-        previous = SimpleNamespace(stencil=stencil)
-        again = _pairs_with_stats(pset, cfg, radii.copy(), previous)
+        again = _pairs_with_stats(pset, cfg, radii.copy(), stencil)
         assert again[0] == pairs and again[2] is stencil
         radii *= 0.5
-        again = _pairs_with_stats(pset, cfg, radii, previous)
+        again = _pairs_with_stats(pset, cfg, radii, stencil)
         fresh = _pairs_with_stats(pset, cfg, radii)
         assert again[2] is not stencil
-        assert again[0].keys.tobytes() == fresh[0].keys.tobytes()
-        assert again[2].reach2.tobytes() == fresh[2].reach2.tobytes()
+        assert_same_search(again, fresh)
         assert len(again[0]) < len(pairs)
 
     @pytest.mark.parametrize("other", ["one particle fewer", "other radii"])
@@ -710,13 +737,13 @@ class TestStencilReuse:
     def test_far_outlier_build_reuses_its_stencil(self):
         pset, cfg, _ = far_outlier(1)
         rng = np.random.default_rng(2)
-        skins = rng.uniform(0.0, 1.0, len(pset)) * (0.5 * cfg.cell_size - pset.radius)
-        first = verlet_build(pset, cfg, skins)
+        radii = pset.radius + rng.uniform(0.0, 1.0, len(pset)) * (0.5 * cfg.cell_size - pset.radius)
+        first = _pairs_with_stats(pset, cfg, radii)[2]
         moved = moved_cloud(pset, cfg, rng, crossing=False)
-        state = verlet_build(moved, cfg, skins, previous=first)
-        assert state.stencil is first.stencil
-        assert len(state.list) > 10
-        assert_same_build(state, verlet_build(moved, cfg, skins))
+        got = _pairs_with_stats(moved, cfg, radii, first)
+        assert got[2] is first
+        assert len(got[0]) > 10
+        assert_same_search(got, _pairs_with_stats(moved, cfg, radii))
 
     def test_a_face_crossing_into_touching_range_is_found(self):
         # particle 1 moves from cell 2 into cell 1, overlapping particle 0 in

@@ -104,6 +104,29 @@ class TestMaybeBroadphase:
         assert fresh == changed
         assert 1 < len(fresh) < len(grids)
 
+    def test_only_builds_with_zero_skins_keep_their_stencil(self, monkeypatch):
+        # free particles at rest: an unbuffered run reuses the first build's
+        # stencil at every later build.  With the buffer on and one particle
+        # moving, every build has a nonzero skin and keeps no stencil
+        builds = []
+        build = verletdem.engine.verlet_build
+
+        def kept(*args, **kwargs):
+            builds.append(build(*args, **kwargs))
+            return builds[-1]
+
+        monkeypatch.setattr(verletdem.engine, "verlet_build", kept)
+        rest = spheres([(float(2 * i), 0, 0) for i in range(5)])
+        cfg = dataclasses.replace(open_config(steps=20), verlet_enabled=False)
+        run(cfg, rest)
+        assert len(builds) == 21 and builds[0].stencil is not None
+        assert all(b.stencil is builds[0].stencil for b in builds)
+        builds.clear()
+        moving = spheres(rest.position, [(3.0, 0, 0)] + [(0, 0, 0)] * 4)
+        run(open_config(steps=200), moving)
+        assert len(builds) > 1
+        assert all(b.frozen_skins.any() and b.stencil is None for b in builds)
+
 
 class TestStaticOnly:
     def test_single_broadphase_for_static_scene(self):
@@ -401,7 +424,7 @@ def audit(pset, live_keys):
     verlet = None if live_keys is None else VerletState(
         PairList(live_keys), pset.position.copy(), np.zeros(len(pset)),
         wall_rows=wall_candidates(pset, (), pset.radius),
-        pair_slack=np.zeros(len(live_keys)), stencil=None)
+        pair_slack=np.zeros(len(live_keys)), pairs_tested=0, stencil=None)
     driver = driver_for(SimState(particles=pset, verlet=verlet), open_config(1),
                         validation=True)
     driver._shadow_scan()

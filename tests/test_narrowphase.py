@@ -8,7 +8,9 @@ from verletdem.broadphase import (
     PairList, VerletState, _WallRows, brute_force_pairs, verlet_build,
     verlet_displacement_sq, verlet_gate, verlet_needs_rebuild, wall_candidates,
 )
-from verletdem.core import ContactParams, Particles, SimConfig, WallPlane, row_norm_sq, vec3
+from verletdem.core import (
+    ContactParams, Particles, SimConfig, SimulationError, WallPlane, row_norm_sq, vec3,
+)
 from verletdem.narrowphase import CoincidentCenters, Contacts, resolve_contacts, wall_sentinel
 
 FLOOR = WallPlane(vec3(0, 0, 0), vec3(0, 0, 1))
@@ -249,16 +251,18 @@ class TestDistanceFirstPairs:
         assert contacts.normal.tobytes() == (diff[hit] / d[hit][:, None]).tobytes()
 
 
-def per_wall_reference(candidates, pset, walls, tunneling, wall_rows=None, pair_rows=None):
+def per_wall_reference(candidates, pset, walls, tunneling, per_wall=None, pair_rows=None):
     """A per-wall loop and an ``np.lexsort``: the reference for the wall pass.
 
-    The pair rows come from :func:`resolve_contacts` without walls; each wall
-    is resolved on its own, and everything is sorted by (id_a, id_b).
+    ``per_wall[k]`` holds the sorted ids tested against wall k (None: every
+    particle against every wall).  The pair rows come from
+    :func:`resolve_contacts` without walls; each wall is resolved on its
+    own, and everything is sorted by (id_a, id_b).
     """
     pairs = resolve_contacts(candidates, pset, pair_rows=pair_rows)
     cols = [(pairs.id_a, pairs.id_b, pairs.overlap, pairs.normal)]
     for k, wall in enumerate(walls):
-        rows = np.arange(len(pset)) if wall_rows is None else wall_rows[k]
+        rows = np.arange(len(pset)) if per_wall is None else per_wall[k]
         if len(rows) == 0:
             continue
         d = wall.signed_distance(pset.position, rows)
@@ -272,6 +276,28 @@ def per_wall_reference(candidates, pset, walls, tunneling, wall_rows=None, pair_
     id_a, id_b, overlap, normal = (np.concatenate(c) for c in zip(*cols))
     order = np.lexsort((id_b, id_a))
     return Contacts(id_a[order], id_b[order], overlap[order], normal[order])
+
+
+def wall_rows_of(walls, per_wall):
+    """The wall-row value of the sorted ids ``per_wall[k]`` of each wall k,
+    assembled column by column from those rows."""
+    sizes = [len(rows) for rows in per_wall]
+    stops = np.cumsum([0] + sizes)
+    wall_of = np.repeat(np.arange(len(walls)), sizes)
+    normals = np.array([-w.outward_normal for w in walls]).reshape(-1, 3)
+    return _WallRows(
+        walls=tuple(walls), ids=np.concatenate([np.empty(0, np.intp), *per_wall]),
+        wall_of=wall_of, inward=np.ascontiguousarray(normals[wall_of]),
+        bounds=tuple((k, int(stops[k]), int(stops[k + 1]))
+                     for k in range(len(walls)) if sizes[k]))
+
+
+def per_wall_of(wall_rows, n_walls):
+    """The sorted ids of each wall's rows in ``wall_rows``, empty for a wall without."""
+    per_wall = [np.empty(0, np.intp)] * n_walls
+    for k, start, stop in wall_rows.bounds:
+        per_wall[k] = wall_rows.ids[start:stop]
+    return per_wall
 
 
 def random_walls(rng, n_walls, spread):
@@ -309,7 +335,7 @@ class TestWallCache:
         state = VerletState(
             list=NO_PAIRS, reference_positions=pos.copy(), frozen_skins=skins,
             wall_rows=wall_candidates(pset, walls, radius + skins), pair_slack=np.empty(0),
-            stencil=None,
+            pairs_tested=0, stencil=None,
         )
 
         direction = rng.normal(size=(n, 3))
@@ -325,7 +351,8 @@ class TestWallCache:
                                 wall_rows=state.wall_rows)
         assert fast.tobytes() == full.tobytes()
         assert cached == every_row
-        reference = per_wall_reference(pairs, moved, walls, looped, state.wall_rows)
+        reference = per_wall_reference(pairs, moved, walls, looped,
+                                       per_wall_of(state.wall_rows, n_walls))
         assert fast.tobytes() == reference.tobytes()
         assert cached == looped
 
@@ -360,7 +387,7 @@ class TestWallCache:
 
         fused, looped = [], []
         got = resolve_contacts(pairs, pset, walls, tunneling=fused,
-                               wall_rows=_WallRows(wall_rows, walls), pair_rows=pair_rows)
+                               wall_rows=wall_rows_of(walls, wall_rows), pair_rows=pair_rows)
         reference = per_wall_reference(pairs, pset, walls, looped, wall_rows, pair_rows)
         assert got.tobytes() == reference.tobytes()
         assert fused == looped
@@ -390,7 +417,7 @@ class TestContactColumns:
         candidates = pair_list(*pairs) if pairs else NO_PAIRS
         wall_rows = wall_candidates(pset, walls, pset.radius) if cached else None
         if cached:
-            assert [len(rows) for rows in wall_rows] == [2, 1]
+            assert [stop - start for _, start, stop in wall_rows.bounds] == [2, 1]
         got = resolve_contacts(candidates, pset, walls, wall_rows=wall_rows)
         assert list(zip(got.id_a.tolist(), got.id_b.tolist())) == expected
         m = len(got)
@@ -402,8 +429,44 @@ class TestContactColumns:
         public = Contacts(got.id_a.tolist(), got.id_b.tolist(), got.overlap.tolist(),
                           got.normal.tolist())
         assert got == public and got.tobytes() == public.tobytes()
+        assert got != public.tobytes()      # bytes are not Contacts
+        per_wall = None if wall_rows is None else per_wall_of(wall_rows, len(walls))
         assert got.tobytes() == per_wall_reference(candidates, pset, walls, [],
-                                                   wall_rows).tobytes()
+                                                   per_wall).tobytes()
+
+    def test_every_wall_row_form_gives_the_exhaustive_contacts(self):
+        # particle 3 sits behind both walls.  None, the rows wall_candidates
+        # returns and a build's rows give the contacts and the tunnelling
+        # reports of the per-wall loop over every particle
+        pset = spheres(TRIO + [(-0.1, 0, -0.1)])
+        walls = (FLOOR, SIDE)
+        cfg = SimConfig(dt=1e-4, k_factor=0, gravity=vec3(0, 0, 0), cell_size=2.0,
+                        domain_min=vec3(-1, -1, -1), domain_max=vec3(4, 4, 4),
+                        contact=ContactParams(k_n=1.0), steps=1, walls=walls)
+        expected_reports = []
+        expected = per_wall_reference(NO_PAIRS, pset, walls, expected_reports)
+        assert expected_reports == [(3, 0), (3, 1)]
+        for wall_rows in (None, wall_candidates(pset, walls, pset.radius),
+                          verlet_build(pset, cfg).wall_rows):
+            reports = []
+            got = resolve_contacts(NO_PAIRS, pset, walls, tunneling=reports, wall_rows=wall_rows)
+            assert got.tobytes() == expected.tobytes()
+            assert reports == expected_reports
+
+    @pytest.mark.parametrize("form", ["per-wall tuple", "list", "rows of other walls"])
+    def test_any_other_wall_rows_raise_the_library_error(self, form):
+        # rows built for the floor alone, resolved for (SIDE, FLOOR), would
+        # give one "wall 0" contact with the floor's normal where two are due
+        pset = spheres(TRIO[:1])
+        rows = wall_candidates(pset, (FLOOR,), pset.radius)
+        wall_rows, walls = {
+            "per-wall tuple": ((np.array([0]),), (FLOOR,)),
+            "list": ([np.array([0])], (FLOOR,)),
+            "rows of other walls": (rows, (SIDE, FLOOR)),
+        }[form]
+        assert len(resolve_contacts(NO_PAIRS, pset, walls)) == len(walls)
+        with pytest.raises(SimulationError, match="wall_rows"):
+            resolve_contacts(NO_PAIRS, pset, walls, wall_rows=wall_rows)
 
 
 def box_config(cell, hi):
